@@ -23,18 +23,13 @@ Every field defaults to ``None`` ("entry point's default"), so a
 request only pins what the caller cares about.  Validation happens at
 construction: an invalid kernel/backend/workers combination fails
 before any work starts, with the same error text the CLI prints.
-
-The pre-request keyword spellings on ``verify_instance`` and
-``sweep_problem`` still work but warn with ``DeprecationWarning``
-(messages pinned by ``tests/test_request.py``); they are removed in
-PR 11.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -47,17 +42,7 @@ __all__ = [
     "BACKENDS",
     "RunRequest",
     "resolve_target",
-    "deprecated_keywords_message",
 ]
-
-
-def deprecated_keywords_message(func: str, keywords: Any) -> str:
-    """The pinned DeprecationWarning text for legacy execution keywords."""
-    listed = "/".join(f"{keyword}=" for keyword in keywords)
-    return (
-        f"{func}({listed}...) is deprecated; pass a RunRequest via "
-        "request= (the keyword form will be removed in PR 11)"
-    )
 
 #: The step-kernel vocabulary every entry point shares.
 KERNELS: Tuple[str, ...] = ("interpreted", "compiled")

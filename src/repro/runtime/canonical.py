@@ -54,6 +54,21 @@ the subtree under ``g . s`` is the ``g``-image of the subtree under
 ``s``, with identical verdicts for any symmetric invariant.  The
 soundness argument is spelled out in docs/EXPLORATION.md.
 
+**Integer orbit keys** (the compiled kernel's quotient walk).  Over a
+compiled program the same keys can be integers:
+:meth:`PackedDigestTables.orbit_weights` ranks every register digest
+and every slot digest + flag in sorted byte order and packs the ranks
+into fixed bit fields, in key order, so two integer keys compare
+exactly as their bytes keys do.  An integer key is a sum of per-position
+weights, so the walk updates one int per group element per step instead
+of joining a bytes key per element.  Bytes keys remain the format
+everywhere else.  :meth:`Canonicalizer._key`, the interpreter's
+reference, digests values as the walk meets them, so it has no finished
+set of digests to rank.  :meth:`PackedDigestTables.batch_keys` and
+:meth:`PackedDigestTables.batch_raw` feed the parallel backend, whose
+shared visited table stores a BLAKE2b digest of each bytes key, and the
+benchmark's layer replay (``perfbench/layers.py``).
+
 When an instance offers no usable structure the builder degrades to a
 :class:`TrivialCanonicalizer` — compact encoding only, bit-for-bit the
 seed explorer's semantics.
@@ -72,6 +87,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -374,12 +390,88 @@ class PackedDigestTables:
     packed layout, concatenated — an ``array('q')`` or any integer
     sequence) and digest every state in one pass, so per-batch dedup
     pays the Python dispatch cost once per batch instead of once per
-    state.
+    state.  They build bytes keys: the parallel backend's shared
+    visited table stores a digest of each one.
+
+    :meth:`orbit_weights` turns the same tables into integer keys with
+    the bytes keys' order, for the compiled serial walk, which keys
+    every successor in one process and can update a key per step.
     """
 
     value_raw: Tuple[bytes, ...]
     slot_raw: Tuple[Tuple[bytes, ...], ...]
     candidates: Tuple[PackedCandidate, ...]
+
+    def orbit_weights(self, m: int) -> PackedOrbitWeights:
+        """Integer keys that order exactly like this table's bytes keys.
+
+        A bytes key is ``m`` register fields of :data:`DIGEST_SIZE`
+        bytes followed by one slot field (digest + flag byte) per slot.
+        Register fields get ranks among every register digest in the
+        tables, slot fields ranks among every slot digest + flag, both
+        in sorted byte order, so a rank comparison is the bytes
+        comparison of the field.  Each field's rank is shifted to a
+        fixed bit offset (the first field highest, each field as wide
+        as its largest rank), so comparing two integer keys compares
+        their fields in order, first difference deciding — exactly how
+        ``bytes`` compare two equal-length keys made of fixed-width
+        fields.  Equal ints are therefore equal bytes keys and the
+        ``<`` order is the same, so the minimum of a candidate vector is
+        the orbit representative :meth:`batch_keys` picks.
+
+        A key is a sum over packed positions, which is what lets a walk
+        update it per step: see :class:`PackedOrbitWeights`.
+        """
+        nslots = len(self.slot_raw)
+        elements: List[
+            Tuple[Sequence[int], Sequence[int], Sequence[bytes], Sequence[Sequence[bytes]]]
+        ] = [(range(m), range(nslots), self.value_raw, self.slot_raw)]
+        elements.extend(
+            (cand.source_phys, cand.source_slot, cand.value_digest, cand.slot_digest)
+            for cand in self.candidates
+        )
+        value_rank = _byte_ranks(
+            digest for _, _, value_digest, _ in elements for digest in value_digest
+        )
+        slot_rank = _byte_ranks(
+            digest
+            for _, _, _, slot_digest in elements
+            for row in slot_digest
+            for digest in row
+        )
+        value_bits = (len(value_rank) - 1).bit_length()
+        slot_bits = (len(slot_rank) - 1).bit_length()
+        # Field t of the key (registers first, then slots) sits above
+        # every later field.
+        slot_shift = [slot_bits * (nslots - 1 - t) for t in range(nslots)]
+        value_shift = [
+            slot_bits * nslots + value_bits * (m - 1 - j) for j in range(m)
+        ]
+        by_element: List[Tuple[Tuple[int, ...], ...]] = []
+        for source_phys, source_slot, value_digest, slot_digest in elements:
+            # Position q's table for this element: the rank of the field
+            # q's index maps to, at the offset of the field q feeds.
+            tables = [[0] * len(value_digest) for _ in range(m)]
+            tables.extend([0] * len(row) for row in slot_digest)
+            ranks = [value_rank[digest] for digest in value_digest]
+            for j, phys in enumerate(source_phys):
+                shift = value_shift[j]
+                table = tables[phys]
+                for x, rank in enumerate(ranks):
+                    table[x] += rank << shift
+            for t, slot in enumerate(source_slot):
+                shift = slot_shift[t]
+                table = tables[m + slot]
+                for x, digest in enumerate(slot_digest[slot]):
+                    table[x] += slot_rank[digest] << shift
+            by_element.append(tuple(tuple(table) for table in tables))
+        return PackedOrbitWeights(
+            by_element=tuple(by_element),
+            by_position=tuple(
+                tuple(element[q] for element in by_element)
+                for q in range(m + nslots)
+            ),
+        )
 
     def batch_raw(self, flat: Sequence[int], m: int) -> List[bytes]:
         """Raw keys of a flat batch of packed states.
@@ -438,6 +530,43 @@ class PackedDigestTables:
                     best = joined
             out.append((best, raw))
         return out
+
+
+def _byte_ranks(digests: Iterable[bytes]) -> Dict[bytes, int]:
+    """Each distinct byte string's index in sorted order."""
+    return {digest: rank for rank, digest in enumerate(sorted(set(digests)))}
+
+
+class PackedOrbitWeights:
+    """Integer orbit keys of packed states, built by
+    :meth:`PackedDigestTables.orbit_weights`.
+
+    Group element ``g`` (``0`` is the identity, then the table's
+    candidates in order) keys a packed state ``p`` as
+    ``sum(by_element[g][q][p[q]] for q in positions)``; element 0's int
+    is the raw key and the minimum over all elements is the canonical
+    key.  ``by_position[q][g]`` is the same table indexed by position
+    first: a step that changes positions ``q`` (the stepping slot, plus
+    a register on a write) moves element ``g``'s key by
+    ``by_position[q][g][new] - by_position[q][g][old]`` for each of them.
+    """
+
+    __slots__ = ("by_element", "by_position")
+
+    def __init__(
+        self,
+        by_element: Tuple[Tuple[Tuple[int, ...], ...], ...],
+        by_position: Tuple[Tuple[Tuple[int, ...], ...], ...],
+    ) -> None:
+        self.by_element = by_element
+        self.by_position = by_position
+
+    def vector(self, packed: Sequence[int]) -> List[int]:
+        """One int key per group element, identity (the raw key) first."""
+        return [
+            sum(table[x] for table, x in zip(tables, packed))
+            for tables in self.by_element
+        ]
 
 
 class Canonicalizer:

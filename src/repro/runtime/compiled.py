@@ -1309,6 +1309,14 @@ class CompiledBackend:
             [not (crashed[s] or h) for h in halted[s]]
             for s in range(nslots)
         ]
+        # Keys are ints, one per group element (identity first), kept
+        # per stacked state and moved per step by the weight deltas of
+        # the positions the step changed.  Equal ints are equal bytes
+        # keys and ``<`` agrees (PackedDigestTables.orbit_weights), so
+        # the walk dedups exactly as key_of_state would.
+        weights = tables.orbit_weights(m)
+        by_position = weights.by_position
+        vector_of = weights.vector
         step_tabs = tuple(
             (
                 pid,
@@ -1320,44 +1328,16 @@ class CompiledBackend:
                 program.write_value[s],
                 program.next_state[s],
                 program.rows[s],
+                by_position[off],
             )
             for pid, s, off in program.step_order
         )
 
-        value_raw = tables.value_raw
-        slot_raw = tables.slot_raw
-        candidates = tables.candidates
-
-        def key_of(packed: PackedState) -> Tuple[bytes, bytes]:
-            """``canonicalizer.key_of_state`` over a packed state.
-
-            Byte-identical by construction: every digest in the tables
-            went through the canonicalizer's own intern/digest path.
-            """
-            parts = [value_raw[packed[i]] for i in range(m)]
-            for s in range(nslots):
-                parts.append(slot_raw[s][packed[m + s]])
-            raw = b"".join(parts)
-            if not candidates:
-                return raw, raw
-            best = raw
-            for cand in candidates:
-                cparts = [
-                    cand.value_digest[packed[phys]]
-                    for phys in cand.source_phys
-                ]
-                for s in cand.source_slot:
-                    cparts.append(cand.slot_digest[s][packed[m + s]])
-                joined = b"".join(cparts)
-                if joined < best:
-                    best = joined
-            return best, raw
-
         initial = program.initial_packed
-        initial_key, initial_raw = key_of(initial)
-        visited: Dict[bytes, bytes] = {initial_key: initial_raw}
-        stack: List[Tuple[PackedState, int, Any, bytes]] = [
-            (initial, 0, None, initial_raw)
+        initial_vector = vector_of(initial)
+        visited: Dict[int, int] = {min(initial_vector): initial_vector[0]}
+        stack: List[Tuple[PackedState, int, Any, List[int]]] = [
+            (initial, 0, None, initial_vector)
         ]
         result = ExplorationResult(
             complete=True,
@@ -1373,7 +1353,8 @@ class CompiledBackend:
         started = time.perf_counter()
 
         while stack:
-            state, depth, link, state_raw = stack.pop()
+            state, depth, link, vector = stack.pop()
+            state_raw = vector[0]
             states_explored += 1
             if depth > max_depth_reached:
                 max_depth_reached = depth
@@ -1413,31 +1394,45 @@ class CompiledBackend:
                 wval_row,
                 nxt_row,
                 rows_row,
+                slot_weights,
             ) in expand:
                 si = state[off]
                 k = kind_row[si]
                 if k == OP_READ:
                     nsi = rows_row[si][state[arg_row[si]]]
-                    child = (
-                        state[:off] + (nsi,) + state[off + 1 :]
-                        if nsi >= 0
-                        else step_packed(state, s)
-                    )
+                elif k == OP_WRITE or k == OP_LOCAL:
+                    nsi = nxt_row[si]
+                else:
+                    nsi = RAISE_ENTRY
+                if nsi < 0:
+                    # Poisoned entry: interpret, then rebuild the key vector.
+                    child = step_packed(state, s)
+                    child_vector = vector_of(child)
                 elif k == OP_WRITE:
                     phys = arg_row[si]
+                    old = state[phys]
+                    new = wval_row[si]
                     child = (
                         state[:phys]
-                        + (wval_row[si],)
+                        + (new,)
                         + state[phys + 1 : off]
-                        + (nxt_row[si],)
+                        + (nsi,)
                         + state[off + 1 :]
                     )
-                elif k == OP_LOCAL:
-                    child = state[:off] + (nxt_row[si],) + state[off + 1 :]
+                    child_vector = [
+                        key_g - slot[si] + slot[nsi] - reg[old] + reg[new]
+                        for key_g, slot, reg in zip(
+                            vector, slot_weights, by_position[phys]
+                        )
+                    ]
                 else:
-                    child = step_packed(state, s)
+                    child = state[:off] + (nsi,) + state[off + 1 :]
+                    child_vector = [
+                        key_g - slot[si] + slot[nsi]
+                        for key_g, slot in zip(vector, slot_weights)
+                    ]
                 events_executed += 1
-                key, raw = key_of(child)
+                raw = child_vector[0]
                 step_link = (link, pid)
                 if raw == state_raw:
                     # Inert acceleration, exactly as serial: keep
@@ -1451,7 +1446,8 @@ class CompiledBackend:
                         child = step_packed(child, s)
                         events_executed += 1
                         step_link = (step_link, pid)
-                        key, raw = key_of(child)
+                        child_vector = vector_of(child)
+                        raw = child_vector[0]
                         local = child[off]
                         if raw == state_raw:
                             if local in seen_locals:
@@ -1459,6 +1455,7 @@ class CompiledBackend:
                             seen_locals.add(local)
                     if raw == state_raw:
                         continue
+                key = min(child_vector)
                 claimed = visited.get(key)
                 if claimed is not None:
                     if claimed != raw:
@@ -1469,7 +1466,7 @@ class CompiledBackend:
                     budget_exhausted = True
                     break
                 visited[key] = raw
-                stack.append((child, depth + 1, step_link, raw))
+                stack.append((child, depth + 1, step_link, child_vector))
             if budget_exhausted:
                 break
 

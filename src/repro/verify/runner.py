@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import re
 import time
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
@@ -39,10 +38,6 @@ from repro.request import RunRequest, resolve_target
 from repro.runtime.exploration import ExplorationResult, explore
 from repro.runtime.kernel import StepInstance
 from repro.verify.liveness import LIVENESS_CHECKERS, LivenessVerdict
-
-#: Sentinel distinguishing "keyword not passed" from an explicit None,
-#: so the deprecated execution keywords warn only when actually used.
-_UNSET: Any = object()
 
 
 def _no_invariant(system: Any) -> Optional[str]:
@@ -125,10 +120,6 @@ class VerificationReport:
 def verify_instance(
     spec: Optional[ProblemSpec] = None,
     instance: Optional[ProblemInstance] = None,
-    backend: Any = _UNSET,
-    telemetry: Any = _UNSET,
-    max_states: Any = _UNSET,
-    kernel: Any = _UNSET,
     *,
     request: Optional[RunRequest] = None,
 ) -> VerificationReport:
@@ -138,9 +129,6 @@ def verify_instance(
     ``verify_instance(spec, inst, request=RunRequest(kernel="compiled"))``
     — or omit ``spec``/``instance`` entirely and let the request's
     ``problem``/``instance``/``params`` resolve through the registry.
-    The pre-request ``backend=``/``telemetry=``/``max_states=``/
-    ``kernel=`` keywords still work but emit ``DeprecationWarning``
-    (removed in PR 11).
 
     ``kernel="compiled"`` runs the graph-retaining walk on the
     table-compiled step kernel (:mod:`repro.runtime.compiled`), seeded
@@ -153,34 +141,16 @@ def verify_instance(
     complete graph (state budget truncation) — an incomplete graph
     supports no liveness verdict.
     """
-    from repro.request import deprecated_keywords_message
-
-    legacy = {
-        name: value
-        for name, value in (
-            ("backend", backend),
-            ("kernel", kernel),
-            ("max_states", max_states),
-            ("telemetry", telemetry),
-        )
-        if value is not _UNSET
-    }
-    if legacy:
-        warnings.warn(
-            deprecated_keywords_message("verify_instance", sorted(legacy)),
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    backend = legacy.get("backend")
-    kernel = legacy.get("kernel")
-    max_states = legacy.get("max_states")
-    telemetry = legacy.get("telemetry")
+    backend: Any = None
+    kernel: Optional[str] = None
+    max_states: Optional[int] = None
+    telemetry: Optional[TelemetrySink] = None
     workers: Optional[int] = None
     if request is not None:
-        backend = request.merged("backend", backend)
-        kernel = request.merged("kernel", kernel)
-        max_states = request.merged("max_states", max_states)
-        telemetry = request.merged("telemetry", telemetry)
+        backend = request.backend
+        kernel = request.kernel
+        max_states = request.max_states
+        telemetry = request.telemetry
         workers = request.workers
         if spec is None:
             spec, instance = request.resolve()

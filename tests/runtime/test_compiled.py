@@ -8,13 +8,15 @@ the interpreter wholesale (``kernel == "interpreted"``) rather than
 degrade semantics.
 """
 
+from functools import cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.mutex import AnonymousMutex
 from repro.errors import ConfigurationError
-from repro.problems import instances_with_role, problem_specs
+from repro.problems import get_problem, instances_with_role, problem_specs
 from repro.request import RunRequest
 from repro.runtime.backends import SerialBackend, resolve_backend
 from repro.runtime.canonical import TrivialCanonicalizer, build_canonicalizer
@@ -53,6 +55,48 @@ def mutex_system(m=3):
     return System(AnonymousMutex(m=m, cs_visits=1), pids(2), record_trace=False)
 
 
+CONSENSUS = get_problem("figure-2-consensus")
+
+
+def consensus_n3_system():
+    """Three processes with equal inputs: a symmetry group of order 6."""
+    return CONSENSUS.system(CONSENSUS.instance("figure-2-consensus(n=3,equal)"))
+
+
+def canonicalizer_for(system, reduction):
+    if reduction == "trivial":
+        return TrivialCanonicalizer(system.scheduler)
+    return build_canonicalizer(system)
+
+
+TRUNCATED_WALKS = [
+    pytest.param(
+        lambda: mutex_system(m=5),
+        mutual_exclusion_invariant,
+        dict(max_states=5_000),
+        id="mutex-m5-max_states",
+    ),
+    pytest.param(
+        lambda: mutex_system(m=5),
+        mutual_exclusion_invariant,
+        dict(max_depth=25),
+        id="mutex-m5-max_depth",
+    ),
+    pytest.param(
+        consensus_n3_system,
+        CONSENSUS.invariant,
+        dict(max_states=3_000),
+        id="consensus-n3-max_states",
+    ),
+    pytest.param(
+        consensus_n3_system,
+        CONSENSUS.invariant,
+        dict(max_depth=30),
+        id="consensus-n3-max_depth",
+    ),
+]
+
+
 class TestCompiledMatchesSerial:
     @pytest.mark.parametrize(
         "factory, invariant", SHIPPED_INSTANCES + VIOLATING_INSTANCES
@@ -61,13 +105,11 @@ class TestCompiledMatchesSerial:
     def test_bit_identical(self, factory, invariant, reduction):
         def run(backend):
             system = factory()
-            canonicalizer = (
-                TrivialCanonicalizer(system.scheduler)
-                if reduction == "trivial"
-                else build_canonicalizer(system)
-            )
             return explore(
-                system, invariant, canonicalizer=canonicalizer, backend=backend
+                system,
+                invariant,
+                canonicalizer=canonicalizer_for(system, reduction),
+                backend=backend,
             )
 
         serial = run(SerialBackend())
@@ -76,18 +118,17 @@ class TestCompiledMatchesSerial:
         assert compiled.backend == "compiled"
         assert compiled.kernel == "compiled"
 
-    @pytest.mark.parametrize(
-        "budgets",
-        [dict(max_states=5_000), dict(max_depth=25)],
-        ids=["max_states", "max_depth"],
-    )
-    def test_truncated_walks_are_bit_identical(self, budgets):
+    @pytest.mark.parametrize("factory, invariant, budgets", TRUNCATED_WALKS)
+    @pytest.mark.parametrize("reduction", ["trivial", "symmetry"])
+    def test_truncated_walks_are_bit_identical(
+        self, factory, invariant, budgets, reduction
+    ):
         def run(backend):
-            system = mutex_system(m=5)
+            system = factory()
             return explore(
                 system,
-                mutual_exclusion_invariant,
-                canonicalizer=TrivialCanonicalizer(system.scheduler),
+                invariant,
+                canonicalizer=canonicalizer_for(system, reduction),
                 backend=backend,
                 **budgets,
             )
@@ -95,6 +136,7 @@ class TestCompiledMatchesSerial:
         serial = run(SerialBackend())
         compiled = run(CompiledBackend())
         assert not serial.complete
+        assert compiled.kernel == "compiled"
         assert fingerprint(serial) == fingerprint(compiled)
 
 
@@ -208,6 +250,72 @@ class TestPackedStateProperties:
             assert program.step_packed(packed, slot) == program.pack(
                 step_value(instance, state, pid)
             )
+
+
+@cache
+def _orbit_keys(name):
+    """(instance, initial, program, bytes tables, int weights) of a
+    symmetric instance, compiled once and shared by the tests."""
+    factory = ORBIT_INSTANCES[name]
+    system = factory()
+    instance = StepInstance.from_system(system)
+    initial = system.scheduler.capture_state()
+    program = compile_program(instance, initial)
+    tables = build_canonicalizer(system).packed_digest_tables(
+        program.values, program.states, program.halted, program.crashed
+    )
+    return instance, initial, program, tables, tables.orbit_weights(program.m)
+
+
+ORBIT_INSTANCES = {
+    # Slot permutations only (identity naming fixes every register).
+    "consensus-n3-equal": consensus_n3_system,
+    # Ring naming: the swap also rotates the registers.
+    "mutex-m4-ring": next(
+        param.values[0]
+        for param in SHIPPED_INSTANCES
+        if param.id == "mutex-m4-ring"
+    ),
+}
+
+
+def _compare(a, b):
+    return (a > b) - (a < b)
+
+
+class TestOrbitKeyOrder:
+    """Integer orbit keys order exactly like the bytes keys they replace."""
+
+    @pytest.mark.parametrize("name", sorted(ORBIT_INSTANCES))
+    def test_group_is_nontrivial(self, name):
+        _, _, program, tables, _ = _orbit_keys(name)
+        assert tables.candidates
+        moves_registers = any(
+            cand.source_phys != tuple(range(program.m))
+            for cand in tables.candidates
+        )
+        assert moves_registers == (name == "mutex-m4-ring")
+
+    @pytest.mark.parametrize("name", sorted(ORBIT_INSTANCES))
+    @settings(max_examples=80, deadline=None)
+    @given(
+        first=st.lists(st.integers(min_value=0, max_value=7), max_size=40),
+        second=st.lists(st.integers(min_value=0, max_value=7), max_size=40),
+    )
+    def test_int_keys_order_like_bytes_keys(self, name, first, second):
+        instance, initial, program, tables, weights = _orbit_keys(name)
+        packed = [
+            program.pack(_walk(instance, initial, choices))
+            for choices in (first, second)
+        ]
+        (canon_a, raw_a), (canon_b, raw_b) = [
+            tables.batch_keys(state, program.m)[0] for state in packed
+        ]
+        vector_a, vector_b = [weights.vector(state) for state in packed]
+        assert _compare(min(vector_a), min(vector_b)) == _compare(
+            canon_a, canon_b
+        )
+        assert _compare(vector_a[0], vector_b[0]) == _compare(raw_a, raw_b)
 
 
 class TestKernelWiring:

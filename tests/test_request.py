@@ -1,8 +1,5 @@
-"""RunRequest: validation, registry resolution, deprecation shims.
-
-The deprecation-message tests pin the exact warning text — the removal
-PR (PR 11) greps for these strings, so they must not drift.
-"""
+"""RunRequest: validation, registry resolution, and the entry points
+that take execution choices only through ``request=``."""
 
 import warnings
 
@@ -11,11 +8,7 @@ import pytest
 from repro.analysis.experiments import sweep_problem
 from repro.errors import ConfigurationError
 from repro.problems import get_problem
-from repro.request import (
-    RunRequest,
-    deprecated_keywords_message,
-    resolve_target,
-)
+from repro.request import RunRequest, resolve_target
 from repro.verify.runner import verify_instance
 
 
@@ -138,25 +131,29 @@ class TestResolveTarget:
         assert inst.label == spec.instances[0].label
 
 
-# -- deprecation shims -------------------------------------------------
+# -- request-only entry points -----------------------------------------
 
-class TestDeprecationShims:
-    def test_message_template(self):
-        assert deprecated_keywords_message("f", ["a", "b"]) == (
-            "f(a=/b=...) is deprecated; pass a RunRequest via request= "
-            "(the keyword form will be removed in PR 11)"
-        )
-
-    def test_verify_instance_keyword_warns_with_pinned_message(self):
+class TestRequestOnlyEntryPoints:
+    @pytest.mark.parametrize(
+        "keyword, value",
+        [
+            ("backend", "serial"),
+            ("telemetry", None),
+            ("max_states", 50_000),
+            ("kernel", "compiled"),
+        ],
+    )
+    def test_verify_instance_rejects_removed_keywords(self, keyword, value):
         spec = get_problem("figure-1-mutex")
         inst = spec.instance("figure-1-mutex(m=3)")
-        with pytest.warns(DeprecationWarning) as caught:
-            verify_instance(spec, inst, max_states=50_000)
-        assert str(caught[0].message) == (
-            "verify_instance(max_states=...) is deprecated; pass a "
-            "RunRequest via request= "
-            "(the keyword form will be removed in PR 11)"
-        )
+        with pytest.raises(TypeError, match=keyword):
+            verify_instance(spec, inst, **{keyword: value})
+
+    def test_verify_instance_rejects_positional_execution_choices(self):
+        spec = get_problem("figure-1-mutex")
+        inst = spec.instance("figure-1-mutex(m=3)")
+        with pytest.raises(TypeError):
+            verify_instance(spec, inst, "serial")
 
     def test_verify_instance_request_path_does_not_warn(self):
         spec = get_problem("figure-1-mutex")
@@ -180,24 +177,26 @@ class TestDeprecationShims:
         with pytest.raises(ConfigurationError):
             verify_instance(request=RunRequest(max_states=10))
 
-    def test_sweep_problem_keyword_warns_with_pinned_message(self):
+    @pytest.mark.parametrize(
+        "keyword, value",
+        [("max_steps", 500), ("backend", "serial"), ("telemetry", None)],
+    )
+    def test_sweep_problem_rejects_removed_keywords(self, keyword, value):
         from repro.memory.naming import IdentityNaming
         from repro.runtime.adversary import RandomAdversary
 
-        with pytest.warns(DeprecationWarning) as caught:
-            result = sweep_problem(
+        with pytest.raises(TypeError, match=keyword):
+            sweep_problem(
                 "figure-1-mutex",
                 namings=[IdentityNaming()],
                 adversaries=[RandomAdversary(1)],
                 checkers_factory=lambda: [],
-                max_steps=500,
+                **{keyword: value},
             )
-        assert str(caught[0].message) == (
-            "sweep_problem(max_steps=...) is deprecated; pass a "
-            "RunRequest via request= "
-            "(the keyword form will be removed in PR 11)"
-        )
-        assert result.runs == 1
+
+    def test_sweep_problem_rejects_positional_execution_choices(self):
+        with pytest.raises(TypeError):
+            sweep_problem("figure-1-mutex", [], [], lambda: [], None, None, 500)
 
     def test_sweep_problem_request_path_does_not_warn(self):
         from repro.memory.naming import IdentityNaming
