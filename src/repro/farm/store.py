@@ -2,19 +2,20 @@
 
 A verify-grade sweep cell retains the full labelled successor relation
 of its exploration walk.  In RAM that is a :class:`~repro.verify.graph.StateGraph`
-— two dictionaries whose memory footprint caps how large an instance
-one process lifetime can verify.  This module persists the same
-relation under a farm directory in a fixed-width binary layout that is
-written append-only and read back through ``mmap``, so tens of millions
-of retained edges cost file pages, not heap:
+— packed node tuples plus flat edge arrays, whose footprint still caps
+how large an instance one process lifetime can verify.  This module
+persists the same relation under a farm directory in a fixed-width
+binary layout that is written append-only and read back through
+``mmap``, so tens of millions of retained edges cost file pages, not
+heap:
 
 * ``nodes.bin`` — node keys (the canonicalizer's raw content digests),
   fixed ``key_len`` bytes each, in first-seen (insertion) order.  A
   node's position in this file is its *ordinal*.
 * ``edges.bin`` — one 16-byte record per edge, ``>IIq``:
   ``(src ordinal, dst ordinal, pid)``, appended in recording order.
-  Edges of one source node are contiguous (the recorder API enforces
-  it), so a node's out-edges are a single slice.
+  Edges of one source node are contiguous (the writer enforces it), so
+  a node's out-edges are a single slice.
 * ``index.bin`` — written once at finalisation, one 17-byte record per
   node in **sorted-key order**, ``>IQIB``: ``(ordinal, first edge
   record, edge count, expanded flag)``.  Sorted order makes
@@ -67,12 +68,13 @@ _INDEX_ENTRY = struct.Struct(">IQIB")
 
 
 class DiskGraphWriter:
-    """Incremental writer mirroring the :class:`GraphRecorder` API.
+    """Incremental writer of one store, keyed by raw node keys.
 
     ``add_node`` assigns ordinals on first sight and appends the key to
     ``nodes.bin``; ``add_edge`` appends to ``edges.bin`` and requires
-    one source's edges to arrive contiguously (which both exploration
-    backends and :meth:`StateGraph` iteration guarantee);
+    one source's edges to arrive contiguously (which
+    :func:`write_state_graph` guarantees: a :class:`StateGraph` stores
+    each node's edges as one slice);
     ``mark_expanded`` distinguishes expanded-but-terminal nodes from
     never-expanded frontier nodes on truncated walks.  ``finalize``
     writes the sorted index and metadata — until then the directory is
@@ -97,12 +99,8 @@ class DiskGraphWriter:
         self._edge_count = 0
         self._finalized = False
 
-    def add_node(self, key: bytes, state: Any = None) -> int:
-        """Record a node key (idempotent); returns its ordinal.
-
-        ``state`` is accepted for :class:`GraphRecorder` signature
-        compatibility and ignored — the store keeps keys only.
-        """
+    def add_node(self, key: bytes) -> int:
+        """Record a node key (idempotent); returns its ordinal."""
         ordinal = self._ordinals.get(key)
         if ordinal is not None:
             return ordinal
@@ -173,29 +171,33 @@ def write_state_graph(
 ) -> Dict[str, Any]:
     """Persist an in-RAM :class:`StateGraph` into a store directory.
 
-    Nodes are written in the graph's insertion (visit) order and edges
-    in recorded order, which is exactly what an in-walk recorder would
-    have produced — so the store layout is independent of whether the
-    graph was spooled during the walk or dumped afterwards.
+    Nodes are written in ordinal (first-seen) order under their raw keys
+    (:meth:`StateGraph.key`), so a node's store ordinal is its graph
+    ordinal, and each expanded node's edges follow as one run in
+    recorded order.
     """
-    writer = DiskGraphWriter(directory, key_len=len(graph.initial))
-    for key in graph.nodes:
+    keys = [graph.key(ordinal) for ordinal in range(len(graph))]
+    writer = DiskGraphWriter(directory, key_len=len(keys[graph.initial]))
+    for key in keys:
         writer.add_node(key)
-    for src, out in graph.edges.items():
-        writer.mark_expanded(src)
-        for pid, dst in out:
-            writer.add_edge(src, pid, dst)
-    return writer.finalize(graph.initial, graph.complete)
+    for src, key in enumerate(keys):
+        if not graph.expanded(src):
+            continue
+        writer.mark_expanded(key)
+        for pid, dst in graph.successors(src):
+            writer.add_edge(key, pid, keys[dst])
+    return writer.finalize(keys[graph.initial], graph.complete)
 
 
 class DiskStateGraph:
     """Read side of the store: the retained graph over ``mmap`` pages.
 
-    Supports the subset of the :class:`StateGraph` API the liveness
-    analyses and audits read — ``len``, ``successors``, ``iter_nodes``,
-    ``complete``, ``to_bytes`` — without materialising dictionaries.
-    Node *states* are not stored, so analyses needing concrete states
-    (lasso replay) still run against the in-RAM graph.
+    Nodes are named by raw key (the in-RAM graph's :meth:`StateGraph.key`)
+    rather than by ordinal: ``len``, ``successors``, ``expanded``,
+    ``iter_nodes`` (sorted keys), ``complete``, ``edge_count`` and
+    ``to_bytes`` read the files without materialising dictionaries.
+    Node *states* are not stored, so the liveness analyses and lasso
+    replay run against the in-RAM graph.
     """
 
     def __init__(self, directory: Union[str, Path]):

@@ -70,7 +70,11 @@ from typing import (
 
 from repro.errors import ConfigurationError
 from repro.obs.telemetry import NULL_TELEMETRY, TelemetrySink
-from repro.runtime.canonical import Canonicalizer, CanonicalKey
+from repro.runtime.canonical import (
+    Canonicalizer,
+    CanonicalKey,
+    PackedDigestTables,
+)
 from repro.runtime.exploration import ExplorationResult
 from repro.runtime.kernel import (
     GlobalState,
@@ -138,6 +142,58 @@ class ExplorationBackend(Protocol):
 # ---------------------------------------------------------------------------
 
 
+class _StatePacker:
+    """Packs value states into a retained graph's ordinal layout.
+
+    Interns register values and ``(pid, local, halted, crashed)`` slot
+    entries by equality — the canonicalizer's digest memo keys them the
+    same way — so a packed state is register-value indices followed by
+    one entry index per slot.  The compiled kernel's states already are
+    such tuples; the interpreted walk is the only producer that packs.
+    """
+
+    __slots__ = ("values", "value_index", "entries", "entry_index")
+
+    def __init__(self, nslots: int) -> None:
+        self.values: List[Any] = []
+        self.value_index: Dict[Any, int] = {}
+        self.entries: List[List[Tuple[ProcessId, Any, bool, bool]]] = [
+            [] for _ in range(nslots)
+        ]
+        self.entry_index: List[Dict[Any, int]] = [{} for _ in range(nslots)]
+
+    def pack(self, state: GlobalState) -> Tuple[int, ...]:
+        registers, locals_part = state
+        values, value_index = self.values, self.value_index
+        packed: List[int] = []
+        for value in registers:
+            index = value_index.get(value)
+            if index is None:
+                index = value_index[value] = len(values)
+                values.append(value)
+            packed.append(index)
+        for entries, entry_index, entry in zip(
+            self.entries, self.entry_index, locals_part
+        ):
+            index = entry_index.get(entry)
+            if index is None:
+                index = entry_index[entry] = len(entries)
+                entries.append(entry)
+            packed.append(index)
+        return tuple(packed)
+
+    def digests(self, canonicalizer: Canonicalizer) -> PackedDigestTables:
+        """Raw digests of every interned component, from the walk's own
+        canonicalizer memo.  A slot's crashed flag is the same in all
+        its entries: no step changes it."""
+        return canonicalizer.packed_digest_tables(
+            self.values,
+            [[entry[1] for entry in row] for row in self.entries],
+            [[entry[2] for entry in row] for row in self.entries],
+            [row[0][3] for row in self.entries],
+        )
+
+
 class SerialBackend:
     """Depth-first search over value states; the reference semantics.
 
@@ -175,20 +231,24 @@ class SerialBackend:
 
         initial = task.initial
         initial_key, initial_raw = canonicalizer.key_of_state(initial)
-        recorder = None
+        builder = None
         if task.retain_graph:
             # Imported lazily: repro.verify sits above the runtime layer.
-            from repro.verify.graph import GraphRecorder
+            from repro.verify.graph import GraphBuilder
 
-            recorder = GraphRecorder(initial_raw, initial)
+            packer = _StatePacker(len(initial[1]))
+            builder = GraphBuilder(
+                packer.values, packer.entries, packer.pack(initial)
+            )
         #: canonical key -> raw key of the representative that claimed it.
         visited: Dict[CanonicalKey, CanonicalKey] = {initial_key: initial_raw}
-        # Each frame: (state, depth, parent link, raw key).  The link is
-        # a structure-sharing chain (parent_link, pid) so path
-        # reconstruction costs O(depth) only when a violation is found.
+        # Each frame: (state, depth, parent link, raw key, graph
+        # ordinal).  The link is a structure-sharing chain (parent_link,
+        # pid) so path reconstruction costs O(depth) only when a
+        # violation is found; the ordinal is 0 unless retaining.
         stack: List[
-            Tuple[GlobalState, int, Optional[Tuple[Any, ProcessId]], bytes]
-        ] = [(initial, 0, None, initial_raw)]
+            Tuple[GlobalState, int, Optional[Tuple[Any, ProcessId]], bytes, int]
+        ] = [(initial, 0, None, initial_raw, 0)]
         result = ExplorationResult(
             complete=True,
             states_explored=0,
@@ -208,7 +268,7 @@ class SerialBackend:
             return tuple(reversed(path))
 
         while stack:
-            state, depth, link, state_raw = stack.pop()
+            state, depth, link, state_raw, ordinal = stack.pop()
             result.states_explored += 1
             if depth > result.max_depth_reached:
                 result.max_depth_reached = depth
@@ -235,16 +295,16 @@ class SerialBackend:
             if not enabled:
                 if not all_settled(state):
                     result.stuck_states += 1
-                if recorder is not None:
-                    recorder.mark_expanded(state_raw)
+                if builder is not None:
+                    builder.expand(ordinal)
                 continue
 
             if depth >= max_depth:
                 result.truncated_by = "max_depth"
                 continue
 
-            if recorder is not None:
-                recorder.mark_expanded(state_raw)
+            if builder is not None:
+                builder.expand(ordinal)
             budget_exhausted = False
             for pid in enabled:
                 child = step_value(instance, state, pid)
@@ -284,12 +344,13 @@ class SerialBackend:
                         # exits immediately and the retained edge is the
                         # one-step ``(pid, src)`` the liveness analyses
                         # need (a solo livelock in the making).
-                        if recorder is not None:
-                            recorder.add_edge(state_raw, pid, state_raw)
+                        if builder is not None:
+                            builder.edge(slot_of[pid], ordinal)
                         continue
-                if recorder is not None:
-                    recorder.add_edge(state_raw, pid, raw)
-                    recorder.add_node(raw, child)
+                child_ordinal = 0
+                if builder is not None:
+                    child_ordinal = builder.node(packer.pack(child))
+                    builder.edge(slot_of[pid], child_ordinal)
                 claimed = visited.get(key)
                 if claimed is not None:
                     if claimed != raw:
@@ -300,15 +361,17 @@ class SerialBackend:
                     budget_exhausted = True
                     break
                 visited[key] = raw
-                stack.append((child, depth + 1, step_link, raw))
+                stack.append((child, depth + 1, step_link, raw, child_ordinal))
             if budget_exhausted:
                 break
 
         result.complete = result.truncated_by is None
         result.wall_seconds = time.perf_counter() - started
         result.peak_visited = len(visited)
-        if recorder is not None:
-            result.graph = recorder.finish(result.complete)
+        if builder is not None:
+            result.graph = builder.finish(
+                packer.digests(canonicalizer), result.complete
+            )
         if emit:
             telemetry.gauge("explore.visited", len(visited))
             telemetry.gauge("explore.frontier", len(stack))

@@ -693,7 +693,7 @@ def _merge(
 
     if task.retain_graph and trivial:
         result.graph = _rebuild_graph(
-            task, program, tables, logs, merged, result.complete
+            program, tables, logs, merged, result.complete
         )
 
     if telemetry.enabled:
@@ -763,7 +763,6 @@ def _schedule_to(
 
 
 def _rebuild_graph(
-    task: "ExplorationTask",
     program: CompiledProgram,
     tables: Any,
     logs: List[Dict[str, Any]],
@@ -773,58 +772,54 @@ def _rebuild_graph(
     """Regenerate the retained StateGraph from the merged record set.
 
     Each merged expanded record is re-expanded (cheap, table-driven) and
-    its edges recorded in the instance's pid order — the same per-node
-    edge order as the serial walk.  ``StateGraph.to_bytes()`` sorts node
-    keys, so insertion order is irrelevant and the bytes come out
+    its packed children fed to the graph builder in the instance's pid
+    order — the same per-node edge order as the serial walk.
+    ``StateGraph.to_bytes()`` sorts nodes by raw key, so the order in
+    which this merge numbers nodes is irrelevant and the bytes come out
     identical to ``SerialBackend`` on complete runs.
     """
-    from repro.verify.graph import GraphRecorder
+    from repro.verify.graph import GraphBuilder
 
-    m = program.m
-    stride = m + len(program.slots)
-    slots = program.slots
-    batch_raw = tables.batch_raw
-    recorder = GraphRecorder(
-        batch_raw(program.initial_packed, m)[0], task.initial
+    stride = program.m + len(program.slots)
+    builder = GraphBuilder(
+        program.values, program.slot_entries(), tuple(program.initial_packed)
     )
-    nodes = recorder.nodes
     pending_states = array("q")
-    pending_keys: List[bytes] = []
+    pending: List[int] = []
 
     def flush() -> None:
         children, edges = program.expand_batch(pending_states)
-        child_raws = batch_raw(children, m)
-        ci = 0
-        for t in range(0, len(edges), 3):
-            src_key = pending_keys[edges[t]]
-            pid = slots[edges[t + 1]]
-            if edges[t + 2]:
-                recorder.add_edge(src_key, pid, src_key)
-                continue
-            raw = child_raws[ci]
-            cbase = ci * stride
-            ci += 1
-            recorder.add_edge(src_key, pid, raw)
-            if raw not in nodes:
-                recorder.add_node(
-                    raw, program.unpack(children[cbase : cbase + stride])
-                )
-        del pending_keys[:]
+        # Edge triples come grouped by source, in batch order.
+        t = ci = 0
+        for i, src in enumerate(pending):
+            builder.expand(src)
+            while t < len(edges) and edges[t] == i:
+                if edges[t + 2]:
+                    dst = src
+                else:
+                    cbase = ci * stride
+                    ci += 1
+                    dst = builder.node(tuple(children[cbase : cbase + stride]))
+                builder.edge(edges[t + 1], dst)
+                t += 3
+        del pending[:]
         del pending_states[:]
 
-    for key, (li, ri) in merged.items():
+    for li, ri in merged.values():
         log = logs[li]
         flag = log["exp_flags"][ri]
         if flag == _FLAG_CAPPED:
             continue
-        recorder.mark_expanded(key)
-        if flag == _FLAG_TERMINAL:
-            continue
-        pending_keys.append(key)
         base = ri * stride
-        pending_states.extend(log["exp_packed"][base : base + stride])
-        if len(pending_keys) == 256:
+        packed = log["exp_packed"][base : base + stride]
+        ordinal = builder.node(tuple(packed))
+        if flag == _FLAG_TERMINAL:
+            builder.expand(ordinal)
+            continue
+        pending.append(ordinal)
+        pending_states.extend(packed)
+        if len(pending) == 256:
             flush()
-    if pending_keys:
+    if pending:
         flush()
-    return recorder.finish(complete)
+    return builder.finish(tables, complete)

@@ -168,6 +168,18 @@ class CompiledProgram:
         )
         return registers, locals_part
 
+    def slot_entries(self) -> List[List[Tuple[ProcessId, Any, bool, bool]]]:
+        """``[slot][si]``: the ``(pid, local, halted, crashed)`` entry a
+        kernel state holds for local state ``si`` — the component table
+        a retained graph rebuilds states from."""
+        return [
+            [
+                (pid, local, halted, self.crashed[s])
+                for local, halted in zip(self.states[s], self.halted[s])
+            ]
+            for s, pid in enumerate(self.slots)
+        ]
+
     # -- stepping ------------------------------------------------------
 
     def step_packed(self, packed: PackedState, slot: int) -> PackedState:
@@ -829,15 +841,17 @@ class CompiledBackend:
             # the serial behaviour verbatim.
             return SerialBackend().run(task, telemetry=telemetry)
         try:
-            program = compile_program(
-                task.instance,
-                task.initial,
-                domain_hint=self.domain_hint,
-                max_local_states=self.max_local_states,
-                max_domain=self.max_domain,
-            )
-            suspect = _compile_suspect(task.invariant, program)
-            if trivial:
+            with telemetry.phase("explore.compile"):
+                program = compile_program(
+                    task.instance,
+                    task.initial,
+                    domain_hint=self.domain_hint,
+                    max_local_states=self.max_local_states,
+                    max_domain=self.max_domain,
+                )
+                suspect = _compile_suspect(task.invariant, program)
+                # Digest tables key the quotient walk and give a retained
+                # graph its raw keys; a plain trivial walk needs neither.
                 tables = (
                     task.canonicalizer.packed_digest_tables(
                         program.values,
@@ -845,15 +859,8 @@ class CompiledBackend:
                         program.halted,
                         program.crashed,
                     )
-                    if task.retain_graph
+                    if task.retain_graph or not trivial
                     else None
-                )
-            else:
-                tables = task.canonicalizer.packed_digest_tables(
-                    program.values,
-                    program.states,
-                    program.halted,
-                    program.crashed,
                 )
         except Exception:
             return SerialBackend().run(task, telemetry=telemetry)
@@ -1106,7 +1113,6 @@ class CompiledBackend:
         emit = telemetry.enabled
         progress_mask = self.progress_interval - 1
 
-        m = program.m
         halted = program.halted
         crashed = program.crashed
         step_packed = program.step_packed
@@ -1133,34 +1139,29 @@ class CompiledBackend:
             for pid, s, off in program.step_order
         )
 
-        recorder = None
-        state_raw = b""
-        raw_cache: Dict[PackedState, bytes] = {}
-
-        def raw_of(packed: PackedState) -> bytes:
-            raw = raw_cache.get(packed)
-            if raw is None:
-                parts = [value_raw[packed[i]] for i in range(m)]
-                for s in range(nslots):
-                    parts.append(slot_raw[s][packed[m + s]])
-                raw = b"".join(parts)
-                raw_cache[packed] = raw
-            return raw
-
         initial = program.initial_packed
-        if task.retain_graph:
-            from repro.verify.graph import GraphRecorder
-
-            value_raw = tables.value_raw
-            slot_raw = tables.slot_raw
-            recorder = GraphRecorder(raw_of(initial), task.initial)
-
         # Under the trivial canonicalizer a raw key is the content
         # digest of the concrete state, so raw equality is state
         # equality — packed tuples (injective over the closure) are an
-        # equivalent, cheaper dedup key.
-        visited = {initial}
-        stack: List[Tuple[PackedState, int, Any]] = [(initial, 0, None)]
+        # equivalent, cheaper dedup key.  Each maps to its ordinal;
+        # when retaining, the dict is the graph builder's, and the walk
+        # appends nodes and edges to the builder's arrays in place.
+        builder = None
+        visited: Dict[PackedState, int] = {initial: 0}
+        if task.retain_graph:
+            from repro.verify.graph import GraphBuilder
+
+            builder = GraphBuilder(
+                program.values, program.slot_entries(), initial
+            )
+            visited = builder.ordinal_of
+            nodes_append = builder.packed.append
+            opened_append = builder.opened.append
+            opened_at_append = builder.opened_at.append
+            edge_slot_append = builder.edge_slot.append
+            edge_dst = builder.edge_dst
+            edge_dst_append = edge_dst.append
+        stack: List[Tuple[PackedState, int, Any, int]] = [(initial, 0, None, 0)]
         result = ExplorationResult(
             complete=True,
             states_explored=0,
@@ -1174,7 +1175,7 @@ class CompiledBackend:
         started = time.perf_counter()
 
         while stack:
-            state, depth, link = stack.pop()
+            state, depth, link, ordinal = stack.pop()
             states_explored += 1
             if depth > max_depth_reached:
                 max_depth_reached = depth
@@ -1200,16 +1201,17 @@ class CompiledBackend:
             if not expand:
                 # No enabled pid ⟺ every slot halted or crashed ⟺
                 # all_settled, so the serial stuck counter can never
-                # tick here.
-                if recorder is not None:
-                    recorder.mark_expanded(raw_of(state))
+                # tick here.  Expanded, with no edges.
+                if builder is not None:
+                    opened_append(ordinal)
+                    opened_at_append(len(edge_dst))
                 continue
             if depth >= max_depth:
                 result.truncated_by = "max_depth"
                 continue
-            if recorder is not None:
-                state_raw = raw_of(state)
-                recorder.mark_expanded(state_raw)
+            if builder is not None:
+                opened_append(ordinal)
+                opened_at_append(len(edge_dst))
             budget_exhausted = False
             for (
                 pid,
@@ -1250,23 +1252,31 @@ class CompiledBackend:
                     # deterministic repeat), sees the local repeat and
                     # gives up: exactly 2 events, then a self-edge.
                     events_executed += 2
-                    if recorder is not None:
-                        recorder.add_edge(state_raw, pid, state_raw)
+                    if builder is not None:
+                        edge_slot_append(s)
+                        edge_dst_append(ordinal)
                     continue
                 events_executed += 1
-                if recorder is not None:
-                    child_raw = raw_of(child)
-                    recorder.add_edge(state_raw, pid, child_raw)
-                    if child_raw not in recorder.nodes:
-                        recorder.add_node(child_raw, program.unpack(child))
-                if child in visited:
-                    continue
-                if len(visited) >= max_states:
-                    result.truncated_by = "max_states"
-                    budget_exhausted = True
+                child_ordinal = visited.get(child)
+                if child_ordinal is None:
+                    child_ordinal = len(visited)
+                    if child_ordinal < max_states:
+                        visited[child] = child_ordinal
+                        stack.append(
+                            (child, depth + 1, (link, pid), child_ordinal)
+                        )
+                    else:
+                        result.truncated_by = "max_states"
+                        budget_exhausted = True
+                    if builder is not None:
+                        # The budget-tripping child is retained too, as
+                        # a never-expanded node (serial does the same).
+                        nodes_append(child)
+                if builder is not None:
+                    edge_slot_append(s)
+                    edge_dst_append(child_ordinal)
+                if budget_exhausted:
                     break
-                visited.add(child)
-                stack.append((child, depth + 1, (link, pid)))
             if budget_exhausted:
                 break
 
@@ -1276,8 +1286,8 @@ class CompiledBackend:
         result.complete = result.truncated_by is None
         result.wall_seconds = time.perf_counter() - started
         result.peak_visited = len(visited)
-        if recorder is not None:
-            result.graph = recorder.finish(result.complete)
+        if builder is not None:
+            result.graph = builder.finish(tables, result.complete)
         if emit:
             telemetry.gauge("explore.visited", len(visited))
             telemetry.gauge("explore.frontier", len(stack))

@@ -10,7 +10,7 @@ runner (:mod:`repro.verify.runner`) drives registry instances
 ``python -m repro verify``.
 """
 
-from repro.verify.graph import Edge, GraphRecorder, NodeKey, StateGraph
+from repro.verify.graph import GraphBuilder, StateGraph
 from repro.verify.liveness import (
     LIVENESS_CHECKERS,
     Lasso,
@@ -27,12 +27,10 @@ from repro.verify.runner import (
 )
 
 __all__ = [
-    "Edge",
-    "GraphRecorder",
+    "GraphBuilder",
     "LIVENESS_CHECKERS",
     "Lasso",
     "LivenessVerdict",
-    "NodeKey",
     "PropertyOutcome",
     "StateGraph",
     "VerificationReport",

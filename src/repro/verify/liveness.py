@@ -26,13 +26,30 @@ On the finite, complete transition system a backend retains (see
   Theorems 4.1/4.2/5.1 as exhaustive verification instead of adversary
   sampling.
 
+Both checkers work on node ordinals and the graph's flat edge arrays.
+The automaton predicates (``in_critical_section``, ``phase(...) ==
+"entry"``, live = neither halted nor crashed) are evaluated once per
+slot entry, not per state, and folded into one small int per node, one
+bit per (predicate, slot) that holds.  Tarjan's stacks, the
+SCC routing, the chain walks and every ``visited`` set are lists and
+byte arrays indexed by ordinal.
+
+Which SCC, which cycle entry and which lasso a checker reports depend
+only on visit order, and that order is the one a bytes-keyed graph had:
+roots and chain origins are taken in raw-key order
+(:meth:`~repro.verify.graph.StateGraph.iter_nodes`), and a node's edges
+in recorded (scheduler pid) order.  Ordinals themselves never decide
+anything, so verdicts, details and lassos are the same from every
+producer of the same graph.
+
 Counterexamples come back as a :class:`Lasso` — a finite prefix
 schedule from the initial state plus a repeatable cycle schedule — and
 are *validated before being returned*: the checker replays both parts
 through the pure kernel (:func:`~repro.runtime.kernel.step_value`,
 :func:`~repro.runtime.kernel.solo_run_value`) and re-checks the
-fairness/non-progress/trying conditions on the replayed states.  A
-lasso that fails its own replay is an internal error, never a verdict.
+fairness/non-progress/trying conditions on the replayed states with the
+automata's own predicates.  A lasso that fails its own replay is an
+internal error, never a verdict.
 
 All checkers require a ``complete`` graph: a truncated walk is a strict
 under-approximation and any liveness verdict over it would be unsound
@@ -43,7 +60,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from operator import getitem
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import VerificationError
 from repro.runtime.kernel import (
@@ -53,7 +71,7 @@ from repro.runtime.kernel import (
     step_value,
 )
 from repro.types import ProcessId
-from repro.verify.graph import Edge, NodeKey, StateGraph
+from repro.verify.graph import SlotEntry, StateGraph
 
 
 @dataclass(frozen=True)
@@ -68,8 +86,8 @@ class Lasso:
 
     prefix: Tuple[ProcessId, ...]
     cycle: Tuple[ProcessId, ...]
-    #: Node key of the cycle entry state in the retained graph.
-    entry: NodeKey
+    #: Ordinal of the cycle entry state in the retained graph.
+    entry: int
 
 
 @dataclass(frozen=True)
@@ -93,19 +111,6 @@ def _require_complete(graph: StateGraph, kind: str) -> None:
         )
 
 
-def _live_pids(
-    instance: StepInstance, state: GlobalState
-) -> Tuple[ProcessId, ...]:
-    """Processes neither halted nor crashed, in scheduler order."""
-    locals_part = state[1]
-    slot_of = instance.slot_of
-    return tuple(
-        pid
-        for pid in instance.pid_order
-        if not (locals_part[slot_of[pid]][2] or locals_part[slot_of[pid]][3])
-    )
-
-
 def _replay(
     instance: StepInstance,
     state: GlobalState,
@@ -116,107 +121,159 @@ def _replay(
     return state
 
 
+def _node_masks(
+    graph: StateGraph, flags: Callable[[SlotEntry], Tuple[Any, ...]]
+) -> List[int]:
+    """Per node, one bitmask of per-slot predicates.
+
+    ``flags(entry)`` runs once per slot entry and returns one truth
+    value per predicate; predicate ``j`` of slot ``s`` lands on bit
+    ``j * nslots + s`` of the node's mask, at the cost of one table
+    lookup per slot per node.
+    """
+    nslots = len(graph.entries)
+    tables: List[List[int]] = []
+    for slot, row in enumerate(graph.entries):
+        table: List[int] = []
+        for entry in row:
+            mask = 0
+            for j, flag in enumerate(flags(entry)):
+                if flag:
+                    mask |= 1 << (j * nslots + slot)
+            table.append(mask)
+        tables.append(table)
+    m = graph.m
+    return [sum(map(getitem, tables, packed[m:])) for packed in graph.packed]
+
+
+def _live(entry: SlotEntry) -> Tuple[bool]:
+    return (not (entry[2] or entry[3]),)
+
+
+def _slot_pids(
+    instance: StepInstance, mask: int
+) -> Tuple[ProcessId, ...]:
+    """The pids whose slot bit is set in ``mask``, in scheduler order."""
+    slot_of = instance.slot_of
+    return tuple(pid for pid in instance.pid_order if mask >> slot_of[pid] & 1)
+
+
 # ---------------------------------------------------------------------------
 # Deadlock-freedom: fair non-progress cycles via SCC analysis
 # ---------------------------------------------------------------------------
 
 
-class _CsPredicate:
-    """Memoised ``in_critical_section`` / ``phase`` over local states."""
-
-    def __init__(self, instance: StepInstance) -> None:
-        for pid, automaton in instance.automata.items():
-            if not (
-                hasattr(automaton, "in_critical_section")
-                and hasattr(automaton, "phase")
-            ):
-                raise VerificationError(
-                    "deadlock-freedom requires mutex-style automata with "
-                    "in_critical_section()/phase() predicates; process "
-                    f"{pid}'s {type(automaton).__name__} has neither"
-                )
-        self._instance = instance
-        self._in_cs: Dict[Tuple[ProcessId, object], bool] = {}
-        self._phase: Dict[Tuple[ProcessId, object], str] = {}
-
-    def in_cs(self, state: GlobalState, pid: ProcessId) -> bool:
-        local = self._instance.slot_entry(state, pid)[1]
-        key = (pid, local)
-        cached = self._in_cs.get(key)
-        if cached is None:
-            cached = self._instance.automata[pid].in_critical_section(local)
-            self._in_cs[key] = cached
-        return cached
-
-    def phase(self, state: GlobalState, pid: ProcessId) -> str:
-        local = self._instance.slot_entry(state, pid)[1]
-        key = (pid, local)
-        cached = self._phase.get(key)
-        if cached is None:
-            cached = self._instance.automata[pid].phase(local)
-            self._phase[key] = cached
-        return cached
+def _require_mutex_automata(instance: StepInstance) -> None:
+    for pid, automaton in instance.automata.items():
+        if not (
+            hasattr(automaton, "in_critical_section")
+            and hasattr(automaton, "phase")
+        ):
+            raise VerificationError(
+                "deadlock-freedom requires mutex-style automata with "
+                "in_critical_section()/phase() predicates; process "
+                f"{pid}'s {type(automaton).__name__} has neither"
+            )
 
 
-def _tarjan_sccs(
-    order: List[NodeKey], edges: Dict[NodeKey, List[Edge]]
-) -> List[List[NodeKey]]:
-    """Iterative Tarjan over the (non-progress) edge relation."""
-    index: Dict[NodeKey, int] = {}
-    low: Dict[NodeKey, int] = {}
-    on_stack: Set[NodeKey] = set()
-    stack: List[NodeKey] = []
-    sccs: List[List[NodeKey]] = []
+def _in_cs(instance: StepInstance, state: GlobalState, pid: ProcessId) -> bool:
+    local = instance.slot_entry(state, pid)[1]
+    return bool(instance.automata[pid].in_critical_section(local))
+
+
+def _trying(instance: StepInstance, state: GlobalState, pid: ProcessId) -> bool:
+    local = instance.slot_entry(state, pid)[1]
+    return instance.automata[pid].phase(local) == "entry"
+
+
+def _nonprogress_sccs(
+    graph: StateGraph, order: List[int], cs: List[int]
+) -> List[Tuple[List[int], int]]:
+    """Iterative Tarjan over the non-progress edges.
+
+    An edge is a progress edge when its stepping slot's bit is clear in
+    the source's critical-section mask ``cs`` and set in the
+    destination's; those are skipped.  Roots are taken in ``order`` and
+    edges in recorded order.  SCCs come out in completion order, each as
+    ``(members in stack-pop order, stepped)``: ``stepped`` is the
+    bitmask of slots that step on an edge inside the SCC, 0 when no
+    cycle runs through it.  An edge lies inside an SCC exactly when its
+    destination is still on Tarjan's stack once the edge is done with,
+    so the mask costs no extra pass.
+    """
+    start, count = graph.start, graph.count
+    edge_slot, edge_dst = graph.edge_slot, graph.edge_dst
+    n = len(graph)
+    # DFS numbers are 1..n; 0 = not yet visited, ``done`` = already
+    # placed in an SCC (so "on Tarjan's stack" is 0 < index < done).
+    done = n + 1
+    index = [0] * n
+    low = [0] * n
+    inner = [0] * n  # per node: slots of its edges found inside its SCC
+    stack: List[int] = []
+    sccs: List[Tuple[List[int], int]] = []
     counter = 0
     for root in order:
-        if root in index:
+        if index[root]:
             continue
-        work: List[Tuple[NodeKey, int]] = [(root, 0)]
+        counter += 1
+        index[root] = low[root] = counter
+        stack.append(root)
+        first = start[root]
+        # Frame: (node, ~cs[node], its edge iterator, the slot bit of
+        # the tree edge that reached it).
+        work = [(root, ~cs[root], iter(range(first, first + count[root])), 0)]
         while work:
-            node, edge_i = work[-1]
-            if edge_i == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            out = edges.get(node, [])
-            while edge_i < len(out):
-                _, dst = out[edge_i]
-                edge_i += 1
-                if dst not in index:
-                    work[-1] = (node, edge_i)
-                    work.append((dst, 0))
-                    advanced = True
+            node, not_cs, edges, _ = work[-1]
+            for e in edges:
+                dst = edge_dst[e]
+                bit = 1 << edge_slot[e]
+                if cs[dst] & not_cs & bit:
+                    continue  # progress edge
+                dst_index = index[dst]
+                if not dst_index:
+                    counter += 1
+                    index[dst] = low[dst] = counter
+                    stack.append(dst)
+                    first = start[dst]
+                    work.append(
+                        (dst, ~cs[dst], iter(range(first, first + count[dst])), bit)
+                    )
                     break
-                if dst in on_stack:
-                    low[node] = min(low[node], index[dst])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index[node]:
-                members: List[NodeKey] = []
-                while True:
-                    top = stack.pop()
-                    on_stack.discard(top)
-                    members.append(top)
-                    if top == node:
-                        break
-                sccs.append(members)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
+                if dst_index != done:
+                    inner[node] |= bit
+                    if dst_index < low[node]:
+                        low[node] = dst_index
+            else:
+                via = work.pop()[3]
+                if low[node] == index[node]:
+                    members: List[int] = []
+                    stepped = 0
+                    while True:
+                        top = stack.pop()
+                        index[top] = done
+                        members.append(top)
+                        stepped |= inner[top]
+                        if top == node:
+                            break
+                    sccs.append((members, stepped))
+                if work:
+                    parent = work[-1][0]
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
+                    if index[node] != done:
+                        inner[parent] |= via
     return sccs
 
 
 def _route(
-    adj: Dict[NodeKey, List[Edge]],
-    src: NodeKey,
-    accept: Callable[[NodeKey, ProcessId, NodeKey], bool],
-) -> Tuple[List[ProcessId], NodeKey]:
+    adj: Dict[int, List[Tuple[ProcessId, int]]],
+    src: int,
+    accept: Callable[[int, ProcessId, int], bool],
+) -> Tuple[List[ProcessId], int]:
     """Shortest schedule from ``src`` whose final edge satisfies
     ``accept``, breadth-first over the restricted adjacency."""
-    parent: Dict[NodeKey, Tuple[NodeKey, ProcessId]] = {}
+    parent: Dict[int, Tuple[int, ProcessId]] = {}
     queue: deque = deque([src])
     seen = {src}
     while queue:
@@ -241,8 +298,8 @@ def _route(
 
 
 def _fair_cycle(
-    adj: Dict[NodeKey, List[Edge]],
-    start: NodeKey,
+    adj: Dict[int, List[Tuple[ProcessId, int]]],
+    start: int,
     required: Tuple[ProcessId, ...],
 ) -> Tuple[ProcessId, ...]:
     """A cycle through ``start`` (within the restricted adjacency) in
@@ -271,65 +328,52 @@ def check_deadlock_freedom(
     verdict carries a replay-validated :class:`Lasso`.
     """
     _require_complete(graph, "deadlock-freedom")
-    predicates = _CsPredicate(instance)
-    nodes = graph.nodes
-    order = sorted(nodes)
+    _require_mutex_automata(instance)
+    automata = instance.automata
 
-    nonprogress: Dict[NodeKey, List[Edge]] = {}
-    for key in order:
-        src = nodes[key]
-        kept = [
-            (pid, dst)
-            for pid, dst in graph.successors(key)
-            if predicates.in_cs(src, pid)
-            or not predicates.in_cs(nodes[dst], pid)
-        ]
-        if kept:
-            nonprogress[key] = kept
+    def flags(entry: SlotEntry) -> Tuple[Any, ...]:
+        pid, local, halted, crashed = entry
+        automaton = automata[pid]
+        return (
+            automaton.in_critical_section(local),
+            automaton.phase(local) == "entry",
+            not (halted or crashed),
+        )
 
-    sccs = _tarjan_sccs(order, nonprogress)
-    for members in sccs:
-        member_set = set(members)
-        internal: Dict[NodeKey, List[Edge]] = {}
-        stepped: Set[ProcessId] = set()
-        for key in members:
-            kept = [
-                (pid, dst)
-                for pid, dst in nonprogress.get(key, [])
-                if dst in member_set
-            ]
-            if kept:
-                internal[key] = kept
-                stepped.update(pid for pid, _ in kept)
-        if not internal:
+    # Bits 0..k-1: in the critical section; k..2k-1: trying; 2k..3k-1:
+    # live.  Only the low bits matter to the progress-edge test.
+    masks = _node_masks(graph, flags)
+    nslots = len(graph.entries)
+    all_slots = (1 << nslots) - 1
+    sccs = _nonprogress_sccs(graph, list(graph.iter_nodes()), masks)
+    for members, stepped in sccs:
+        if not stepped:
             continue  # trivial SCC: no cycle through it
-        live = _live_pids(instance, nodes[members[0]])
-        for key in members[1:]:
-            if _live_pids(instance, nodes[key]) != live:
+        live = masks[members[0]] >> 2 * nslots
+        for node in members[1:]:
+            if masks[node] >> 2 * nslots != live:
                 raise RuntimeError(
                     "internal error: live set varies within an SCC — "
                     "halted/crashed flags are supposed to be monotone"
                 )
-        if not live or not set(live) <= stepped:
+        if not live or live & ~stepped:
             continue  # no fair scheduler can loop here forever
-        start = next(
+        entry = next(
             (
-                key
-                for key in members
-                if any(
-                    predicates.phase(nodes[key], pid) == "entry"
-                    for pid in live
-                )
+                node
+                for node in members
+                if masks[node] >> nslots & all_slots & live
             ),
             None,
         )
-        if start is None:
+        if entry is None:
             continue  # nobody trying: starving no one
-        cycle = _fair_cycle(internal, start, live)
-        prefix = graph.path_to(start)
+        live_pids = _slot_pids(instance, live)
+        cycle = _fair_cycle(_internal_edges(graph, members, masks), entry, live_pids)
+        prefix = graph.path_to(entry)
         _validate_df_lasso(
-            instance, nodes[graph.initial], prefix, cycle,
-            nodes[start], live, predicates,
+            instance, graph.nodes[graph.initial], prefix, cycle,
+            graph.nodes[entry], live_pids,
         )
         return LivenessVerdict(
             kind="deadlock-freedom",
@@ -337,11 +381,12 @@ def check_deadlock_freedom(
             states=len(graph),
             detail=(
                 f"fair non-progress cycle of length {len(cycle)} through "
-                f"an SCC of {len(members)} states (live pids {list(live)} "
-                f"all step, no critical-section entry, a live process "
-                f"stays in its entry section); prefix length {len(prefix)}"
+                f"an SCC of {len(members)} states (live pids "
+                f"{list(live_pids)} all step, no critical-section entry, a "
+                f"live process stays in its entry section); prefix length "
+                f"{len(prefix)}"
             ),
-            lasso=Lasso(prefix=prefix, cycle=cycle, entry=start),
+            lasso=Lasso(prefix=prefix, cycle=cycle, entry=entry),
         )
     return LivenessVerdict(
         kind="deadlock-freedom",
@@ -355,6 +400,28 @@ def check_deadlock_freedom(
     )
 
 
+def _internal_edges(
+    graph: StateGraph, members: List[int], cs: List[int]
+) -> Dict[int, List[Tuple[ProcessId, int]]]:
+    """An SCC's internal non-progress edges, per member in recorded
+    order, as the routing adjacency."""
+    pids = graph.slot_pids
+    edge_slot, edge_dst = graph.edge_slot, graph.edge_dst
+    member_set = set(members)
+    internal: Dict[int, List[Tuple[ProcessId, int]]] = {}
+    for node in members:
+        first = graph.start[node]
+        kept = [
+            (pids[edge_slot[e]], edge_dst[e])
+            for e in range(first, first + graph.count[node])
+            if edge_dst[e] in member_set
+            and not cs[edge_dst[e]] & ~cs[node] & 1 << edge_slot[e]
+        ]
+        if kept:
+            internal[node] = kept
+    return internal
+
+
 def _validate_df_lasso(
     instance: StepInstance,
     initial_state: GlobalState,
@@ -362,7 +429,6 @@ def _validate_df_lasso(
     cycle: Tuple[ProcessId, ...],
     entry_state: GlobalState,
     live: Tuple[ProcessId, ...],
-    predicates: _CsPredicate,
 ) -> None:
     """Replay the lasso through the pure kernel and re-check every
     condition the verdict claims.  Failures are internal errors."""
@@ -372,15 +438,15 @@ def _validate_df_lasso(
             "internal error: lasso prefix does not replay to the cycle "
             "entry state"
         )
-    if not any(predicates.phase(state, pid) == "entry" for pid in live):
+    if not any(_trying(instance, state, pid) for pid in live):
         raise RuntimeError(
             "internal error: no live process is trying at the cycle entry"
         )
     stepped: Set[ProcessId] = set()
     for pid in cycle:
         successor = step_value(instance, state, pid)
-        if not predicates.in_cs(state, pid) and predicates.in_cs(
-            successor, pid
+        if not _in_cs(instance, state, pid) and _in_cs(
+            instance, successor, pid
         ):
             raise RuntimeError(
                 "internal error: lasso cycle contains a progress edge"
@@ -402,6 +468,20 @@ def _validate_df_lasso(
 # ---------------------------------------------------------------------------
 
 
+def _solo_successors(graph: StateGraph, slot: int) -> List[int]:
+    """Per node, the destination of its ``slot`` edge, or -1 if none."""
+    start, count = graph.start, graph.count
+    edge_slot, edge_dst = graph.edge_slot, graph.edge_dst
+    solo = [-1] * len(graph)
+    for node in range(len(graph)):
+        first = start[node]
+        for e in range(first, first + count[node]):
+            if edge_slot[e] == slot:
+                solo[node] = edge_dst[e]
+                break
+    return solo
+
+
 def check_obstruction_freedom(
     instance: StepInstance, graph: StateGraph
 ) -> LivenessVerdict:
@@ -415,34 +495,30 @@ def check_obstruction_freedom(
     cycle is just ``p`` repeated.
     """
     _require_complete(graph, "obstruction-freedom")
-    nodes = graph.nodes
-    order = sorted(nodes)
+    order = list(graph.iter_nodes())
     for pid in instance.pid_order:
-        terminates: Set[NodeKey] = set()
+        solo = _solo_successors(graph, instance.slot_of[pid])
+        terminates = bytearray(len(graph))
         for origin in order:
-            if origin in terminates:
+            if terminates[origin]:
                 continue
-            path: List[NodeKey] = []
-            position: Dict[NodeKey, int] = {}
+            path: List[int] = []
+            position: Dict[int, int] = {}
             cur = origin
-            while True:
-                if cur in terminates:
-                    terminates.update(path)
-                    break
+            # Walk until the chain meets a known-terminating node or
+            # one without a p-edge (p halted or crashed there: the solo
+            # run has settled) — or closes a cycle.
+            while cur >= 0 and not terminates[cur]:
                 if cur in position:
                     cycle_len = len(path) - position[cur]
                     return _of_violation(instance, graph, pid, cur, cycle_len)
                 position[cur] = len(path)
                 path.append(cur)
-                nxt = graph.successor_via(cur, pid)
-                if nxt is None:
-                    # No p-edge: p is halted or crashed here — the solo
-                    # run has settled.
-                    terminates.update(path)
-                    break
-                cur = nxt
+                cur = solo[cur]
+            for node in path:
+                terminates[node] = 1
     live_counts = sorted(
-        {len(_live_pids(instance, state)) for state in nodes.values()}
+        {bin(mask).count("1") for mask in _node_masks(graph, _live)}
     )
     return LivenessVerdict(
         kind="obstruction-freedom",
@@ -460,7 +536,7 @@ def _of_violation(
     instance: StepInstance,
     graph: StateGraph,
     pid: ProcessId,
-    entry: NodeKey,
+    entry: int,
     cycle_len: int,
 ) -> LivenessVerdict:
     prefix = graph.path_to(entry)

@@ -7,10 +7,12 @@ One :func:`verify_instance` call is the whole pipeline for a single
    (the spec's pinned naming included — mutants pin the adversarial
    naming their counterexample needs);
 2. exhaustively explore with the safety invariant and
-   ``retain_graph=True`` (trivial canonicalizer, serial or parallel
-   backend — the retained graph is byte-identical either way);
+   ``retain_graph=True`` (trivial canonicalizer; serial, compiled or
+   parallel — the retained graph is byte-identical either way);
 3. run every declared liveness property's checker
-   (:data:`~repro.verify.liveness.LIVENESS_CHECKERS`) over the graph.
+   (:data:`~repro.verify.liveness.LIVENESS_CHECKERS`) over the graph,
+   each timed as its own ``verify.liveness.<kind>`` telemetry phase
+   inside ``verify.liveness``.
 
 The resulting :class:`VerificationReport` is the CLI's unit of output
 (``python -m repro verify``) and can be serialised as a
@@ -219,7 +221,8 @@ def verify_instance(
     with telemetry.phase("verify.liveness"):
         for declared in spec.liveness:
             checker = LIVENESS_CHECKERS[declared.kind]
-            verdict = checker(step_instance, result.graph)
+            with telemetry.phase(f"verify.liveness.{declared.kind}"):
+                verdict = checker(step_instance, result.graph)
             outcomes.append(PropertyOutcome(declared=declared, verdict=verdict))
             if telemetry.enabled:
                 telemetry.event(

@@ -69,25 +69,41 @@ class TestReadApi:
         assert len(disk) == len(graph)
         assert disk.edge_count == graph.edge_count
         assert disk.complete is True
-        assert disk.initial == graph.initial
+        assert disk.initial == graph.key(graph.initial)
 
     def test_iter_nodes_is_sorted_and_equal(self, graph, disk):
-        assert list(disk.iter_nodes()) == sorted(graph.nodes)
+        keys = [graph.key(node) for node in graph.iter_nodes()]
+        assert list(disk.iter_nodes()) == keys == sorted(keys)
 
     def test_successors_agree_on_every_node(self, graph, disk):
-        for key in graph.iter_nodes():
-            assert disk.successors(key) == graph.successors(key)
+        for node in graph.iter_nodes():
+            assert disk.successors(graph.key(node)) == tuple(
+                (pid, graph.key(dst)) for pid, dst in graph.successors(node)
+            )
 
     def test_successors_of_unknown_key_empty(self, disk, graph):
-        assert disk.successors(b"\x00" * len(graph.initial)) == ()
+        assert disk.successors(b"\x00" * len(graph.key(graph.initial))) == ()
 
     def test_contains(self, graph, disk):
-        assert graph.initial in disk
-        assert b"\xff" * len(graph.initial) not in disk
+        initial = graph.key(graph.initial)
+        assert initial in disk
+        assert b"\xff" * len(initial) not in disk
 
     def test_expanded_flags(self, graph, disk):
-        for key in graph.iter_nodes():
-            assert disk.expanded(key) == (key in graph.edges)
+        for node in graph.iter_nodes():
+            assert disk.expanded(graph.key(node)) == graph.expanded(node)
+
+    def test_truncated_frontier_reads_as_never_expanded(self, tmp_path):
+        truncated = retained_graph(max_states=100)
+        frontier = [
+            node for node in range(len(truncated)) if not truncated.expanded(node)
+        ]
+        assert frontier
+        write_state_graph(truncated, tmp_path / "t")
+        with load_state_graph(tmp_path / "t") as handle:
+            for node in frontier:
+                assert not handle.expanded(truncated.key(node))
+                assert handle.successors(truncated.key(node)) == ()
 
 
 class TestWriterContract:

@@ -172,3 +172,40 @@ class TestSchedulerCounters:
         system = System(AnonymousMutex(m=3, cs_visits=1), pids(2))
         system.run(RandomAdversary(1), max_steps=50_000)
         assert system.scheduler.telemetry is NULL_TELEMETRY
+
+
+class TestVerifyPhases:
+    @pytest.mark.parametrize(
+        "problem, instance, kind",
+        [
+            ("figure-1-mutex", "figure-1-mutex(m=3)", "deadlock-freedom"),
+            ("figure-2-consensus", "figure-2-consensus(n=2)", "obstruction-freedom"),
+        ],
+    )
+    def test_compiled_verify_names_compile_and_liveness_phases(
+        self, problem, instance, kind
+    ):
+        from repro.request import RunRequest
+        from repro.verify import verify_instance
+
+        tel = Telemetry()
+        report = verify_instance(
+            request=RunRequest(
+                problem=problem, instance=instance, kernel="compiled",
+                telemetry=tel,
+            )
+        )
+        assert report.ok and report.exploration.kernel == "compiled"
+        phases = tel.phases
+        for name in (
+            "explore.compile", "explore.walk", "verify.liveness",
+            f"verify.liveness.{kind}",
+        ):
+            assert phases[name]["entries"] == 1, name
+        # Compilation runs inside the walk, each checker inside the
+        # liveness phase.
+        assert phases["explore.compile"]["seconds"] <= phases["explore.walk"]["seconds"]
+        assert (
+            phases[f"verify.liveness.{kind}"]["seconds"]
+            <= phases["verify.liveness"]["seconds"]
+        )

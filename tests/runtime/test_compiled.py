@@ -142,6 +142,28 @@ class TestCompiledMatchesSerial:
 
 VERIFY_INSTANCES = list(instances_with_role("verify", include_mutants=True))
 
+#: Budget cuts of retained walks, with the states explored / graph nodes
+#: / edges both walks must report.  A max_states cut retains the
+#: budget-tripping child as a never-expanded node (nodes = budget + 1).
+RETAINED_CUTS = [
+    pytest.param(
+        "figure-1-mutex", "figure-1-mutex(m=5)", dict(max_states=3_000),
+        (2_950, 3_001, 5_450), id="mutex-m5-max_states",
+    ),
+    pytest.param(
+        "figure-1-mutex", "figure-1-mutex(m=5)", dict(max_depth=40),
+        (11_591, 11_591, 21_107), id="mutex-m5-max_depth",
+    ),
+    pytest.param(
+        "figure-2-consensus", "figure-2-consensus(n=2)", dict(max_states=500),
+        (484, 501, 882), id="consensus-n2-max_states",
+    ),
+    pytest.param(
+        "figure-2-consensus", "figure-2-consensus(n=2)", dict(max_depth=12),
+        (138, 138, 218), id="consensus-n2-max_depth",
+    ),
+]
+
 
 class TestRetainedGraph:
     @pytest.mark.parametrize(
@@ -168,6 +190,41 @@ class TestRetainedGraph:
         compiled = run(CompiledBackend())
         assert fingerprint(serial) == fingerprint(compiled)
         assert serial.graph is not None and compiled.graph is not None
+        assert serial.graph.to_bytes() == compiled.graph.to_bytes()
+
+    @pytest.mark.parametrize("problem, label, budgets, sizes", RETAINED_CUTS)
+    def test_truncated_graph_bytes_identical(self, problem, label, budgets, sizes):
+        spec = get_problem(problem)
+        inst = spec.instance(label)
+
+        def run(backend):
+            return explore(
+                spec.system(inst),
+                spec.invariant,
+                backend=backend,
+                retain_graph=True,
+                **budgets,
+            )
+
+        serial = run(SerialBackend())
+        compiled = run(CompiledBackend())
+        assert compiled.kernel == "compiled"
+        assert not serial.complete and not serial.graph.complete
+        assert fingerprint(serial) == fingerprint(compiled)
+        for result in (serial, compiled):
+            graph = result.graph
+            assert (result.states_explored, len(graph), graph.edge_count) == sizes
+        # to_bytes() writes a never-expanded node like a terminal one
+        # (no edges), so compare the frontier on its own.
+        frontiers = [
+            {
+                result.graph.key(node)
+                for node in range(len(result.graph))
+                if not result.graph.expanded(node)
+            }
+            for result in (serial, compiled)
+        ]
+        assert frontiers[0] and frontiers[0] == frontiers[1]
         assert serial.graph.to_bytes() == compiled.graph.to_bytes()
 
 

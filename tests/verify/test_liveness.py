@@ -9,19 +9,28 @@ deadlock-freedom with a lasso counterexample that replays — both through
 the pure kernel and through :func:`replay_schedule` on a fresh system.
 """
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.errors import VerificationError
 from repro.problems import get_problem
 from repro.request import RunRequest
+from repro.runtime.automaton import Algorithm, ProcessAutomaton
+from repro.runtime.backends import ParallelBackend, SerialBackend
+from repro.runtime.compiled import CompiledBackend
 from repro.runtime.exploration import explore
-from repro.runtime.kernel import StepInstance, step_value
+from repro.runtime.kernel import StepInstance, solo_run_value, step_value
+from repro.runtime.ops import ReadOp, WriteOp
 from repro.runtime.replay import replay_schedule
+from repro.runtime.system import System
 from repro.verify import (
     check_deadlock_freedom,
     check_obstruction_freedom,
     verify_instance,
 )
+
+from tests.conftest import pids
 
 
 def _graph_and_step(key, label, **explore_kwargs):
@@ -108,6 +117,27 @@ class TestMutantCounterexample:
         )
         assert outcome.verdict.lasso is not None
 
+    def test_lasso_and_detail_are_pinned(self, mutant_report):
+        # The checker's visit order (raw-key roots, recorded edge order)
+        # decides which cycle is reported; these are the values the
+        # bytes-keyed graph produced.
+        _, _, report = mutant_report
+        verdict = report.outcomes[0].verdict
+        assert verdict.lasso.prefix == (
+            101, 101, 101, 101, 103, 103, 101, 103,
+            103, 103, 103, 103, 103, 103, 103, 103,
+        )
+        assert verdict.lasso.cycle == (
+            101, 103, 101, 101, 101, 101, 101, 101,
+            101, 103, 103, 103, 103, 103, 103, 103,
+        )
+        assert verdict.detail == (
+            "fair non-progress cycle of length 16 through an SCC of 64 "
+            "states (live pids [101, 103] all step, no critical-section "
+            "entry, a live process stays in its entry section); prefix "
+            "length 16"
+        )
+
     def test_lasso_replays_through_the_pure_kernel(self, mutant_report):
         spec, instance, report = mutant_report
         lasso = report.outcomes[0].verdict.lasso
@@ -175,3 +205,95 @@ class TestVerifyInstancePipeline:
         assert manifest.outcome["retained_edges"] == report.retained_edges
         (prop,) = manifest.outcome["properties"]
         assert prop["kind"] == "deadlock-freedom" and prop["holds"]
+
+
+@dataclass(frozen=True)
+class _WaitState:
+    pc: str = "announce"
+
+
+class _WaitForGo(ProcessAutomaton):
+    """Write your pid to register 0, then read it until someone writes
+    "go" — which nobody does, so a solo run spins forever on an inert
+    read: an obstruction-freedom violation."""
+
+    def __init__(self, pid):
+        self.pid = pid
+
+    def initial_state(self):
+        return _WaitState()
+
+    def is_halted(self, state):
+        return state.pc == "done"
+
+    def output(self, state):
+        return None
+
+    def next_op(self, state):
+        if state.pc == "announce":
+            return WriteOp(0, self.pid)
+        return ReadOp(0)
+
+    def apply(self, state, op, result):
+        if state.pc == "announce":
+            return _WaitState("wait")
+        return _WaitState("done") if result == "go" else state
+
+
+class _WaitForGoAlgorithm(Algorithm):
+    name = "wait-for-go"
+
+    def register_count(self):
+        return 2
+
+    def automaton_for(self, pid, input=None):
+        return _WaitForGo(pid)
+
+
+class TestSoloLivelockCounterexample:
+    @pytest.fixture(scope="class")
+    def verdicts(self):
+        out = {}
+        for name, backend in (
+            ("serial", SerialBackend()),
+            ("compiled", CompiledBackend()),
+            ("parallel", ParallelBackend(workers=2)),
+        ):
+            system = System(_WaitForGoAlgorithm(), pids(2), record_trace=False)
+            result = explore(
+                system, lambda _system: None, retain_graph=True, backend=backend
+            )
+            assert result.complete
+            step = StepInstance.from_system(system)
+            out[name] = (
+                step, result.graph, check_obstruction_freedom(step, result.graph)
+            )
+        return out
+
+    def test_solo_livelock_is_found_with_a_replaying_lasso(self, verdicts):
+        step, graph, verdict = verdicts["serial"]
+        assert not verdict.holds
+        lasso = verdict.lasso
+        assert lasso is not None and lasso.cycle == (lasso.cycle[0],)
+        assert "solo livelock" in verdict.detail
+        entry = graph.nodes[lasso.entry]
+        state = graph.nodes[graph.initial]
+        for pid in lasso.prefix:
+            state = step_value(step, state, pid)
+        assert state == entry
+        _, _, settled = solo_run_value(step, entry, lasso.cycle[0], 50)
+        assert not settled
+
+    def test_every_engine_reports_the_same_lasso(self, verdicts):
+        _, serial_graph, reference = verdicts["serial"]
+        for name in ("compiled", "parallel"):
+            _, graph, verdict = verdicts[name]
+            assert (verdict.holds, verdict.detail) == (
+                reference.holds, reference.detail
+            ), name
+            assert (verdict.lasso.prefix, verdict.lasso.cycle) == (
+                reference.lasso.prefix, reference.lasso.cycle
+            ), name
+            assert graph.nodes[verdict.lasso.entry] == serial_graph.nodes[
+                reference.lasso.entry
+            ]
