@@ -20,7 +20,12 @@ small finite sets.  This module hoists it to compile time:
 2. A :data:`PackedState` is a flat tuple of small integers — ``m``
    register value indices followed by one local-state index per slot —
    so successor expansion is integer indexing plus a tuple copy instead
-   of attribute lookups and ``isinstance`` dispatch per step.
+   of attribute lookups and ``isinstance`` dispatch per step.  The
+   two-process walk carries each state as one int instead, with a bit
+   field per packed position sized from the tables
+   (:meth:`CompiledProgram.encode`); there a successor is the state plus
+   a precomputed delta (:meth:`CompiledProgram.delta_tables`), and the
+   visited set holds ints.
 
 3. :class:`CompiledBackend` conforms to the
    :class:`~repro.runtime.backends.ExplorationBackend` protocol and
@@ -142,6 +147,24 @@ class CompiledProgram:
             (pid, instance.slot_of[pid], self.m + instance.slot_of[pid])
             for pid in instance.pid_order
         )
+        # Int layout: packed position i is the bit field of width
+        # field_mask[i].bit_length() at field_shift[i], position 0 lowest,
+        # each as narrow as its table allows (one value or one local
+        # state needs no bits).
+        value_bits = max(len(values) - 1, 0).bit_length()
+        widths = [value_bits] * self.m + [
+            (len(slot_states) - 1).bit_length() for slot_states in states
+        ]
+        shifts: List[int] = []
+        bits = 0
+        for width in widths:
+            shifts.append(bits)
+            bits += width
+        self.field_shift: Tuple[int, ...] = tuple(shifts)
+        self.field_mask: Tuple[int, ...] = tuple((1 << w) - 1 for w in widths)
+        self.value_mask = (1 << value_bits) - 1
+        #: Total width; ``state >> state_bits`` is 0 for every int state.
+        self.state_bits = bits
 
     # -- conversions ---------------------------------------------------
 
@@ -167,6 +190,77 @@ class CompiledProgram:
             for s, pid in enumerate(self.slots)
         )
         return registers, locals_part
+
+    def encode(self, packed: PackedState) -> int:
+        """The int form of a packed state: each index in its bit field."""
+        return sum(
+            index << shift for index, shift in zip(packed, self.field_shift)
+        )
+
+    def decode(self, state: int) -> PackedState:
+        """The packed state an int state denotes (inverse of :meth:`encode`)."""
+        return tuple(
+            (state >> shift) & mask
+            for shift, mask in zip(self.field_shift, self.field_mask)
+        )
+
+    def delta_tables(
+        self,
+    ) -> Tuple[List[List[List[Optional[int]]]], List[List[int]]]:
+        """Per slot and local state, the int-state change of its step.
+
+        Returns ``(deltas, at)``.  The step of slot ``s`` from local
+        state ``si`` turns int state ``x`` into ``x + d`` with::
+
+            d = deltas[s][si][(x >> at[s][si]) & self.value_mask]
+
+        A READ row is indexed by the read register's value, a WRITE row
+        by the overwritten register's value (the write's register delta
+        plus the slot's); a LOCAL row has one entry, selected by
+        ``at == state_bits``.  ``d == 0`` is exactly the inert step
+        (child == state: encoding is injective).  ``None`` marks an
+        entry the tables cannot take — a poisoned read, OP_RAISE, or
+        OP_HALTED — which goes through :meth:`step_packed`.
+        """
+        m = self.m
+        shift = self.field_shift
+        nvalues = len(self.values)
+        deltas: List[List[List[Optional[int]]]] = []
+        at: List[List[int]] = []
+        for s in range(len(self.slots)):
+            own = shift[m + s]
+            kind = self.kind[s]
+            deltas_s: List[List[Optional[int]]] = []
+            at_s: List[int] = []
+            for si, k in enumerate(kind):
+                if k == OP_READ:
+                    row = self.rows[s][si]
+                    assert row is not None
+                    deltas_s.append(
+                        [(nsi - si) << own if nsi >= 0 else None for nsi in row]
+                    )
+                    at_s.append(shift[self.arg[s][si]])
+                elif k == OP_WRITE:
+                    phys_shift = shift[self.arg[s][si]]
+                    step = (self.next_state[s][si] - si) << own
+                    new = self.write_value[s][si]
+                    deltas_s.append(
+                        [
+                            step + ((new - old) << phys_shift)
+                            for old in range(nvalues)
+                        ]
+                    )
+                    at_s.append(phys_shift)
+                else:
+                    deltas_s.append(
+                        [(self.next_state[s][si] - si) << own]
+                        if k == OP_LOCAL
+                        else [None]
+                    )
+                    at_s.append(self.state_bits)
+            deltas.append(deltas_s)
+            at.append(at_s)
+        return deltas, at
 
     def slot_entries(self) -> List[List[Tuple[ProcessId, Any, bool, bool]]]:
         """``[slot][si]``: the ``(pid, local, halted, crashed)`` entry a
@@ -592,8 +686,8 @@ class _PairSuspect:
     """Two-slot boolean-AND suspect (mutex with n=2).
 
     Callable like any suspect function, but also exposes its per-slot
-    fact tables so the unrolled two-process loop can inline the two
-    subscripts instead of paying a function call per state: with 0/1
+    fact tables so the two-process walk can test the two subscripts
+    inline and decode and call only on states both flag: with 0/1
     facts, ``count > 1`` ⟺ both flags set.
     """
 
@@ -904,43 +998,56 @@ class CompiledBackend:
         slow: Callable[[PackedState], Optional[str]],
         telemetry: TelemetrySink,
     ) -> ExplorationResult:
-        """The two-process trivial walk with the per-pid loop unrolled.
+        """The two-process trivial walk, unrolled per pid, over int states.
 
         Semantically the n=2 instantiation of :meth:`_run_trivial`
         without a recorder — every check happens at the same point in
-        the same order — but with the expansion list, tuple unpacking
-        and double subscripts flattened into straight-line code.  All
-        shipped verify/bench instances are two-process, so this is the
-        throughput-critical loop.
+        the same order — but each state is one int (the layout of
+        :meth:`CompiledProgram.encode`) and each successor one addition
+        from :meth:`CompiledProgram.delta_tables`, so the visited set
+        holds ints instead of tuples.  A state is decoded to its packed
+        tuple only when the invariant's suspect is consulted (for a
+        ``_PairSuspect``, only on states its tables flag) and for an
+        entry the tables cannot take, which :meth:`step_packed` steps.
+
+        Every plain (``retain_graph=False``) trivial walk of a two-slot
+        instance runs here, e.g. two-process mutex explored with
+        ``reduction="none"``.  ``verify`` retains graphs and so runs
+        :meth:`_run_trivial`, and the three-process instances have three
+        slots.
         """
         max_states = task.max_states
         max_depth = task.max_depth
         emit = telemetry.enabled
         progress_mask = self.progress_interval - 1
+        encode = program.encode
+        decode = program.decode
         step_packed = program.step_packed
+        value_mask = program.value_mask
 
         (pid_a, s_a, off_a), (pid_b, s_b, off_b) = program.step_order
-        live_a = [
-            not (program.crashed[s_a] or h) for h in program.halted[s_a]
-        ]
-        live_b = [
-            not (program.crashed[s_b] or h) for h in program.halted[s_b]
-        ]
-        kind_a, kind_b = program.kind[s_a], program.kind[s_b]
-        arg_a, arg_b = program.arg[s_a], program.arg[s_b]
-        wval_a, wval_b = program.write_value[s_a], program.write_value[s_b]
-        nxt_a, nxt_b = program.next_state[s_a], program.next_state[s_b]
-        rows_a, rows_b = program.rows[s_a], program.rows[s_b]
-        # A _PairSuspect's table lookups inline into the loop; any other
-        # suspect is called.
-        cs_a = cs_b = None
+        shift_a = program.field_shift[off_a]
+        shift_b = program.field_shift[off_b]
+        mask_a = program.field_mask[off_a]
+        mask_b = program.field_mask[off_b]
+        live = program.live_tables()
+        live_a, live_b = live[s_a], live[s_b]
+        deltas, at = program.delta_tables()
+        deltas_a, deltas_b = deltas[s_a], deltas[s_b]
+        at_a, at_b = at[s_a], at[s_b]
+        # A _PairSuspect's tables filter states before the suspect is
+        # called; any other suspect is called on every state.
         if isinstance(suspect, _PairSuspect):
-            cs_a = suspect.tables[s_a]
-            cs_b = suspect.tables[s_b]
+            cs_a, cs_b = suspect.tables[s_a], suspect.tables[s_b]
+        else:
+            cs_a, cs_b = [1] * len(live_a), [1] * len(live_b)
 
-        initial = program.initial_packed
+        initial = encode(program.initial_packed)
         visited = {initial}
-        stack: List[Tuple[PackedState, int, Any]] = [(initial, 0, None)]
+        visit = visited.add
+        stack: List[Tuple[int, int, Any]] = [(initial, 0, None)]
+        push = stack.append
+        pop = stack.pop
         result = ExplorationResult(
             complete=True,
             states_explored=0,
@@ -954,7 +1061,7 @@ class CompiledBackend:
         started = time.perf_counter()
 
         while stack:
-            state, depth, link = stack.pop()
+            state, depth, link = pop()
             states_explored += 1
             if depth > max_depth_reached:
                 max_depth_reached = depth
@@ -969,14 +1076,11 @@ class CompiledBackend:
                     orbit_hits=result.orbits_collapsed,
                     depth=depth,
                 )
-            si_a = state[off_a]
-            si_b = state[off_b]
-            if (
-                (cs_a[si_a] and cs_b[si_b])
-                if cs_a is not None
-                else suspect(state)
-            ):
-                violation = slow(state)
+            si_a = (state >> shift_a) & mask_a
+            si_b = (state >> shift_b) & mask_b
+            if cs_a[si_a] and cs_b[si_b]:
+                packed = decode(state)
+                violation = slow(packed) if suspect(packed) else None
                 if violation is not None:
                     result.violation = violation
                     result.violation_schedule = _unwind(link)
@@ -990,101 +1094,37 @@ class CompiledBackend:
             if depth >= max_depth:
                 result.truncated_by = "max_depth"
                 continue
-            # Per pid: child is None ⟺ the step is inert (child ==
-            # state) — decidable from table indices alone (packing is
-            # injective), so inert steps never build a child tuple.
+            # Per pid: a zero delta is the inert step (child == state).
             if enabled_a:
-                child = None
-                k = kind_a[si_a]
-                if k == OP_READ:
-                    nsi = rows_a[si_a][state[arg_a[si_a]]]
-                    if nsi >= 0:
-                        if nsi != si_a:
-                            child = (
-                                state[:off_a] + (nsi,) + state[off_a + 1 :]
-                            )
-                    else:
-                        child = step_packed(state, s_a)
-                        if child == state:
-                            child = None
-                elif k == OP_WRITE:
-                    phys = arg_a[si_a]
-                    nsi = nxt_a[si_a]
-                    if nsi != si_a or state[phys] != wval_a[si_a]:
-                        child = (
-                            state[:phys]
-                            + (wval_a[si_a],)
-                            + state[phys + 1 : off_a]
-                            + (nsi,)
-                            + state[off_a + 1 :]
-                        )
-                elif k == OP_LOCAL:
-                    nsi = nxt_a[si_a]
-                    if nsi != si_a:
-                        child = (
-                            state[:off_a] + (nsi,) + state[off_a + 1 :]
-                        )
-                else:
-                    child = step_packed(state, s_a)
-                    if child == state:
-                        child = None
-                if child is None:
+                delta = deltas_a[si_a][(state >> at_a[si_a]) & value_mask]
+                if delta is None:
+                    delta = encode(step_packed(decode(state), s_a)) - state
+                if not delta:
                     events_executed += 2
-                elif child in visited:
-                    events_executed += 1
                 else:
                     events_executed += 1
-                    if len(visited) >= max_states:
-                        result.truncated_by = "max_states"
-                        break
-                    visited.add(child)
-                    stack.append((child, depth + 1, (link, pid_a)))
+                    child = state + delta
+                    if child not in visited:
+                        if len(visited) >= max_states:
+                            result.truncated_by = "max_states"
+                            break
+                        visit(child)
+                        push((child, depth + 1, (link, pid_a)))
             if enabled_b:
-                child = None
-                k = kind_b[si_b]
-                if k == OP_READ:
-                    nsi = rows_b[si_b][state[arg_b[si_b]]]
-                    if nsi >= 0:
-                        if nsi != si_b:
-                            child = (
-                                state[:off_b] + (nsi,) + state[off_b + 1 :]
-                            )
-                    else:
-                        child = step_packed(state, s_b)
-                        if child == state:
-                            child = None
-                elif k == OP_WRITE:
-                    phys = arg_b[si_b]
-                    nsi = nxt_b[si_b]
-                    if nsi != si_b or state[phys] != wval_b[si_b]:
-                        child = (
-                            state[:phys]
-                            + (wval_b[si_b],)
-                            + state[phys + 1 : off_b]
-                            + (nsi,)
-                            + state[off_b + 1 :]
-                        )
-                elif k == OP_LOCAL:
-                    nsi = nxt_b[si_b]
-                    if nsi != si_b:
-                        child = (
-                            state[:off_b] + (nsi,) + state[off_b + 1 :]
-                        )
-                else:
-                    child = step_packed(state, s_b)
-                    if child == state:
-                        child = None
-                if child is None:
+                delta = deltas_b[si_b][(state >> at_b[si_b]) & value_mask]
+                if delta is None:
+                    delta = encode(step_packed(decode(state), s_b)) - state
+                if not delta:
                     events_executed += 2
-                elif child in visited:
-                    events_executed += 1
                 else:
                     events_executed += 1
-                    if len(visited) >= max_states:
-                        result.truncated_by = "max_states"
-                        break
-                    visited.add(child)
-                    stack.append((child, depth + 1, (link, pid_b)))
+                    child = state + delta
+                    if child not in visited:
+                        if len(visited) >= max_states:
+                            result.truncated_by = "max_states"
+                            break
+                        visit(child)
+                        push((child, depth + 1, (link, pid_b)))
 
         result.states_explored = states_explored
         result.events_executed = events_executed

@@ -125,6 +125,34 @@ class TestExplorationIsTelemetryInvariant:
                 field_name
             )
 
+    @pytest.mark.parametrize("retain_graph", [False, True])
+    def test_compiled_walks_emit_what_the_interpreter_emits(self, retain_graph):
+        # m=5 (14,673 states) passes one 8,192-state progress tick.
+        sinks = {}
+        for kernel in ("interpreted", "compiled"):
+            tel = Telemetry()
+            result = explore(
+                System(AnonymousMutex(m=5, cs_visits=1), pids(2), record_trace=False),
+                mutual_exclusion_invariant,
+                kernel=kernel,
+                retain_graph=retain_graph,
+                telemetry=tel,
+            )
+            assert result.kernel == kernel and result.complete
+            sinks[kernel] = tel
+
+        def progress(tel):
+            return [
+                fields for _, name, fields in tel.events()
+                if name == "explore.progress"
+            ]
+
+        interpreted, compiled = sinks["interpreted"], sinks["compiled"]
+        assert len(progress(interpreted)) == 1
+        assert progress(compiled) == progress(interpreted)
+        assert compiled.gauges == interpreted.gauges
+        assert compiled.counters == interpreted.counters
+
     def test_explore_records_phases_gauges_and_events(self):
         tel = Telemetry()
         result = explore(

@@ -8,6 +8,7 @@ the interpreter wholesale (``kernel == "interpreted"``) rather than
 degrade semantics.
 """
 
+from dataclasses import dataclass
 from functools import cache
 
 import pytest
@@ -18,11 +19,13 @@ from repro.core.mutex import AnonymousMutex
 from repro.errors import ConfigurationError
 from repro.problems import get_problem, instances_with_role, problem_specs
 from repro.request import RunRequest
+from repro.runtime.automaton import Algorithm, ProcessAutomaton
 from repro.runtime.backends import SerialBackend, resolve_backend
 from repro.runtime.canonical import TrivialCanonicalizer, build_canonicalizer
 from repro.runtime.compiled import CompiledBackend, compile_program
 from repro.runtime.exploration import explore, mutual_exclusion_invariant
 from repro.runtime.kernel import StepInstance, enabled_pids, step_value
+from repro.runtime.ops import NoOp, ReadOp, WriteOp
 from repro.runtime.system import System
 
 from tests.conftest import pids
@@ -97,6 +100,14 @@ TRUNCATED_WALKS = [
 ]
 
 
+#: Every early budget cut of two-process mutex m=3 (1,747 states, depth
+#: 75).  Its max_states cuts trip in both unrolled per-pid branches of
+#: the two-process walk, the first pid's and the second's.
+EARLY_CUTS = [
+    pytest.param(dict(max_states=n), id=f"max_states={n}") for n in range(1, 80)
+] + [pytest.param(dict(max_depth=d), id=f"max_depth={d}") for d in range(40)]
+
+
 class TestCompiledMatchesSerial:
     @pytest.mark.parametrize(
         "factory, invariant", SHIPPED_INSTANCES + VIOLATING_INSTANCES
@@ -129,6 +140,22 @@ class TestCompiledMatchesSerial:
                 system,
                 invariant,
                 canonicalizer=canonicalizer_for(system, reduction),
+                backend=backend,
+                **budgets,
+            )
+
+        serial = run(SerialBackend())
+        compiled = run(CompiledBackend())
+        assert not serial.complete
+        assert compiled.kernel == "compiled"
+        assert fingerprint(serial) == fingerprint(compiled)
+
+    @pytest.mark.parametrize("budgets", EARLY_CUTS)
+    def test_every_early_cut_is_bit_identical(self, budgets):
+        def run(backend):
+            return explore(
+                mutex_system(m=3),
+                mutual_exclusion_invariant,
                 backend=backend,
                 **budgets,
             )
@@ -307,6 +334,138 @@ class TestPackedStateProperties:
             assert program.step_packed(packed, slot) == program.pack(
                 step_value(instance, state, pid)
             )
+
+
+def _check_int_state(program, deltas, at, packed):
+    """The int form of ``packed`` round-trips, and each enabled slot's
+    delta-table successor is the int form of its ``step_packed`` child,
+    with a zero delta exactly on the inert step."""
+    state = program.encode(packed)
+    assert program.decode(state) == packed
+    live = program.live_tables()
+    for slot in range(len(program.slots)):
+        off = program.m + slot
+        si = (state >> program.field_shift[off]) & program.field_mask[off]
+        assert si == packed[off]
+        if not live[slot][si]:
+            continue
+        child = program.step_packed(packed, slot)
+        delta = deltas[slot][si][(state >> at[slot][si]) & program.value_mask]
+        assert delta is not None
+        assert state + delta == program.encode(child)
+        assert (delta == 0) == (child == packed)
+
+
+@dataclass(frozen=True)
+class _Pc:
+    pc: int = 0
+
+
+class _Counter(ProcessAutomaton):
+    """Steps through pcs 0..7 and halts: exactly 2**3 local states, with
+    a write, reads and local steps on the way."""
+
+    OPS = {
+        0: WriteOp(0, 0),
+        1: ReadOp(1),
+        2: NoOp(),
+        3: WriteOp(1, 0),
+        4: ReadOp(0),
+        5: NoOp(),
+        6: ReadOp(0),
+    }
+
+    def initial_state(self):
+        return _Pc()
+
+    def is_halted(self, state):
+        return state.pc == 7
+
+    def next_op(self, state):
+        return self.OPS[state.pc]
+
+    def apply(self, state, op, result):
+        return _Pc(state.pc + 1)
+
+
+class _Spinner(ProcessAutomaton):
+    """One local step, then a read that never changes anything: exactly
+    2**1 local states, the second an inert self-loop."""
+
+    def initial_state(self):
+        return _Pc()
+
+    def is_halted(self, state):
+        return False
+
+    def next_op(self, state):
+        return NoOp() if state.pc == 0 else ReadOp(0)
+
+    def apply(self, state, op, result):
+        return _Pc(1)
+
+
+class _BoundaryAlgorithm(Algorithm):
+    """A counter and a spinner over registers that only ever hold 0: a
+    one-value domain (zero-width register fields) and slots whose local
+    states fill their fields exactly."""
+
+    name = "field-width-boundaries"
+
+    def register_count(self):
+        return 2
+
+    def automaton_for(self, pid, input=None):
+        return _Counter() if pid == pids(1)[0] else _Spinner()
+
+
+def _boundary_system():
+    return System(_BoundaryAlgorithm(), pids(2), record_trace=False)
+
+
+class TestIntStateProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=7), max_size=40))
+    def test_int_states_match_packed_steps(self, choices):
+        instance, initial, program = _MUTEX_PROGRAM
+        deltas, at = program.delta_tables()
+        state = _walk(instance, initial, choices)
+        _check_int_state(program, deltas, at, program.pack(state))
+
+    def test_field_width_boundaries(self):
+        system = _boundary_system()
+        instance = StepInstance.from_system(system)
+        initial = system.scheduler.capture_state()
+        program = compile_program(instance, initial)
+        assert program.values == [0]
+        assert [len(states) for states in program.states] == [8, 2]
+        # Two zero-width register fields, then 3 + 1 slot bits.
+        assert program.field_mask == (0, 0, 7, 1)
+        assert program.field_shift == (0, 0, 0, 3)
+        assert program.state_bits == 4
+        deltas, at = program.delta_tables()
+        reachable = {initial}
+        frontier = [initial]
+        while frontier:
+            state = frontier.pop()
+            _check_int_state(program, deltas, at, program.pack(state))
+            for pid in enabled_pids(instance, state):
+                child = step_value(instance, state, pid)
+                if child not in reachable:
+                    reachable.add(child)
+                    frontier.append(child)
+        ints = {program.encode(program.pack(state)) for state in reachable}
+        assert len(ints) == len(reachable) == 16
+        assert max(ints) == 2**program.state_bits - 1
+
+    def test_field_width_boundaries_walk_is_bit_identical(self):
+        serial, compiled = (
+            explore(_boundary_system(), null_invariant, backend=backend)
+            for backend in (SerialBackend(), CompiledBackend())
+        )
+        assert compiled.kernel == "compiled"
+        assert serial.complete and serial.states_explored == 16
+        assert fingerprint(serial) == fingerprint(compiled)
 
 
 @cache
