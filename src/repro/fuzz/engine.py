@@ -24,7 +24,7 @@ Determinism: episode ``i`` of family ``f`` seeds its own
 ``PYTHONHASHSEED``, stable across shards (farm cells pass
 ``episode_base``), and kernel-independent.  The compiled kernel steps
 packed states (:mod:`repro.runtime.compiled`); packing is a bijection
-on the reachable closure, so revisit positions — and therefore
+on the states a run reaches, so revisit positions — and therefore
 schedules, hits and shrunk witnesses — are byte-identical to the
 interpreted kernel's (pinned by ``tests/fuzz/test_differential.py``).
 """
@@ -178,10 +178,12 @@ class FuzzReport:
 #
 # Both kernels expose the same five operations; their state keys differ
 # (value tuples vs packed index tuples) but are bijective over the
-# reachable closure, so revisit bookkeeping is kernel-independent.
+# states a run reaches, so revisit bookkeeping is kernel-independent.
 
 class _InterpretedStepper:
     kernel = "interpreted"
+    #: No step here can overflow a table (catches nothing).
+    overflow: Tuple[type, ...] = ()
 
     def __init__(
         self,
@@ -238,8 +240,10 @@ class _CompiledStepper:
         program: Any,
         invariant: Optional[Callable[..., Optional[str]]],
     ) -> None:
-        from repro.runtime.compiled import compile_checker
+        from repro.runtime.compiled import CompileOverflow, compile_checker
 
+        #: Raised when a step fills the tables past their caps.
+        self.overflow = CompileOverflow
         self.instance = program.instance
         self.program = program
         self.initial = program.initial_packed
@@ -277,7 +281,8 @@ class _CompiledStepper:
         program = self.program
         slot = self.instance.slot_of[pid]
         si = packed[program.m + slot]
-        if program.kind[slot][si] in (OP_READ, OP_WRITE):
+        # The tables fill on demand: classify a pending state first.
+        if program.classify(slot, si) in (OP_READ, OP_WRITE):
             return program.arg[slot][si]
         return None
 
@@ -365,117 +370,128 @@ def run_fuzz(
     check_df = "deadlock-freedom" in liveness_kinds and predicates.supported
     check_of = "obstruction-freedom" in liveness_kinds
 
-    report = FuzzReport(
-        problem=spec.key,
-        instance=instance_record.label,
-        kernel=kernel,
-        effective_kernel=stepper.kernel,
-        seed=seed,
-        episode_base=episode_base,
-        episodes=episodes,
-        max_steps=max_steps,
-        families=families,
-    )
-    if telemetry.enabled:
-        telemetry.event(
-            "fuzz.start",
+    def fuzz_with(stepper: Any) -> FuzzReport:
+        report = FuzzReport(
             problem=spec.key,
             instance=instance_record.label,
-            kernel=stepper.kernel,
+            kernel=kernel,
+            effective_kernel=stepper.kernel,
             seed=seed,
+            episode_base=episode_base,
             episodes=episodes,
+            max_steps=max_steps,
+            families=families,
         )
-
-    coverage: Set[Any] = set()
-    pid_count = len(instance.pid_order)
-    for episode in range(episode_base, episode_base + episodes):
-        if request.max_states is not None and len(coverage) >= request.max_states:
-            report.truncated_by = "max_states"
-            break
-        if max_violations is not None and len(report.violations) >= max_violations:
-            break
-        family = families[episode % len(families)]
-        rng = random.Random(episode_seed(seed, episode, family))
-        strategy = build_strategy(family, rng)
-        report.episodes_run += 1
-
-        state = stepper.initial
-        coverage.add(state)
-        seen: Dict[Any, int] = {state: 0}
-        schedule: List[ProcessId] = []
-        contention: Dict[ProcessId, int] = {}
-        last_accessor: Dict[int, ProcessId] = {}
-
-        for step_index in range(max_steps):
-            enabled = stepper.enabled(state)
-            if not enabled:
-                break  # everyone settled: nothing left to schedule
-            pending = {
-                pid: stepper.pending_physical(state, pid) for pid in enabled
-            }
-            pid = strategy.choose(
-                FuzzContext(
-                    enabled=enabled,
-                    step_index=step_index,
-                    pending=pending,
-                    contention=contention,
-                    halted=pid_count - len(enabled),
-                )
+        if telemetry.enabled:
+            telemetry.event(
+                "fuzz.start",
+                problem=spec.key,
+                instance=instance_record.label,
+                kernel=stepper.kernel,
+                seed=seed,
+                episodes=episodes,
             )
-            if pid is None:
-                break  # strategy surrendered (e.g. broken lockstep)
-            physical = pending[pid]
-            state = stepper.step(state, pid)
-            schedule.append(pid)
-            report.steps += 1
-            if physical is not None:
-                previous = last_accessor.get(physical)
-                if previous is not None and previous != pid:
-                    contention[pid] = contention.get(pid, 0) + 1
-                last_accessor[physical] = pid
 
-            message = stepper.check(state)
-            if message is not None:
+        coverage: Set[Any] = set()
+        pid_count = len(instance.pid_order)
+        for episode in range(episode_base, episode_base + episodes):
+            if request.max_states is not None and len(coverage) >= request.max_states:
+                report.truncated_by = "max_states"
+                break
+            if max_violations is not None and len(report.violations) >= max_violations:
+                break
+            family = families[episode % len(families)]
+            rng = random.Random(episode_seed(seed, episode, family))
+            strategy = build_strategy(family, rng)
+            report.episodes_run += 1
+
+            state = stepper.initial
+            coverage.add(state)
+            seen: Dict[Any, int] = {state: 0}
+            schedule: List[ProcessId] = []
+            contention: Dict[ProcessId, int] = {}
+            last_accessor: Dict[int, ProcessId] = {}
+
+            for step_index in range(max_steps):
+                enabled = stepper.enabled(state)
+                if not enabled:
+                    break  # everyone settled: nothing left to schedule
+                pending = {
+                    pid: stepper.pending_physical(state, pid) for pid in enabled
+                }
+                pid = strategy.choose(
+                    FuzzContext(
+                        enabled=enabled,
+                        step_index=step_index,
+                        pending=pending,
+                        contention=contention,
+                        halted=pid_count - len(enabled),
+                    )
+                )
+                if pid is None:
+                    break  # strategy surrendered (e.g. broken lockstep)
+                physical = pending[pid]
+                state = stepper.step(state, pid)
+                schedule.append(pid)
+                report.steps += 1
+                if physical is not None:
+                    previous = last_accessor.get(physical)
+                    if previous is not None and previous != pid:
+                        contention[pid] = contention.get(pid, 0) + 1
+                    last_accessor[physical] = pid
+
+                message = stepper.check(state)
+                if message is not None:
+                    report.violations.append(
+                        _certify_safety(
+                            spec, instance_record, instance, initial,
+                            family, episode, tuple(schedule), message,
+                            shrink=shrink, validate=validate,
+                        )
+                    )
+                    break
+
+                position = seen.get(state)
+                if position is None:
+                    seen[state] = len(schedule)
+                    coverage.add(state)
+                    continue
+                # Revisit: candidate lasso (prefix=schedule[:j], cycle=rest).
+                cycle = tuple(schedule[position:])
+                entry = stepper.to_value_state(state)
+                hit_kind: Optional[str] = None
+                if check_df and cycle_is_df_violation(
+                    instance, entry, cycle, predicates
+                ):
+                    hit_kind = "deadlock-freedom"
+                elif check_of and cycle_is_of_violation(instance, entry, cycle):
+                    hit_kind = "obstruction-freedom"
+                if hit_kind is None:
+                    # Benign cycle; slide the window so the next revisit
+                    # yields the shortest (most recent) candidate.
+                    seen[state] = len(schedule)
+                    continue
                 report.violations.append(
-                    _certify_safety(
+                    _certify_lasso(
                         spec, instance_record, instance, initial,
-                        family, episode, tuple(schedule), message,
+                        family, episode, tuple(schedule[:position]), cycle,
+                        hit_kind, theorem_of[hit_kind], predicates,
                         shrink=shrink, validate=validate,
                     )
                 )
                 break
 
-            position = seen.get(state)
-            if position is None:
-                seen[state] = len(schedule)
-                coverage.add(state)
-                continue
-            # Revisit: candidate lasso (prefix=schedule[:j], cycle=rest).
-            cycle = tuple(schedule[position:])
-            entry = stepper.to_value_state(state)
-            hit_kind: Optional[str] = None
-            if check_df and cycle_is_df_violation(
-                instance, entry, cycle, predicates
-            ):
-                hit_kind = "deadlock-freedom"
-            elif check_of and cycle_is_of_violation(instance, entry, cycle):
-                hit_kind = "obstruction-freedom"
-            if hit_kind is None:
-                # Benign cycle; slide the window so the next revisit
-                # yields the shortest (most recent) candidate.
-                seen[state] = len(schedule)
-                continue
-            report.violations.append(
-                _certify_lasso(
-                    spec, instance_record, instance, initial,
-                    family, episode, tuple(schedule[:position]), cycle,
-                    hit_kind, theorem_of[hit_kind], predicates,
-                    shrink=shrink, validate=validate,
-                )
-            )
-            break
+        report.distinct_states = len(coverage)
+        return report
 
-    report.distinct_states = len(coverage)
+    try:
+        report = fuzz_with(stepper)
+    except stepper.overflow:
+        # The run reached past the compiled tables' caps: as with
+        # CompiledBackend, the interpreted kernel runs it again whole.
+        report = fuzz_with(
+            _InterpretedStepper(instance, initial, spec.invariant)
+        )
     if telemetry.enabled:
         telemetry.gauge("fuzz.episodes", report.episodes_run)
         telemetry.gauge("fuzz.steps", report.steps)

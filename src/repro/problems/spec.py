@@ -214,9 +214,11 @@ class ProblemSpec:
     #: Optional declaration of the closed register value domain, as a
     #: function of an instance's parameter dict: every value any
     #: register can ever hold (including initial contents).  The
-    #: compiled kernel seeds its value-domain enumeration with it (a
-    #: superset is harmless — the closure completes any subset), and the
-    #: differential tests cross-check the discovered domain against it.
+    #: compiled kernel seeds its value domain with it (a superset is
+    #: harmless — writes complete any subset as a walk reaches them, at
+    #: the cost of re-encoding the two-process walk's int states), and
+    #: the differential tests cross-check the discovered domain against
+    #: it.
     #: ``None`` for problems whose domain is combinatorial (renaming
     #: records carry unbounded history sets).
     value_domain: Optional[Callable[[Dict[str, Any]], Tuple[Any, ...]]] = None

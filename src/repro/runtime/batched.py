@@ -207,8 +207,11 @@ def _worker_loop(
 ) -> None:
     # Compile locally: deterministic, and cheaper than pickling the
     # dense tables through the process boundary.  The coordinator
-    # already proved the task compilable before spawning.
+    # already proved the task compilable before spawning.  Closing the
+    # tables numbers local states as the coordinator's close did, and
+    # the digest tables below need every one.
     program = compile_program(task.instance, task.initial)
+    program.close()
     checker = compile_checker(task.invariant, program)
     canonicalizer = task.canonicalizer
     tables = canonicalizer.packed_digest_tables(
@@ -450,6 +453,7 @@ def run_work_stealing(
     with telemetry.phase("parallel.compile"):
         try:
             program = compile_program(task.instance, task.initial)
+            program.close()
             compile_checker(task.invariant, program)
             tables = canonicalizer.packed_digest_tables(
                 program.values,

@@ -761,8 +761,8 @@ class Canonicalizer:
     ) -> PackedDigestTables:
         """Precompute the digests :meth:`_key` would produce, by index.
 
-        The compiled kernel enumerates a closed register value domain
-        and per-slot local-state spaces ahead of time; this method runs
+        The compiled kernel interns register values and per-slot local
+        states into indexed tables; this method runs
         every (value, footprint, rename) through the *same* intern and
         digest path as :meth:`_key`, so keys assembled from the returned
         tables are byte-identical to ``key_of_state`` on the unpacked

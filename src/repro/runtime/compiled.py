@@ -5,27 +5,32 @@ The interpreted hot path costs, per event, a ``next_op`` call, an
 tuple rebuild over heterogeneous values.  For the shipped automata the
 whole of that work is a pure function of *which local state the stepping
 process is in* and *which register value it reads* — both drawn from
-small finite sets.  This module hoists it to compile time:
+small finite sets.  This module hoists it into tables:
 
-1. :func:`compile_program` enumerates each slot's reachable local-state
-   space and the closed register value domain ahead of time (an
-   interleaved fixpoint: classifying a state can grow the value domain
-   via its write, and growing the domain extends every read row), and
-   collapses ``next_op`` / ``apply`` / ``is_halted`` into dense integer
-   tables — ``kind[s][si]`` (LOCAL / READ / WRITE / HALTED / RAISE),
-   ``arg[s][si]`` (physical register index), ``write_value[s][si]``,
-   ``next_state[s][si]`` and per-read-state rows
-   ``rows[s][si][value_index]``.
+1. :func:`compile_program` interns the initial register values and
+   local states, and the tables fill on demand as a walk steps: the
+   first step from a local state classifies it (``next_op``, and for a
+   write or local step its ``apply`` successor), and the first read of
+   a value from it fills that read-row entry.  The tables collapse
+   ``next_op`` / ``apply`` / ``is_halted`` into dense integer lists —
+   ``kind[s][si]`` (LOCAL / READ / WRITE / HALTED / RAISE, or PENDING
+   until classified), ``arg[s][si]`` (physical register index),
+   ``write_value[s][si]``, ``next_state[s][si]`` and per-read-state rows
+   ``rows[s][si][value_index]`` (PENDING_ENTRY until filled) — so they
+   hold only what walks reach.  :meth:`CompiledProgram.close` fills
+   everything reachable, for consumers that need the whole tables.
 
 2. A :data:`PackedState` is a flat tuple of small integers — ``m``
    register value indices followed by one local-state index per slot —
    so successor expansion is integer indexing plus a tuple copy instead
    of attribute lookups and ``isinstance`` dispatch per step.  The
-   two-process walk carries each state as one int instead, with a bit
-   field per packed position sized from the tables
-   (:meth:`CompiledProgram.encode`); there a successor is the state plus
-   a precomputed delta (:meth:`CompiledProgram.delta_tables`), and the
-   visited set holds ints.
+   two-process walk carries each state as one int instead
+   (:meth:`CompiledProgram.encode`): the slot fields lowest, each wide
+   enough for ``max_local_states`` states, and the register fields above
+   them, as wide as the value domain so far.  There a successor is the
+   state plus a delta (:meth:`CompiledProgram.delta_tables`), the
+   visited set holds ints, and a value that widens the register fields
+   re-encodes the walk once.
 
 3. :class:`CompiledBackend` conforms to the
    :class:`~repro.runtime.backends.ExplorationBackend` protocol and
@@ -36,29 +41,34 @@ small finite sets.  This module hoists it to compile time:
 **Overflow to the interpreter.**  Compilation is best-effort, never
 load-bearing for correctness:
 
-* If a local-state space or value domain is unbounded (caps exceeded),
-  a hook raises, or the instance's shape is unexpected, the backend
-  falls back wholesale to ``SerialBackend`` — bit-identical by
-  definition.  ``result.kernel`` stays ``"interpreted"`` in that case so
-  callers can see which kernel actually ran.
-* A transition whose ``next_op``/``apply``/``is_halted`` raised at
-  compile time is marked :data:`OP_RAISE`; reaching it at runtime
-  unpacks the state and re-executes the interpreted
-  :func:`~repro.runtime.kernel.step_value`, reproducing the genuine
-  exception (the automata are deterministic).
+* If a walk reaches more local states per slot or register values than
+  the caps allow, a hook raises while compiling, or the instance's shape
+  is unexpected, the backend drops what it has and runs ``SerialBackend``
+  on the whole task — bit-identical by definition — and emits
+  ``explore.kernel_fallback`` with the reason.  ``result.kernel`` stays
+  ``"interpreted"`` in that case so callers can see which kernel
+  actually ran.
+* A transition whose ``next_op``/``apply``/``is_halted`` raised while
+  its entry was filled is marked :data:`OP_RAISE` (or
+  :data:`RAISE_ENTRY`); stepping it unpacks the state and re-executes
+  the interpreted :func:`~repro.runtime.kernel.step_value`, reproducing
+  the genuine exception (the automata are deterministic).
 * Invariants are handled by *suspicion tables*: for the stock invariants
-  a per-(slot, local-state) fact table decides suspicion with a few
-  integer lookups, and only suspected states are unpacked and handed to
-  the real invariant — so violation messages are byte-identical by
-  construction.  Unknown invariants are evaluated on every state over an
-  unpacked :class:`~repro.runtime.kernel.StateView` (slow but exact).
+  a per-(slot, local-state) fact table, grown with the local states,
+  decides suspicion with a few integer lookups, and only suspected
+  states are unpacked and handed to the real invariant — so violation
+  messages are byte-identical by construction.  A fact hook that raises
+  makes every later state suspect.  Unknown invariants are evaluated on
+  every state over an unpacked :class:`~repro.runtime.kernel.StateView`
+  (slow but exact).
 """
 
 from __future__ import annotations
 
 import time
 from array import array
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.obs.telemetry import NULL_TELEMETRY, TelemetrySink
 from repro.runtime.backends import ExplorationTask, Invariant, SerialBackend
@@ -70,8 +80,9 @@ from repro.types import ProcessId
 
 #: A packed global state: ``m`` register value indices followed by one
 #: local-state index per slot, all small ints.  Injective over the
-#: enumerated closure by construction (indices are interned by value
-#: equality, exactly like the canonicalizer's digest intern).
+#: interned values and local states by construction (indices are
+#: interned by value equality, exactly like the canonicalizer's digest
+#: intern).
 PackedState = Tuple[int, ...]
 
 # Transition kinds, one per local state per slot.
@@ -79,19 +90,23 @@ OP_LOCAL = 0  #: no memory effect; successor in ``next_state``
 OP_READ = 1  #: successor row indexed by the read value's index
 OP_WRITE = 2  #: writes ``write_value`` to ``arg``; successor in ``next_state``
 OP_HALTED = 3  #: no transition; stepping it is a scheduling error
-OP_RAISE = 4  #: compile-time poison — delegate to the interpreter
+OP_RAISE = 4  #: poison — delegate to the interpreter
+OP_PENDING = 5  #: not classified yet — classify, then step
 
-#: Poisoned read-row entry: this (state, value) transition raised at
-#: compile time; delegate to the interpreter to reproduce the exception.
+#: Poisoned read-row entry: this (state, value) transition raised when
+#: it was filled; delegate to the interpreter to reproduce the exception.
 RAISE_ENTRY = -1
+#: Read-row entry not filled yet: fill it, then step.
+PENDING_ENTRY = -2
 
 
 class CompileOverflow(Exception):
     """The instance exceeds the compiler's enumerable envelope.
 
-    Raised when a local-state space or register value domain is (or
-    appears) unbounded, a value is unhashable, or the instance's shape
-    does not match the packed layout.  The backend responds by falling
+    Raised when a slot's reached local states or the reached register
+    values exceed the caps, a value or local state is unhashable, or the
+    instance's shape does not match the packed layout — at compile time
+    or, since tables fill on demand, while a walk fills them.  The backend responds by falling
     back to the interpreted ``SerialBackend``.
     """
 
@@ -101,80 +116,304 @@ class _Poison(Exception):
 
 
 class CompiledProgram:
-    """Dense transition tables for one :class:`StepInstance`.
+    """Dense transition tables for one :class:`StepInstance`, filled on
+    demand.
 
-    Instances are produced by :func:`compile_program`; all attributes
-    are read-mostly plain lists/tuples so the backend's hot loop can
-    hoist them into locals.
+    Instances are produced by :func:`compile_program`, which interns only
+    the initial values and local states.  Every per-slot table is a
+    plain list indexed by local state, grown in place as states are
+    reached (so a walk can hoist them into locals once): ``states``,
+    ``halted``, ``live`` and ``kind`` are set when a state is interned
+    (``kind`` is :data:`OP_PENDING` until the state is classified), the
+    rest when it is classified.  A READ row spans the current value
+    domain, its unfilled entries :data:`PENDING_ENTRY`.  Stepping
+    (:meth:`step_packed`, :meth:`expand_batch`) classifies and fills
+    what it needs; :meth:`close` fills everything reachable.
     """
 
     def __init__(
         self,
         instance: StepInstance,
-        values: List[Any],
-        value_index: Dict[Any, int],
         slots: Tuple[ProcessId, ...],
-        autos: List[Any],
-        states: List[List[Any]],
-        state_index: List[Dict[Any, int]],
-        halted: List[List[bool]],
         crashed: List[bool],
-        kind: List[List[int]],
-        arg: List[List[int]],
-        write_value: List[List[int]],
-        next_state: List[List[int]],
-        rows: List[List[Optional[List[int]]]],
-        initial_packed: PackedState,
+        m: int,
+        max_local_states: int,
+        max_domain: int,
     ) -> None:
+        nslots = len(slots)
         self.instance = instance
-        self.values = values
-        self.value_index = value_index
         self.slots = slots
-        self.autos = autos
-        self.states = states
-        self.state_index = state_index
-        self.halted = halted
         self.crashed = crashed
-        self.kind = kind
-        self.arg = arg
-        self.write_value = write_value
-        self.next_state = next_state
-        self.rows = rows
-        self.initial_packed = initial_packed
-        self.m = len(initial_packed) - len(slots)
+        self.m = m
+        self.max_local_states = max_local_states
+        self.max_domain = max_domain
+        self.autos = [instance.automata[pid] for pid in slots]
+        self._perms = [instance.permutations[pid] for pid in slots]
+        self.values: List[Any] = []
+        self.value_index: Dict[Any, int] = {}
+        self.states: List[List[Any]] = [[] for _ in range(nslots)]
+        self.state_index: List[Dict[Any, int]] = [{} for _ in range(nslots)]
+        self.halted: List[List[bool]] = [[] for _ in range(nslots)]
+        #: ``live[slot][si]`` ⟺ the slot can step from local state si.
+        self.live: List[List[bool]] = [[] for _ in range(nslots)]
+        self.kind: List[List[int]] = [[] for _ in range(nslots)]
+        self.arg: List[List[int]] = [[] for _ in range(nslots)]
+        self.write_value: List[List[int]] = [[] for _ in range(nslots)]
+        self.next_state: List[List[int]] = [[] for _ in range(nslots)]
+        self.rows: List[List[Optional[List[int]]]] = [[] for _ in range(nslots)]
+        self.initial_packed: PackedState = ()
+        # (slot, si) per READ state, in classification order, and its op.
+        self._read_sites: List[Tuple[int, int]] = []
+        self._read_op: List[Dict[int, ReadOp]] = [{} for _ in range(nslots)]
+        self._watchers: List[Callable[[int, int], None]] = []
+        self._deltas: Optional[List[List[List[Optional[int]]]]] = None
+        self._at: List[List[int]] = []
         #: (pid, slot, packed offset) in the instance's scheduling order.
         self.step_order: Tuple[Tuple[ProcessId, int, int], ...] = tuple(
-            (pid, instance.slot_of[pid], self.m + instance.slot_of[pid])
+            (pid, instance.slot_of[pid], m + instance.slot_of[pid])
             for pid in instance.pid_order
         )
         # Int layout: packed position i is the bit field of width
-        # field_mask[i].bit_length() at field_shift[i], position 0 lowest,
-        # each as narrow as its table allows (one value or one local
-        # state needs no bits).
-        value_bits = max(len(values) - 1, 0).bit_length()
-        widths = [value_bits] * self.m + [
-            (len(slot_states) - 1).bit_length() for slot_states in states
-        ]
-        shifts: List[int] = []
-        bits = 0
-        for width in widths:
-            shifts.append(bits)
-            bits += width
-        self.field_shift: Tuple[int, ...] = tuple(shifts)
-        self.field_mask: Tuple[int, ...] = tuple((1 << w) - 1 for w in widths)
+        # field_mask[i].bit_length() at field_shift[i].  Slot fields are
+        # lowest, each wide enough for max_local_states states, so a
+        # reached state always fits; register fields sit above them, as
+        # wide as the current value domain (one value needs no bits).
+        self.slot_bits = max(max_local_states - 1, 0).bit_length()
+        self.value_bits = -1
+        self._layout()
+
+    def _layout(self) -> None:
+        """Size the register fields to the value domain; rebuild the
+        delta tables when they widen."""
+        value_bits = max(len(self.values) - 1, 0).bit_length()
+        if value_bits == self.value_bits:
+            return
+        nslots = len(self.slots)
+        base = self.slot_bits * nslots
+        self.value_bits = value_bits
+        self.field_shift: Tuple[int, ...] = tuple(
+            base + value_bits * i for i in range(self.m)
+        ) + tuple(self.slot_bits * s for s in range(nslots))
+        self.field_mask: Tuple[int, ...] = (
+            ((1 << value_bits) - 1,) * self.m
+            + ((1 << self.slot_bits) - 1,) * nslots
+        )
         self.value_mask = (1 << value_bits) - 1
         #: Total width; ``state >> state_bits`` is 0 for every int state.
-        self.state_bits = bits
+        self.state_bits = base + value_bits * self.m
+        if self._deltas is not None:
+            self._sync_all()
+
+    # -- growing the tables --------------------------------------------
+
+    def _intern(self, value: Any) -> int:
+        try:
+            vi = self.value_index.get(value)
+        except TypeError as error:
+            raise CompileOverflow(f"unhashable register value {value!r}") from error
+        if vi is None:
+            if len(self.values) >= self.max_domain:
+                raise CompileOverflow(
+                    f"register value domain exceeds {self.max_domain} values"
+                )
+            vi = len(self.values)
+            self.value_index[value] = vi
+            self.values.append(value)
+            rows = self.rows
+            for slot, si in self._read_sites:
+                rows[slot][si].append(PENDING_ENTRY)  # type: ignore[union-attr]
+            self._layout()
+        return vi
+
+    def _add_state(self, slot: int, local: Any) -> int:
+        """``local``'s index in ``slot``'s table, interned if new."""
+        try:
+            si = self.state_index[slot].get(local)
+        except TypeError as error:
+            raise CompileOverflow(
+                f"unhashable local state for slot {slot}"
+            ) from error
+        return self._new_state(slot, local) if si is None else si
+
+    def _new_state(self, slot: int, local: Any) -> int:
+        """Intern ``local``, which ``slot``'s table does not hold yet."""
+        states = self.states[slot]
+        if len(states) >= self.max_local_states:
+            raise CompileOverflow(
+                f"slot {slot} local-state space exceeds"
+                f" {self.max_local_states} states"
+            )
+        try:
+            is_halted = bool(self.autos[slot].is_halted(local))
+        except CompileOverflow:
+            raise
+        except Exception as error:
+            raise _Poison from error
+        si = len(states)
+        self.state_index[slot][local] = si
+        states.append(local)
+        self.halted[slot].append(is_halted)
+        self.live[slot].append(not (is_halted or self.crashed[slot]))
+        self.kind[slot].append(OP_HALTED if is_halted else OP_PENDING)
+        self.arg[slot].append(0)
+        self.write_value[slot].append(0)
+        self.next_state[slot].append(0)
+        self.rows[slot].append(None)
+        if self._deltas is not None:
+            self._deltas[slot].append([None])
+            self._at[slot].append(self.state_bits)
+        for watcher in self._watchers:
+            watcher(slot, si)
+        return si
+
+    def classify(self, slot: int, si: int) -> int:
+        """The kind of local state ``si`` of ``slot``, classifying it
+        first if it is still :data:`OP_PENDING`."""
+        kind = self.kind[slot]
+        k = kind[si]
+        if k != OP_PENDING:
+            return k
+        local = self.states[slot][si]
+        auto = self.autos[slot]
+        # A raising hook or an out-of-range view index (which raises
+        # ProtocolError at runtime) poisons the state: the interpreter
+        # reproduces the exception.
+        k = OP_RAISE
+        try:
+            op = auto.next_op(local)
+        except Exception:
+            op = None
+        else:
+            if isinstance(op, ReadOp):
+                if 0 <= op.index < self.m:
+                    self.arg[slot][si] = self._perms[slot][op.index]
+                    self.rows[slot][si] = [PENDING_ENTRY] * len(self.values)
+                    self._read_sites.append((slot, si))
+                    self._read_op[slot][si] = op
+                    k = OP_READ
+            else:
+                # A write, or any other operation: no memory effect
+                # beyond the write, read result None.
+                write = isinstance(op, WriteOp)
+                if not write or 0 <= op.index < self.m:
+                    if write:
+                        self.write_value[slot][si] = self._intern(op.value)
+                        self.arg[slot][si] = self._perms[slot][op.index]
+                    try:
+                        self.next_state[slot][si] = self._add_state(
+                            slot, auto.apply(local, op, None)
+                        )
+                        k = OP_WRITE if write else OP_LOCAL
+                    except CompileOverflow:
+                        raise
+                    except Exception:
+                        pass
+        kind[si] = k
+        if self._deltas is not None:
+            self._sync(slot, si)
+        return k
+
+    def _fill(self, slot: int, si: int, vis: Iterable[int]) -> None:
+        """Fill the pending entries ``vis`` of READ row ``rows[slot][si]``;
+        a hook that raises on the way poisons its entry."""
+        row = self.rows[slot][si]
+        assert row is not None
+        local = self.states[slot][si]
+        op = self._read_op[slot][si]
+        apply = self.autos[slot].apply
+        known = self.state_index[slot].get
+        values = self.values
+        for vi in vis:
+            if row[vi] != PENDING_ENTRY:
+                continue
+            try:
+                child = apply(local, op, values[vi])
+                try:
+                    nsi = known(child)
+                except TypeError:  # unhashable: _add_state raises the overflow
+                    nsi = self._add_state(slot, child)
+                if nsi is None:
+                    nsi = self._new_state(slot, child)
+            except CompileOverflow:
+                raise
+            except Exception:
+                nsi = RAISE_ENTRY
+            row[vi] = nsi
+        if self._deltas is not None:
+            deltas = self._deltas[slot][si]
+            own = self.field_shift[self.m + slot]
+            for vi in vis:
+                if row[vi] >= 0:
+                    deltas[vi] = (row[vi] - si) << own
+
+    def close(self) -> None:
+        """Fill every entry reachable from the known local states.
+
+        A worklist over the tables' append-only logs (local states, read
+        sites, values), so each state is classified and each (read site,
+        value) entry filled once.  Invariant: every read site before
+        ``site_at`` has its entries below ``value_at`` filled.  Needed
+        where a consumer sees the whole tables at once: the quotient
+        walk's orbit weights rank every digest, and the parallel
+        backend's processes must number local states identically.
+        """
+        sites = self._read_sites
+        values = self.values
+        classify = self.classify
+        fill = self._fill
+        state_at = [0] * len(self.slots)
+        site_at = 0
+        value_at = len(values)
+        while True:
+            for slot, kinds in enumerate(self.kind):
+                si = state_at[slot]
+                while si < len(kinds):
+                    if kinds[si] == OP_PENDING:
+                        classify(slot, si)
+                    si += 1
+                state_at[slot] = si
+            if site_at < len(sites):
+                # Filling adds local states, never sites or values.
+                known = range(value_at)
+                for slot, si in sites[site_at:]:
+                    fill(slot, si, known)
+                site_at = len(sites)
+            elif value_at < len(values):
+                new = range(value_at, len(values))
+                for slot, si in sites[:site_at]:
+                    fill(slot, si, new)
+                value_at = len(values)
+            else:
+                return
+
+    def watch(self, watcher: Callable[[int, int], None]) -> None:
+        """Call ``watcher(slot, si)`` for every local state: the known
+        ones now, each later one as it is interned."""
+        self._watchers.append(watcher)
+        for slot, states in enumerate(self.states):
+            for si in range(len(states)):
+                watcher(slot, si)
 
     # -- conversions ---------------------------------------------------
 
     def pack(self, state: GlobalState) -> PackedState:
-        """Pack a kernel value state; raises if outside the closure."""
+        """Pack a kernel value state; raises if outside the closure.
+
+        A state no walk has reached yet is found by closing the tables.
+        """
         registers, locals_part = state
-        return tuple(self.value_index[v] for v in registers) + tuple(
-            self.state_index[s][entry[1]]
-            for s, entry in enumerate(locals_part)
-        )
+
+        def indices() -> PackedState:
+            return tuple(self.value_index[v] for v in registers) + tuple(
+                self.state_index[s][entry[1]]
+                for s, entry in enumerate(locals_part)
+            )
+
+        try:
+            return indices()
+        except KeyError:
+            self.close()
+            return indices()
 
     def unpack(self, packed: PackedState) -> GlobalState:
         """Rebuild the exact kernel value state a packed state denotes."""
@@ -204,6 +443,18 @@ class CompiledProgram:
             for shift, mask in zip(self.field_shift, self.field_mask)
         )
 
+    def recode(self, state: int, value_bits: int) -> int:
+        """An int state encoded when register fields were ``value_bits``
+        wide, in the current layout (slot fields never move)."""
+        base = self.slot_bits * len(self.slots)
+        registers = state >> base
+        mask = (1 << value_bits) - 1
+        out = state & ((1 << base) - 1)
+        for shift in self.field_shift[: self.m]:
+            out |= (registers & mask) << shift
+            registers >>= value_bits
+        return out
+
     def delta_tables(
         self,
     ) -> Tuple[List[List[List[Optional[int]]]], List[List[int]]]:
@@ -216,51 +467,55 @@ class CompiledProgram:
 
         A READ row is indexed by the read register's value, a WRITE row
         by the overwritten register's value (the write's register delta
-        plus the slot's); a LOCAL row has one entry, selected by
+        plus the slot's); both span every index the register field can
+        hold.  A LOCAL row has one entry, selected by
         ``at == state_bits``.  ``d == 0`` is exactly the inert step
         (child == state: encoding is injective).  ``None`` marks an
-        entry the tables cannot take — a poisoned read, OP_RAISE, or
-        OP_HALTED — which goes through :meth:`step_packed`.
+        entry the tables cannot take yet or at all — pending, poisoned,
+        OP_RAISE or OP_HALTED — which goes through :meth:`step_packed`.
+
+        The tables are the program's own and stay current: filling an
+        entry updates its delta, a new local state appends a row, and a
+        widening of the register fields rebuilds them in place.
         """
-        m = self.m
+        if self._deltas is None:
+            self._deltas = [[[None]] * len(states) for states in self.states]
+            self._at = [[0] * len(states) for states in self.states]
+            self._sync_all()
+        return self._deltas, self._at
+
+    def _sync_all(self) -> None:
+        assert self._deltas is not None
+        for slot, deltas in enumerate(self._deltas):
+            for si in range(len(deltas)):
+                self._sync(slot, si)
+
+    def _sync(self, slot: int, si: int) -> None:
+        """Recompute one delta row from the transition tables."""
+        assert self._deltas is not None
+        k = self.kind[slot][si]
         shift = self.field_shift
-        nvalues = len(self.values)
-        deltas: List[List[List[Optional[int]]]] = []
-        at: List[List[int]] = []
-        for s in range(len(self.slots)):
-            own = shift[m + s]
-            kind = self.kind[s]
-            deltas_s: List[List[Optional[int]]] = []
-            at_s: List[int] = []
-            for si, k in enumerate(kind):
-                if k == OP_READ:
-                    row = self.rows[s][si]
-                    assert row is not None
-                    deltas_s.append(
-                        [(nsi - si) << own if nsi >= 0 else None for nsi in row]
-                    )
-                    at_s.append(shift[self.arg[s][si]])
-                elif k == OP_WRITE:
-                    phys_shift = shift[self.arg[s][si]]
-                    step = (self.next_state[s][si] - si) << own
-                    new = self.write_value[s][si]
-                    deltas_s.append(
-                        [
-                            step + ((new - old) << phys_shift)
-                            for old in range(nvalues)
-                        ]
-                    )
-                    at_s.append(phys_shift)
-                else:
-                    deltas_s.append(
-                        [(self.next_state[s][si] - si) << own]
-                        if k == OP_LOCAL
-                        else [None]
-                    )
-                    at_s.append(self.state_bits)
-            deltas.append(deltas_s)
-            at.append(at_s)
-        return deltas, at
+        own = shift[self.m + slot]
+        width = self.value_mask + 1
+        at = self.state_bits
+        if k == OP_READ:
+            row: List[Optional[int]] = [
+                (nsi - si) << own if nsi >= 0 else None
+                for nsi in self.rows[slot][si]  # type: ignore[union-attr]
+            ]
+            row.extend([None] * (width - len(row)))
+            at = shift[self.arg[slot][si]]
+        elif k == OP_WRITE:
+            at = shift[self.arg[slot][si]]
+            step = (self.next_state[slot][si] - si) << own
+            new = self.write_value[slot][si]
+            row = [step + ((new - old) << at) for old in range(width)]
+        elif k == OP_LOCAL:
+            row = [(self.next_state[slot][si] - si) << own]
+        else:
+            row = [None]
+        self._deltas[slot][si] = row
+        self._at[slot][si] = at
 
     def slot_entries(self) -> List[List[Tuple[ProcessId, Any, bool, bool]]]:
         """``[slot][si]``: the ``(pid, local, halted, crashed)`` entry a
@@ -279,17 +534,23 @@ class CompiledProgram:
     def step_packed(self, packed: PackedState, slot: int) -> PackedState:
         """One step of ``slot``'s process on a packed state.
 
-        Table-driven for LOCAL/READ/WRITE; overflow entries (poisoned
-        reads, OP_RAISE, OP_HALTED) delegate to the interpreter, which
+        Table-driven for LOCAL/READ/WRITE, classifying the local state
+        or filling the read entry first if the tables lack it; poisoned
+        entries and OP_HALTED delegate to the interpreter, which
         reproduces the interpreted result or exception exactly.
         """
         off = self.m + slot
         si = packed[off]
         k = self.kind[slot][si]
+        if k == OP_PENDING:
+            k = self.classify(slot, si)
         if k == OP_READ:
             row = self.rows[slot][si]
             assert row is not None
-            nsi = row[packed[self.arg[slot][si]]]
+            vi = packed[self.arg[slot][si]]
+            if row[vi] == PENDING_ENTRY:
+                self._fill(slot, si, (vi,))
+            nsi = row[vi]
             if nsi < 0:
                 return self._interpret(packed, slot)
             return packed[:off] + (nsi,) + packed[off + 1 :]
@@ -317,11 +578,8 @@ class CompiledProgram:
     def live_tables(self) -> List[List[bool]]:
         """``live[slot][si]`` ⟺ the slot can step from local state si
         (not halted, not crashed) — the enabled-pid predicate over
-        packed components."""
-        return [
-            [not (self.crashed[s] or h) for h in self.halted[s]]
-            for s in range(len(self.slots))
-        ]
+        packed components.  The program's own table, grown in place."""
+        return self.live
 
     def expand_batch(self, flat: Sequence[int]) -> Tuple["array", "array"]:
         """One-step successors of a flat batch of packed states.
@@ -343,9 +601,10 @@ class CompiledProgram:
           contribute no child row — the child is the source).
 
         A source with no edges is terminal (every slot halted or
-        crashed).  Poisoned table entries delegate to the interpreter
-        exactly like :meth:`step_packed`, so genuine hook exceptions
-        propagate to the caller unchanged.
+        crashed).  Entries the tables lack go through
+        :meth:`step_packed`, which fills them, and poisoned entries
+        delegate to the interpreter exactly as there, so genuine hook
+        exceptions propagate to the caller unchanged.
         """
         m = self.m
         nslots = len(self.slots)
@@ -355,7 +614,7 @@ class CompiledProgram:
         wval = self.write_value
         nxt = self.next_state
         rows = self.rows
-        live = self.live_tables()
+        live = self.live
         step_order = self.step_order
         children = array("q")
         edges = array("q")
@@ -401,10 +660,10 @@ class CompiledProgram:
                     children[start + off] = nsi
                     edges.extend((src, s, 0))
                     continue
-                # Poisoned entry (OP_RAISE, or a poisoned read row):
-                # interpret, reproducing the genuine result/exception.
+                # Pending or poisoned entry: step_packed fills it, or
+                # interprets, reproducing the genuine result/exception.
                 state = tuple(flat[base : base + stride])
-                child = self._interpret(state, s)
+                child = self.step_packed(state, s)
                 if child == state:
                     edges.extend((src, s, 1))
                 else:
@@ -420,221 +679,57 @@ def compile_program(
     max_local_states: int = 65536,
     max_domain: int = 4096,
 ) -> CompiledProgram:
-    """Enumerate the closure of ``initial`` into a :class:`CompiledProgram`.
+    """A :class:`CompiledProgram` for the walks from ``initial``.
 
-    Interleaved fixpoint: classify pending local states (which can grow
-    the value domain through writes and spawn successor states through
-    applies), then extend every read row to span the current domain
-    (which can spawn further states), until both queues are dry.  At the
-    fixpoint every read row covers the full closed domain, so no
-    reachable runtime read can fall off a row — the :data:`RAISE_ENTRY`
-    sentinel remains as a defensive overflow only for transitions whose
-    hooks genuinely raised.
+    Interns the initial register values, ``domain_hint`` and each slot's
+    initial local state, and nothing else: the tables fill on demand as
+    walks step (or all at once through :meth:`CompiledProgram.close`).
 
     ``domain_hint`` seeds the value domain (a
     :meth:`~repro.problems.spec.ProblemSpec.value_domain` declaration);
-    a superset is harmless, a subset is completed by the fixpoint.
+    a superset is harmless, a subset is completed as writes are
+    classified.  With the whole domain up front the int layout never
+    widens.
 
-    Raises :class:`CompileOverflow` when the closure exceeds the caps or
-    the instance's shape defeats packing; callers fall back to the
-    interpreter.
+    ``max_local_states`` (per slot) and ``max_domain`` cap what a walk
+    may reach: filling past them raises :class:`CompileOverflow`, as
+    does an instance whose shape defeats packing; callers fall back to
+    the interpreter.
     """
     registers, locals_part = initial
-    m = len(registers)
     slots = tuple(entry[0] for entry in locals_part)
     for pid, slot in instance.slot_of.items():
         if slot >= len(slots) or slots[slot] != pid:
             raise CompileOverflow("slot layout does not match the instance")
-    autos = [instance.automata[pid] for pid in slots]
-    perms = [instance.permutations[pid] for pid in slots]
-    crashed = [bool(entry[3]) for entry in locals_part]
-    nslots = len(slots)
-
-    values: List[Any] = []
-    value_index: Dict[Any, int] = {}
-
-    def intern_value(value: Any) -> int:
-        try:
-            vi = value_index.get(value)
-        except TypeError as error:
-            raise CompileOverflow(
-                f"unhashable register value {value!r}"
-            ) from error
-        if vi is None:
-            if len(values) >= max_domain:
-                raise CompileOverflow(
-                    f"register value domain exceeds {max_domain} values"
-                )
-            vi = len(values)
-            value_index[value] = vi
-            values.append(value)
-        return vi
-
+    program = CompiledProgram(
+        instance,
+        slots,
+        [bool(entry[3]) for entry in locals_part],
+        len(registers),
+        max_local_states,
+        max_domain,
+    )
     for value in registers:
-        intern_value(value)
+        program._intern(value)
     for value in domain_hint:
-        intern_value(value)
-
-    states: List[List[Any]] = [[] for _ in range(nslots)]
-    state_index: List[Dict[Any, int]] = [{} for _ in range(nslots)]
-    halted: List[List[bool]] = [[] for _ in range(nslots)]
-    kind: List[List[int]] = [[] for _ in range(nslots)]
-    arg: List[List[int]] = [[] for _ in range(nslots)]
-    write_value: List[List[int]] = [[] for _ in range(nslots)]
-    next_state: List[List[int]] = [[] for _ in range(nslots)]
-    rows: List[List[Optional[List[int]]]] = [[] for _ in range(nslots)]
-    pending: List[Tuple[int, int]] = []
-    # (slot, si, the ReadOp) for every READ state, for row extension.
-    read_sites: List[Tuple[int, int, Any]] = []
-
-    def add_state(slot: int, local: Any) -> int:
-        try:
-            si = state_index[slot].get(local)
-        except TypeError as error:
-            raise CompileOverflow(
-                f"unhashable local state for slot {slot}"
-            ) from error
-        if si is None:
-            if len(states[slot]) >= max_local_states:
-                raise CompileOverflow(
-                    f"slot {slot} local-state space exceeds"
-                    f" {max_local_states} states"
-                )
-            try:
-                is_halted = bool(autos[slot].is_halted(local))
-            except CompileOverflow:
-                raise
-            except Exception as error:
-                raise _Poison from error
-            si = len(states[slot])
-            state_index[slot][local] = si
-            states[slot].append(local)
-            halted[slot].append(is_halted)
-            kind[slot].append(OP_RAISE)
-            arg[slot].append(0)
-            write_value[slot].append(0)
-            next_state[slot].append(0)
-            rows[slot].append(None)
-            pending.append((slot, si))
-        return si
-
+        program._intern(value)
     initial_sis: List[int] = []
     for slot, entry in enumerate(locals_part):
         try:
-            si = add_state(slot, entry[1])
+            si = program._add_state(slot, entry[1])
         except _Poison as error:
             raise CompileOverflow(
                 f"is_halted raised on slot {slot}'s initial state"
             ) from error
-        if halted[slot][si] != bool(entry[2]):
+        if program.halted[slot][si] != bool(entry[2]):
             raise CompileOverflow(
                 f"slot {slot}: initial halted flag disagrees with is_halted"
             )
         initial_sis.append(si)
-
-    def classify(slot: int, si: int) -> None:
-        local = states[slot][si]
-        if halted[slot][si]:
-            kind[slot][si] = OP_HALTED
-            return
-        auto = autos[slot]
-        try:
-            op = auto.next_op(local)
-        except Exception:
-            kind[slot][si] = OP_RAISE
-            return
-        if isinstance(op, ReadOp):
-            # An out-of-range view index raises ProtocolError at
-            # runtime; leave it to the interpreter to say so.
-            if not 0 <= op.index < m:
-                kind[slot][si] = OP_RAISE
-                return
-            kind[slot][si] = OP_READ
-            arg[slot][si] = perms[slot][op.index]
-            rows[slot][si] = []
-            read_sites.append((slot, si, op))
-            return
-        if isinstance(op, WriteOp):
-            if not 0 <= op.index < m:
-                kind[slot][si] = OP_RAISE
-                return
-            vi = intern_value(op.value)
-            try:
-                nsi = add_state(slot, auto.apply(local, op, None))
-            except (_Poison, CompileOverflow) as error:
-                if isinstance(error, CompileOverflow):
-                    raise
-                kind[slot][si] = OP_RAISE
-                return
-            except Exception:
-                kind[slot][si] = OP_RAISE
-                return
-            kind[slot][si] = OP_WRITE
-            arg[slot][si] = perms[slot][op.index]
-            write_value[slot][si] = vi
-            next_state[slot][si] = nsi
-            return
-        # Any other operation: no memory effect, read result is None.
-        try:
-            nsi = add_state(slot, auto.apply(local, op, None))
-        except (_Poison, CompileOverflow) as error:
-            if isinstance(error, CompileOverflow):
-                raise
-            kind[slot][si] = OP_RAISE
-            return
-        except Exception:
-            kind[slot][si] = OP_RAISE
-            return
-        kind[slot][si] = OP_LOCAL
-        next_state[slot][si] = nsi
-
-    while True:
-        while pending:
-            slot, si = pending.pop()
-            classify(slot, si)
-        progress = False
-        for slot, si, op in read_sites:
-            row = rows[slot][si]
-            assert row is not None
-            if len(row) == len(values):
-                continue
-            local = states[slot][si]
-            auto = autos[slot]
-            while len(row) < len(values):
-                value = values[len(row)]
-                try:
-                    nsi = add_state(slot, auto.apply(local, op, value))
-                except (_Poison, CompileOverflow) as error:
-                    if isinstance(error, CompileOverflow):
-                        raise
-                    nsi = RAISE_ENTRY
-                except Exception:
-                    nsi = RAISE_ENTRY
-                row.append(nsi)
-            progress = True
-        if not pending and not progress:
-            break
-
-    initial_packed = tuple(value_index[v] for v in registers) + tuple(
-        initial_sis
-    )
-    return CompiledProgram(
-        instance=instance,
-        values=values,
-        value_index=value_index,
-        slots=slots,
-        autos=autos,
-        states=states,
-        state_index=state_index,
-        halted=halted,
-        crashed=crashed,
-        kind=kind,
-        arg=arg,
-        write_value=write_value,
-        next_state=next_state,
-        rows=rows,
-        initial_packed=initial_packed,
-    )
+    program.initial_packed = tuple(
+        program.value_index[v] for v in registers
+    ) + tuple(initial_sis)
+    return program
 
 
 # -- invariant compilation ---------------------------------------------
@@ -643,10 +738,11 @@ def compile_program(
 # return non-None here?".  It must never report False on a state the
 # interpreted invariant would flag (false negatives are unsound); a
 # False positive merely costs one unpack + real-invariant call that
-# returns None.  The fact tables below are exact on every enumerated
-# state, so both directions hold; any hook failure during fact
-# computation poisons the table and the checker degrades to evaluating
-# the real invariant on every state (slow but trivially exact).
+# returns None.  The fact tables below are exact on every local state
+# the program has interned, and grow with it, so both directions hold;
+# a hook failure while computing a fact poisons the tables and the
+# checker degrades to evaluating the real invariant on every state
+# from then on (slow but trivially exact).
 
 _SKIP = object()  # slot not decided (not halted, or output is None)
 
@@ -657,29 +753,58 @@ def _always_suspect(_packed: PackedState) -> bool:
     return True
 
 
-def _output_facts(program: CompiledProgram) -> Optional[List[List[Any]]]:
-    """Per (slot, si): the decided non-None output, else ``_SKIP``.
+def _one(_slot: int, _si: int) -> int:
+    return 1
 
-    Returns None (poison) if any ``output`` hook raises or any output
-    is unhashable (the stock invariants build sets of them, so an
-    unhashable output makes the *interpreted* invariant raise — the
-    generic path reproduces that).
+
+class _Facts:
+    """Per-(slot, si) facts about local states, grown with the program.
+
+    ``tables[slot][si]`` is ``fact(slot, si)`` for every local state the
+    program has interned (:meth:`CompiledProgram.watch`).  A fact that
+    raises poisons the tables: ``poisoned`` is set and every entry, now
+    and later, reads 1.  A suspect built on them flags every state from
+    then on — suspect functions test ``poisoned``, the two-process walk's
+    inline pair filter sees the ones — so the real invariant raises or
+    reports exactly where the interpreted one does, and the failure
+    never surfaces at the step that reached the state.
     """
-    facts: List[List[Any]] = []
-    for slot, auto in enumerate(program.autos):
-        row: List[Any] = []
-        for si, local in enumerate(program.states[slot]):
-            if not program.halted[slot][si]:
-                row.append(_SKIP)
-                continue
+
+    __slots__ = ("tables", "poisoned", "_fact")
+
+    def __init__(
+        self, program: CompiledProgram, fact: Callable[[int, int], Any]
+    ) -> None:
+        self.tables: List[List[Any]] = [[] for _ in program.slots]
+        self.poisoned = False
+        self._fact = fact
+        program.watch(self._add)
+
+    def _add(self, slot: int, si: int) -> None:
+        value = 1
+        if not self.poisoned:
             try:
-                out = auto.output(local)
-                hash(out)
+                value = self._fact(slot, si)
             except Exception:
-                return None
-            row.append(_SKIP if out is None else out)
-        facts.append(row)
-    return facts
+                self.poisoned = True
+                for row in self.tables:
+                    row[:] = [1] * len(row)
+        self.tables[slot].append(value)
+
+
+def _output(program: CompiledProgram, slot: int, si: int) -> Any:
+    """The decided non-None output of local state ``si``, else ``_SKIP``.
+
+    Raises if the ``output`` hook raises or the output is unhashable,
+    poisoning the facts built on it (the stock invariants build sets of
+    outputs, so an unhashable one makes the *interpreted* invariant
+    raise — evaluating it reproduces that).
+    """
+    if not program.halted[slot][si]:
+        return _SKIP
+    out = program.autos[slot].output(program.states[slot][si])
+    hash(out)
+    return _SKIP if out is None else out
 
 
 class _PairSuspect:
@@ -688,7 +813,8 @@ class _PairSuspect:
     Callable like any suspect function, but also exposes its per-slot
     fact tables so the two-process walk can test the two subscripts
     inline and decode and call only on states both flag: with 0/1
-    facts, ``count > 1`` ⟺ both flags set.
+    facts, ``count > 1`` ⟺ both flags set.  Poisoned facts all read 1,
+    so every state is flagged.
     """
 
     __slots__ = ("tables", "m")
@@ -706,27 +832,24 @@ def _mutex_suspect(
     program: CompiledProgram,
 ) -> Optional[Callable[[PackedState], bool]]:
     """Suspect when ≥ 2 non-halted processes sit in the critical section."""
-    tables: List[List[int]] = []
-    for slot, auto in enumerate(program.autos):
-        in_cs = getattr(auto, "in_critical_section", None)
-        if in_cs is None:
-            return None
-        row: List[int] = []
-        for si, local in enumerate(program.states[slot]):
-            if program.halted[slot][si]:
-                row.append(0)
-            else:
-                try:
-                    row.append(1 if in_cs(local) else 0)
-                except Exception:
-                    return None
-        tables.append(row)
+    in_cs = [getattr(auto, "in_critical_section", None) for auto in program.autos]
+    if any(hook is None for hook in in_cs):
+        return None
+
+    def inside(slot: int, si: int) -> int:
+        if program.halted[slot][si]:
+            return 0
+        return 1 if in_cs[slot](program.states[slot][si]) else 0
+
+    facts = _Facts(program, inside)
     m = program.m
-    if len(tables) == 2:
-        return _PairSuspect(tables, m)
-    offs = [(m + slot, row) for slot, row in enumerate(tables)]
+    if len(facts.tables) == 2:
+        return _PairSuspect(facts.tables, m)
+    offs = [(m + slot, row) for slot, row in enumerate(facts.tables)]
 
     def suspect(packed: PackedState) -> bool:
+        if facts.poisoned:
+            return True
         count = 0
         for off, row in offs:
             count += row[packed[off]]
@@ -739,13 +862,13 @@ def _agreement_suspect(
     program: CompiledProgram,
 ) -> Optional[Callable[[PackedState], bool]]:
     """Suspect when two decided outputs are distinct (set semantics)."""
-    facts = _output_facts(program)
-    if facts is None:
-        return None
+    facts = _Facts(program, partial(_output, program))
     m = program.m
-    offs = [(m + slot, row) for slot, row in enumerate(facts)]
+    offs = [(m + slot, row) for slot, row in enumerate(facts.tables)]
 
     def suspect(packed: PackedState) -> bool:
+        if facts.poisoned:
+            return True
         decided = [
             v for off, row in offs if (v := row[packed[off]]) is not _SKIP
         ]
@@ -762,21 +885,18 @@ def _validity_suspect(
         legal = set(program.instance.inputs.values())
     except Exception:
         return None
-    facts = _output_facts(program)
-    if facts is None:
-        return None
-    tables: List[List[bool]] = []
-    for row in facts:
-        try:
-            tables.append(
-                [v is not _SKIP and v not in legal for v in row]
-            )
-        except Exception:
-            return None
+
+    def illegal(slot: int, si: int) -> bool:
+        v = _output(program, slot, si)
+        return v is not _SKIP and v not in legal
+
+    facts = _Facts(program, illegal)
     m = program.m
-    offs = [(m + slot, row) for slot, row in enumerate(tables)]
+    offs = [(m + slot, row) for slot, row in enumerate(facts.tables)]
 
     def suspect(packed: PackedState) -> bool:
+        if facts.poisoned:
+            return True
         return any(row[packed[off]] for off, row in offs)
 
     return suspect
@@ -786,38 +906,29 @@ def _unique_names_suspect(
     program: CompiledProgram,
 ) -> Optional[Callable[[PackedState], bool]]:
     """Suspect on duplicate names or a name outside ``1..n``."""
-    facts = _output_facts(program)
-    if facts is None:
-        return None
     n = len(program.instance.inputs)
-    bad: List[List[bool]] = []
-    for row in facts:
-        bad_row: List[bool] = []
-        for v in row:
-            if v is _SKIP:
-                bad_row.append(False)
-            else:
-                try:
-                    bad_row.append(not 1 <= v <= n)
-                except Exception:
-                    # Non-comparable name: the interpreted invariant's
-                    # range check raises on such states — only the
-                    # generic path reproduces that faithfully.
-                    return None
-        bad.append(bad_row)
+
+    def name(slot: int, si: int) -> Any:
+        v = _output(program, slot, si)
+        # A non-comparable name poisons the facts: the interpreted
+        # invariant's range check raises on such states, and only
+        # evaluating it reproduces that.
+        return v if v is _SKIP else (v, not 1 <= v <= n)
+
+    facts = _Facts(program, name)
     m = program.m
-    offs = [
-        (m + slot, facts[slot], bad[slot]) for slot in range(len(facts))
-    ]
+    offs = [(m + slot, row) for slot, row in enumerate(facts.tables)]
 
     def suspect(packed: PackedState) -> bool:
+        if facts.poisoned:
+            return True
         names: List[Any] = []
-        for off, row, bad_row in offs:
-            si = packed[off]
-            v = row[si]
-            if v is _SKIP:
+        for off, row in offs:
+            fact = row[packed[off]]
+            if fact is _SKIP:
                 continue
-            if bad_row[si]:
+            v, bad = fact
+            if bad:
                 return True
             names.append(v)
         return len(names) > 1 and len(set(names)) != len(names)
@@ -901,13 +1012,72 @@ def _unwind(link: Any) -> Tuple[ProcessId, ...]:
     return tuple(reversed(path))
 
 
+def _fill_step(
+    program: CompiledProgram,
+    state: int,
+    slot: int,
+    si: int,
+    value_mask: int,
+    visited: Set[int],
+    stack: List[Tuple[int, int, Any]],
+) -> Tuple[int, int]:
+    """The two-process walk's slow path: fill the entry of ``slot``'s
+    step from int state ``state`` (local state ``si``), then step it.
+
+    ``value_mask`` is the walk's layout.  If the fill interned a value
+    that widened the register fields, the walk's visited set and stack
+    are re-encoded in place.  Returns ``state`` and the step's delta,
+    both in the program's current layout; an entry that stays
+    poisoned goes through :meth:`CompiledProgram.step_packed`, which
+    interprets it.
+    """
+    if program.classify(slot, si) == OP_READ:
+        vi = (state >> program.field_shift[program.arg[slot][si]]) & value_mask
+        program._fill(slot, si, (vi,))
+    if program.value_mask != value_mask:
+        old = value_mask.bit_length()
+        recode = program.recode
+        moved = [recode(x, old) for x in visited]
+        visited.clear()
+        visited.update(moved)
+        stack[:] = [(recode(x, old), depth, link) for x, depth, link in stack]
+        state = recode(state, old)
+    deltas, at = program.delta_tables()
+    delta = deltas[slot][si][(state >> at[slot][si]) & program.value_mask]
+    if delta is None:
+        child = program.step_packed(program.decode(state), slot)
+        delta = program.encode(child) - state
+    return state, delta
+
+
+def _reason(error: Exception) -> str:
+    """A fallback's reason: a cap's message, else the exception's type
+    and message."""
+    if isinstance(error, CompileOverflow):
+        return str(error)
+    return f"{type(error).__name__}: {error}"
+
+
+def _fall_back(
+    task: ExplorationTask, reason: str, telemetry: TelemetrySink
+) -> ExplorationResult:
+    """Run the interpreted backend on the whole task, naming why."""
+    if telemetry.enabled:
+        telemetry.event("explore.kernel_fallback", reason=reason)
+    return SerialBackend().run(task, telemetry=telemetry)
+
+
 class CompiledBackend:
     """Serial DFS over packed states; bit-identical to ``SerialBackend``.
 
-    Compilation failures of any kind fall back to the interpreted
-    backend wholesale, so ``run`` is total over every task the serial
-    backend accepts.  ``result.kernel`` records which kernel actually
-    ran ("compiled" only when the table-driven walk did the work).
+    The tables fill on demand as the walk steps, except for the quotient
+    walk, which closes them before it starts.  Failures of any kind
+    while compiling, and a walk that fills the tables past their caps,
+    fall back to the interpreted backend on the whole task (the event
+    ``explore.kernel_fallback`` names the reason), so ``run`` is total
+    over every task the serial backend accepts.  ``result.kernel``
+    records which kernel actually ran ("compiled" only when the
+    table-driven walk did the work).
     """
 
     name = "compiled"
@@ -933,7 +1103,9 @@ class CompiledBackend:
         if task.retain_graph and not trivial:
             # explore() rejects this combination; a hand-built task gets
             # the serial behaviour verbatim.
-            return SerialBackend().run(task, telemetry=telemetry)
+            return _fall_back(
+                task, "retain_graph needs the trivial canonicalizer", telemetry
+            )
         try:
             with telemetry.phase("explore.compile"):
                 program = compile_program(
@@ -943,21 +1115,20 @@ class CompiledBackend:
                     max_local_states=self.max_local_states,
                     max_domain=self.max_domain,
                 )
-                suspect = _compile_suspect(task.invariant, program)
-                # Digest tables key the quotient walk and give a retained
-                # graph its raw keys; a plain trivial walk needs neither.
-                tables = (
-                    task.canonicalizer.packed_digest_tables(
+                tables = None
+                if not trivial:
+                    # The quotient walk's integer keys rank every digest
+                    # in byte order, so it needs the whole tables.
+                    program.close()
+                    tables = task.canonicalizer.packed_digest_tables(
                         program.values,
                         program.states,
                         program.halted,
                         program.crashed,
                     )
-                    if task.retain_graph or not trivial
-                    else None
-                )
-        except Exception:
-            return SerialBackend().run(task, telemetry=telemetry)
+                suspect = _compile_suspect(task.invariant, program)
+        except Exception as error:
+            return _fall_back(task, _reason(error), telemetry)
         invariant = task.invariant
         instance = task.instance
         unpack = program.unpack
@@ -968,19 +1139,23 @@ class CompiledBackend:
         if suspect is None:
             # Unknown invariant: evaluate it on every state.
             suspect = _always_suspect
-        if trivial:
-            if len(program.slots) == 2 and not task.retain_graph:
+        try:
+            if not trivial:
+                result = self._run_general(
+                    task, program, suspect, slow, tables, telemetry
+                )
+            elif len(program.slots) == 2 and not task.retain_graph:
                 result = self._run_trivial_two(
                     task, program, suspect, slow, telemetry
                 )
             else:
                 result = self._run_trivial(
-                    task, program, suspect, slow, tables, telemetry
+                    task, program, suspect, slow, telemetry
                 )
-        else:
-            result = self._run_general(
-                task, program, suspect, slow, tables, telemetry
-            )
+        except CompileOverflow as error:
+            # The walk reached past the caps: drop it and let the
+            # interpreter walk the whole task.
+            return _fall_back(task, _reason(error), telemetry)
         result.kernel = "compiled"
         return result
 
@@ -1007,8 +1182,11 @@ class CompiledBackend:
         from :meth:`CompiledProgram.delta_tables`, so the visited set
         holds ints instead of tuples.  A state is decoded to its packed
         tuple only when the invariant's suspect is consulted (for a
-        ``_PairSuspect``, only on states its tables flag) and for an
-        entry the tables cannot take, which :meth:`step_packed` steps.
+        ``_PairSuspect``, only on states its tables flag) and for a
+        poisoned entry.  An entry the tables lack (a ``None`` delta)
+        goes through :func:`_fill_step`, which fills it; the tables are
+        the program's own, so they stay current, and the one local that
+        can go stale, ``value_mask``, is reloaded after it.
 
         Every plain (``retain_graph=False``) trivial walk of a two-slot
         instance runs here, e.g. two-process mutex explored with
@@ -1020,9 +1198,7 @@ class CompiledBackend:
         max_depth = task.max_depth
         emit = telemetry.enabled
         progress_mask = self.progress_interval - 1
-        encode = program.encode
         decode = program.decode
-        step_packed = program.step_packed
         value_mask = program.value_mask
 
         (pid_a, s_a, off_a), (pid_b, s_b, off_b) = program.step_order
@@ -1030,19 +1206,20 @@ class CompiledBackend:
         shift_b = program.field_shift[off_b]
         mask_a = program.field_mask[off_a]
         mask_b = program.field_mask[off_b]
-        live = program.live_tables()
-        live_a, live_b = live[s_a], live[s_b]
+        live_a, live_b = program.live[s_a], program.live[s_b]
         deltas, at = program.delta_tables()
         deltas_a, deltas_b = deltas[s_a], deltas[s_b]
         at_a, at_b = at[s_a], at[s_b]
         # A _PairSuspect's tables filter states before the suspect is
         # called; any other suspect is called on every state.
-        if isinstance(suspect, _PairSuspect):
-            cs_a, cs_b = suspect.tables[s_a], suspect.tables[s_b]
-        else:
-            cs_a, cs_b = [1] * len(live_a), [1] * len(live_b)
+        filters = (
+            suspect.tables
+            if isinstance(suspect, _PairSuspect)
+            else _Facts(program, _one).tables
+        )
+        cs_a, cs_b = filters[s_a], filters[s_b]
 
-        initial = encode(program.initial_packed)
+        initial = program.encode(program.initial_packed)
         visited = {initial}
         visit = visited.add
         stack: List[Tuple[int, int, Any]] = [(initial, 0, None)]
@@ -1098,7 +1275,10 @@ class CompiledBackend:
             if enabled_a:
                 delta = deltas_a[si_a][(state >> at_a[si_a]) & value_mask]
                 if delta is None:
-                    delta = encode(step_packed(decode(state), s_a)) - state
+                    state, delta = _fill_step(
+                        program, state, s_a, si_a, value_mask, visited, stack
+                    )
+                    value_mask = program.value_mask
                 if not delta:
                     events_executed += 2
                 else:
@@ -1113,7 +1293,10 @@ class CompiledBackend:
             if enabled_b:
                 delta = deltas_b[si_b][(state >> at_b[si_b]) & value_mask]
                 if delta is None:
-                    delta = encode(step_packed(decode(state), s_b)) - state
+                    state, delta = _fill_step(
+                        program, state, s_b, si_b, value_mask, visited, stack
+                    )
+                    value_mask = program.value_mask
                 if not delta:
                     events_executed += 2
                 else:
@@ -1145,7 +1328,6 @@ class CompiledBackend:
         program: CompiledProgram,
         suspect: Callable[[PackedState], bool],
         slow: Callable[[PackedState], Optional[str]],
-        tables: Any,
         telemetry: TelemetrySink,
     ) -> ExplorationResult:
         max_states = task.max_states
@@ -1153,23 +1335,17 @@ class CompiledBackend:
         emit = telemetry.enabled
         progress_mask = self.progress_interval - 1
 
-        halted = program.halted
-        crashed = program.crashed
         step_packed = program.step_packed
-        nslots = len(program.slots)
         # One bundle per pid in scheduling order: every per-slot table
         # the expansion needs, pre-indexed so the hot loop does single
-        # subscripts only.  live[s][si] ⟺ the slot can step.
-        live = [
-            [not (crashed[s] or h) for h in halted[s]]
-            for s in range(nslots)
-        ]
+        # subscripts only.  live[s][si] ⟺ the slot can step.  The
+        # tables grow in place as step_packed fills them.
         step_tabs = tuple(
             (
                 pid,
                 s,
                 off,
-                live[s],
+                program.live[s],
                 program.kind[s],
                 program.arg[s],
                 program.write_value[s],
@@ -1182,18 +1358,19 @@ class CompiledBackend:
         initial = program.initial_packed
         # Under the trivial canonicalizer a raw key is the content
         # digest of the concrete state, so raw equality is state
-        # equality — packed tuples (injective over the closure) are an
-        # equivalent, cheaper dedup key.  Each maps to its ordinal;
-        # when retaining, the dict is the graph builder's, and the walk
-        # appends nodes and edges to the builder's arrays in place.
+        # equality — packed tuples (injective: indices are interned by
+        # value) are an equivalent, cheaper dedup key.  Each maps to its
+        # ordinal; when retaining, the dict is the graph builder's, and
+        # the walk appends nodes and edges to the builder's arrays in
+        # place.
         builder = None
         visited: Dict[PackedState, int] = {initial: 0}
         if task.retain_graph:
             from repro.verify.graph import GraphBuilder
 
-            builder = GraphBuilder(
-                program.values, program.slot_entries(), initial
-            )
+            # Its slot entries are set after the walk, from the tables
+            # the walk filled.
+            builder = GraphBuilder(program.values, [], initial)
             visited = builder.ordinal_of
             nodes_append = builder.packed.append
             opened_append = builder.opened.append
@@ -1327,6 +1504,16 @@ class CompiledBackend:
         result.wall_seconds = time.perf_counter() - started
         result.peak_visited = len(visited)
         if builder is not None:
+            builder.entries = program.slot_entries()
+            try:
+                tables = task.canonicalizer.packed_digest_tables(
+                    program.values,
+                    program.states,
+                    program.halted,
+                    program.crashed,
+                )
+            except Exception as error:
+                raise CompileOverflow(_reason(error)) from error
             result.graph = builder.finish(tables, result.complete)
         if emit:
             telemetry.gauge("explore.visited", len(visited))
@@ -1354,16 +1541,13 @@ class CompiledBackend:
         halted = program.halted
         crashed = program.crashed
         step_packed = program.step_packed
-        nslots = len(program.slots)
-        live = [
-            [not (crashed[s] or h) for h in halted[s]]
-            for s in range(nslots)
-        ]
+        live = program.live
         # Keys are ints, one per group element (identity first), kept
         # per stacked state and moved per step by the weight deltas of
         # the positions the step changed.  Equal ints are equal bytes
         # keys and ``<`` agrees (PackedDigestTables.orbit_weights), so
-        # the walk dedups exactly as key_of_state would.
+        # the walk dedups exactly as key_of_state would.  run closed the
+        # tables first: the ranks cover every digest.
         weights = tables.orbit_weights(m)
         by_position = weights.by_position
         vector_of = weights.vector

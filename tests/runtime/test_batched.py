@@ -112,6 +112,9 @@ class TestBatchDigests:
     def test_batch_equals_singles(self, builder):
         system = mutex_system()
         program = compiled_program(system)
+        # Digest tables over the whole closure, as the parallel backend
+        # builds them.
+        program.close()
         canonicalizer = builder(system)
         tables = canonicalizer.packed_digest_tables(
             program.values, program.states, program.halted, program.crashed

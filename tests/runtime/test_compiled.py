@@ -8,6 +8,7 @@ the interpreter wholesale (``kernel == "interpreted"``) rather than
 degrade semantics.
 """
 
+import re
 from dataclasses import dataclass
 from functools import cache
 
@@ -17,8 +18,10 @@ from hypothesis import strategies as st
 
 from repro.core.mutex import AnonymousMutex
 from repro.errors import ConfigurationError
+from repro.obs import Telemetry
 from repro.problems import get_problem, instances_with_role, problem_specs
 from repro.request import RunRequest
+from repro.runtime import compiled as compiled_module
 from repro.runtime.automaton import Algorithm, ProcessAutomaton
 from repro.runtime.backends import SerialBackend, resolve_backend
 from repro.runtime.canonical import TrivialCanonicalizer, build_canonicalizer
@@ -436,13 +439,15 @@ class TestIntStateProperties:
         system = _boundary_system()
         instance = StepInstance.from_system(system)
         initial = system.scheduler.capture_state()
-        program = compile_program(instance, initial)
+        program = compile_program(instance, initial, max_local_states=8)
+        program.close()
         assert program.values == [0]
         assert [len(states) for states in program.states] == [8, 2]
-        # Two zero-width register fields, then 3 + 1 slot bits.
-        assert program.field_mask == (0, 0, 7, 1)
-        assert program.field_shift == (0, 0, 0, 3)
-        assert program.state_bits == 4
+        # Two 3-bit slot fields (the cap's width) lowest, then two
+        # zero-width register fields.
+        assert program.field_mask == (0, 0, 7, 7)
+        assert program.field_shift == (6, 6, 0, 3)
+        assert program.state_bits == 6
         deltas, at = program.delta_tables()
         reachable = {initial}
         frontier = [initial]
@@ -456,7 +461,10 @@ class TestIntStateProperties:
                     frontier.append(child)
         ints = {program.encode(program.pack(state)) for state in reachable}
         assert len(ints) == len(reachable) == 16
-        assert max(ints) == 2**program.state_bits - 1
+        # The counter's 8 local states fill its slot field exactly.
+        shift, mask = program.field_shift[2], program.field_mask[2]
+        assert {(x >> shift) & mask for x in ints} == set(range(8))
+        assert max(ints) < 2**program.state_bits
 
     def test_field_width_boundaries_walk_is_bit_identical(self):
         serial, compiled = (
@@ -468,6 +476,207 @@ class TestIntStateProperties:
         assert fingerprint(serial) == fingerprint(compiled)
 
 
+@dataclass(frozen=True)
+class _Step:
+    pc: int = 0
+    seen: object = None  # the last value read
+
+
+class _LateWriter(ProcessAutomaton):
+    """Two local steps, then writes that bring in register values 1-4
+    one at a time, a few steps apart, and reads that record what they
+    see: the value domain grows, and the int layout's register fields
+    widen (0 -> 1 -> 2 -> 3 bits), deep in the walk.
+
+    ``raise_on = (hook, pc)`` makes that hook raise on local states at
+    that pc, long after compile time: the walk first checks one at pc 6
+    as its 13th state, at pc 9 as its 19th.
+    """
+
+    OPS = (
+        NoOp(),
+        NoOp(),
+        WriteOp(0, 1),
+        ReadOp(1),
+        NoOp(),
+        WriteOp(1, 2),
+        ReadOp(0),
+        WriteOp(0, 3),
+        ReadOp(1),
+        WriteOp(1, 4),
+        ReadOp(0),
+    )
+
+    def __init__(self, raise_on=None):
+        self.raise_on = raise_on
+
+    def _hook(self, hook, state):
+        if (hook, state.pc) == self.raise_on:
+            raise RuntimeError(f"{hook} raised on {state}")
+
+    def initial_state(self):
+        return _Step()
+
+    def is_halted(self, state):
+        self._hook("is_halted", state)
+        return state.pc == len(self.OPS)
+
+    def next_op(self, state):
+        self._hook("next_op", state)
+        return self.OPS[state.pc]
+
+    def apply(self, state, op, result):
+        self._hook("apply", state)
+        seen = result if isinstance(op, ReadOp) else state.seen
+        return _Step(state.pc + 1, seen)
+
+    def in_critical_section(self, state):
+        self._hook("in_critical_section", state)
+        return False
+
+
+class _LateWriterAlgorithm(Algorithm):
+    name = "late-writer"
+
+    def __init__(self, raise_on=None):
+        self.raise_on = raise_on
+
+    def register_count(self):
+        return 2
+
+    def automaton_for(self, pid, input=None):
+        return _LateWriter(self.raise_on)
+
+
+def _late_writer_system(raise_on=None):
+    return System(_LateWriterAlgorithm(raise_on), pids(2), record_trace=False)
+
+
+def _outcome(build, invariant, backend, **budgets):
+    """The fingerprint of a walk, or the exception it raised."""
+    try:
+        result = explore(build(), invariant, backend=backend, **budgets)
+    except RuntimeError as error:
+        return ("raised", str(error))
+    return fingerprint(result), result.kernel
+
+
+def _reached_local_states(system):
+    """Most local states any slot reaches: a breadth-first walk of
+    every reachable state fills exactly the entries a complete walk
+    does."""
+    program = compile_program(
+        StepInstance.from_system(system), system.scheduler.capture_state()
+    )
+    stride = len(program.initial_packed)
+    seen = {program.initial_packed}
+    frontier = [program.initial_packed]
+    while frontier:
+        children, _edges = program.expand_batch(
+            [index for state in frontier for index in state]
+        )
+        frontier = []
+        for base in range(0, len(children), stride):
+            child = tuple(children[base : base + stride])
+            if child not in seen:
+                seen.add(child)
+                frontier.append(child)
+    return max(len(states) for states in program.states)
+
+
+#: States in the complete late-writer walk.
+LATE_WRITER_STATES = explore(_late_writer_system(), null_invariant).states_explored
+
+
+class TestTablesGrowMidWalk:
+    """The tables fill as the walk steps; every way they grow keeps the
+    walk bit-identical to the serial one."""
+
+    def test_widening_re_encodes_the_walk(self, monkeypatch):
+        widenings = []
+        fill_step = compiled_module._fill_step
+
+        def spy(program, state, slot, si, value_mask, visited, stack):
+            out = fill_step(program, state, slot, si, value_mask, visited, stack)
+            if program.value_mask != value_mask:
+                widenings.append(
+                    (value_mask.bit_length(), len(visited), len(stack))
+                )
+            return out
+
+        monkeypatch.setattr(compiled_module, "_fill_step", spy)
+        serial = explore(_late_writer_system(), null_invariant)
+        result = explore(
+            _late_writer_system(), null_invariant, backend=CompiledBackend()
+        )
+        assert result.kernel == "compiled" and result.complete
+        assert fingerprint(result) == fingerprint(serial)
+        assert [bits for bits, _, _ in widenings] == [0, 1, 2]
+        assert all(visited > 1 and stack > 0 for _, visited, stack in widenings)
+
+    def test_every_budget_cut_around_the_widenings(self):
+        # The depth-first walk widens the fields at its first writes of
+        # 1, 2 and 4, with 6, 12 and 20 states visited; cut at every
+        # budget up to the complete walk.
+        for max_states in range(1, LATE_WRITER_STATES + 1):
+            serial, compiled = (
+                _outcome(
+                    _late_writer_system, null_invariant, backend,
+                    max_states=max_states,
+                )
+                for backend in (SerialBackend(), CompiledBackend())
+            )
+            assert compiled == (serial[0], "compiled"), max_states
+
+    def test_a_cap_crossed_mid_walk_falls_back(self):
+        reached = _reached_local_states(mutex_system())
+        serial = fingerprint(
+            explore(mutex_system(), mutual_exclusion_invariant)
+        )
+        for cap, kernel in ((reached, "compiled"), (reached - 1, "interpreted")):
+            result = explore(
+                mutex_system(),
+                mutual_exclusion_invariant,
+                backend=CompiledBackend(max_local_states=cap),
+            )
+            assert result.kernel == kernel, cap
+            assert fingerprint(result) == serial
+
+    @pytest.mark.parametrize("hook", ["next_op", "apply", "is_halted"])
+    def test_a_hook_raising_deep_in_the_walk(self, hook):
+        def build():
+            return _late_writer_system(raise_on=(hook, 9))
+
+        serial = _outcome(build, null_invariant, SerialBackend())
+        assert serial[0] == "raised"
+        assert _outcome(build, null_invariant, CompiledBackend()) == serial
+
+    @pytest.mark.parametrize("pc", [6, 9])
+    def test_a_suspect_fact_raising_deep_in_the_walk(self, pc):
+        def build():
+            return _late_writer_system(raise_on=("in_critical_section", pc))
+
+        serial = _outcome(build, mutual_exclusion_invariant, SerialBackend())
+        assert serial[0] == "raised"
+        assert (
+            _outcome(build, mutual_exclusion_invariant, CompiledBackend())
+            == serial
+        )
+        # Cut before the walk checks a state holding the raising local
+        # state, though it may already have reached one: no failure.
+        for max_states in range(1, LATE_WRITER_STATES + 1):
+            serial = _outcome(
+                build, mutual_exclusion_invariant, SerialBackend(),
+                max_states=max_states,
+            )
+            if serial[0] == "raised":
+                break
+            assert _outcome(
+                build, mutual_exclusion_invariant, CompiledBackend(),
+                max_states=max_states,
+            ) == (serial[0], "compiled"), max_states
+
+
 @cache
 def _orbit_keys(name):
     """(instance, initial, program, bytes tables, int weights) of a
@@ -477,6 +686,8 @@ def _orbit_keys(name):
     instance = StepInstance.from_system(system)
     initial = system.scheduler.capture_state()
     program = compile_program(instance, initial)
+    # Digest tables over the whole closure, as the quotient walk has them.
+    program.close()
     tables = build_canonicalizer(system).packed_digest_tables(
         program.values, program.states, program.halted, program.crashed
     )
@@ -586,6 +797,38 @@ class TestKernelWiring:
         assert result.kernel == "interpreted"
         assert fingerprint(result) == fingerprint(serial)
 
+    @pytest.mark.parametrize(
+        "backend, reason",
+        [
+            # Compiles (one local state per slot), overflows mid-walk.
+            (
+                CompiledBackend(max_local_states=1),
+                r"slot \d local-state space exceeds 1 states",
+            ),
+            # Overflows while interning the initial register values.
+            (
+                CompiledBackend(max_domain=0),
+                "register value domain exceeds 0 values",
+            ),
+        ],
+        ids=["mid-walk", "compile-time"],
+    )
+    def test_fallback_names_its_reason(self, backend, reason):
+        serial = explore(mutex_system(), mutual_exclusion_invariant)
+        tel = Telemetry()
+        result = explore(
+            mutex_system(), mutual_exclusion_invariant, backend=backend,
+            telemetry=tel,
+        )
+        assert result.kernel == "interpreted"
+        assert fingerprint(result) == fingerprint(serial)
+        fallbacks = [
+            fields for _, name, fields in tel.events()
+            if name == "explore.kernel_fallback"
+        ]
+        assert len(fallbacks) == 1
+        assert re.fullmatch(reason, fallbacks[0]["reason"])
+
 
 DOMAIN_CASES = [
     (spec, inst)
@@ -607,6 +850,9 @@ class TestDeclaredValueDomains:
         program = compile_program(
             StepInstance.from_system(system), system.scheduler.capture_state()
         )
+        # A fresh program holds only the initial values; close it to
+        # discover the whole domain.
+        program.close()
         assert set(program.values) <= declared
 
 
