@@ -14,6 +14,12 @@ local states on its own, over the compiler's default 65,536-state cap;
 the tables hold only what the walk reaches, and the check fails if the
 compiled kernel falls back to the interpreter.
 
+``--retain-graph`` runs both walks with ``retain_graph=True`` and adds
+the retained graph to the compared fingerprint: its node and edge
+counts, its ``complete`` flag and a SHA-256 of ``to_bytes()``.  No
+value-domain hint is passed, so on mutex m=9 the compiled walk widens
+its register fields twice with the graph already holding nodes.
+
 The committed benchmark records the full ≥10× measurement; CI holds the
 gate at 5× (``--threshold 5``) so shared-runner noise cannot flake an
 honest build.  On a single-CPU host the correctness checks still run
@@ -24,6 +30,7 @@ Run with:   PYTHONPATH=src python benchmarks/check_compiled_speedup.py
 """
 
 import argparse
+import hashlib
 import os
 import sys
 
@@ -40,13 +47,14 @@ PIDS = (101, 103)
 BUDGETS = {"max_states": 500_000, "max_depth": 1_000_000}
 
 
-def run(m, backend):
+def run(m, backend, retain_graph=False):
     system = System(AnonymousMutex(m=m, cs_visits=1), PIDS, record_trace=False)
     return explore(
         system,
         mutual_exclusion_invariant,
         canonicalizer=TrivialCanonicalizer(system.scheduler),
         backend=backend,
+        retain_graph=retain_graph,
         **BUDGETS,
     )
 
@@ -67,13 +75,29 @@ FINGERPRINT = (
 )
 
 
+def fingerprint(result):
+    """Field name -> value: every field of :data:`FINGERPRINT`, plus
+    the retained graph's node and edge counts, ``complete`` flag and
+    ``to_bytes()`` digest when the walk retained one."""
+    fields = {name: getattr(result, name) for name in FINGERPRINT}
+    graph = result.graph
+    if graph is not None:
+        fields["graph.nodes"] = len(graph)
+        fields["graph.edges"] = graph.edge_count
+        fields["graph.complete"] = graph.complete
+        fields["graph.sha256"] = hashlib.sha256(graph.to_bytes()).hexdigest()
+    return fields
+
+
 def mismatches(interpreted, compiled):
-    """``(field, interpreted value, compiled value)`` for every field of
-    :data:`FINGERPRINT` on which the two results differ."""
+    """``(field, interpreted value, compiled value)`` for every
+    :func:`fingerprint` field on which the two results differ."""
+    expected, got = fingerprint(interpreted), fingerprint(compiled)
+    names = list(expected) + [name for name in got if name not in expected]
     return [
-        (name, getattr(interpreted, name), getattr(compiled, name))
-        for name in FINGERPRINT
-        if getattr(interpreted, name) != getattr(compiled, name)
+        (name, expected.get(name), got.get(name))
+        for name in names
+        if expected.get(name) != got.get(name)
     ]
 
 
@@ -88,10 +112,16 @@ def main(argv=None):
         help="minimum acceptable compiled/interpreted throughput ratio "
              "(default: 5)",
     )
+    parser.add_argument(
+        "--retain-graph", action="store_true",
+        help="retain both walks' state graphs and compare them too",
+    )
     args = parser.parse_args(argv)
 
-    interpreted = run(args.m, backend=None)
-    compiled = run(args.m, backend=CompiledBackend())
+    interpreted = run(args.m, backend=None, retain_graph=args.retain_graph)
+    compiled = run(
+        args.m, backend=CompiledBackend(), retain_graph=args.retain_graph
+    )
     if compiled.kernel != "compiled":
         print(f"FAIL: table compilation fell back to {compiled.kernel!r}")
         return 1
@@ -105,10 +135,18 @@ def main(argv=None):
         print("walk finished below timer resolution; cannot gate throughput")
         return 1
     speedup = compiled.states_per_second / interpreted.states_per_second
+    graph = ""
+    if args.retain_graph:
+        fields = fingerprint(interpreted)
+        graph = (
+            f"graph {fields['graph.nodes']} nodes, {fields['graph.edges']} "
+            f"edges, sha256 {fields['graph.sha256'][:16]}…, "
+        )
     print(
         f"mutex m={args.m}: {interpreted.states_explored} states, "
         f"{interpreted.events_executed} events, "
-        f"truncated_by={interpreted.truncated_by}, identical on both kernels; "
+        f"truncated_by={interpreted.truncated_by}, {graph}"
+        f"identical on both kernels; "
         f"interpreted {interpreted.states_per_second:,.0f}/s, "
         f"compiled {compiled.states_per_second:,.0f}/s "
         f"-> speedup x{speedup:.2f} (threshold x{args.threshold})"

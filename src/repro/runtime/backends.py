@@ -143,44 +143,58 @@ class ExplorationBackend(Protocol):
 
 
 class _StatePacker:
-    """Packs value states into a retained graph's ordinal layout.
+    """Packs value states into a retained graph's node ints.
 
     Interns register values and ``(pid, local, halted, crashed)`` slot
     entries by equality — the canonicalizer's digest memo keys them the
-    same way — so a packed state is register-value indices followed by
-    one entry index per slot.  The compiled kernel's states already are
-    such tuples; the interpreted walk is the only producer that packs.
+    same way — and packs the indices into one int: slot ``s``'s entry in
+    field ``s``, then register ``j``'s value in field ``nslots + j``,
+    each ``FIELD_BITS`` wide whatever the walk reaches, so no node is
+    ever re-encoded.  The compiled kernel's states already are such ints
+    (in narrower fields); the interpreted walk is the only producer that
+    packs.
     """
 
-    __slots__ = ("values", "value_index", "entries", "entry_index")
+    #: Width of every field: no walk interns 2**32 components.
+    FIELD_BITS = 32
 
-    def __init__(self, nslots: int) -> None:
+    __slots__ = ("values", "value_index", "entries", "entry_index", "layout")
+
+    def __init__(self, m: int, nslots: int) -> None:
         self.values: List[Any] = []
         self.value_index: Dict[Any, int] = {}
         self.entries: List[List[Tuple[ProcessId, Any, bool, bool]]] = [
             [] for _ in range(nslots)
         ]
         self.entry_index: List[Dict[Any, int]] = [{} for _ in range(nslots)]
+        bits = self.FIELD_BITS
+        self.layout = (
+            tuple(bits * (nslots + j) for j in range(m))
+            + tuple(bits * s for s in range(nslots)),
+            ((1 << bits) - 1,) * (m + nslots),
+        )
 
-    def pack(self, state: GlobalState) -> Tuple[int, ...]:
+    def pack(self, state: GlobalState) -> int:
         registers, locals_part = state
+        bits = self.FIELD_BITS
         values, value_index = self.values, self.value_index
-        packed: List[int] = []
-        for value in registers:
+        packed = 0
+        # Highest field first: the last register, down to slot 0.
+        for value in reversed(registers):
             index = value_index.get(value)
             if index is None:
                 index = value_index[value] = len(values)
                 values.append(value)
-            packed.append(index)
+            packed = packed << bits | index
         for entries, entry_index, entry in zip(
-            self.entries, self.entry_index, locals_part
+            reversed(self.entries), reversed(self.entry_index), reversed(locals_part)
         ):
             index = entry_index.get(entry)
             if index is None:
                 index = entry_index[entry] = len(entries)
                 entries.append(entry)
-            packed.append(index)
-        return tuple(packed)
+            packed = packed << bits | index
+        return packed
 
     def digests(self, canonicalizer: Canonicalizer) -> PackedDigestTables:
         """Raw digests of every interned component, from the walk's own
@@ -236,9 +250,9 @@ class SerialBackend:
             # Imported lazily: repro.verify sits above the runtime layer.
             from repro.verify.graph import GraphBuilder
 
-            packer = _StatePacker(len(initial[1]))
+            packer = _StatePacker(len(initial[0]), len(initial[1]))
             builder = GraphBuilder(
-                packer.values, packer.entries, packer.pack(initial)
+                packer.values, packer.entries, packer.pack(initial), packer.layout
             )
         #: canonical key -> raw key of the representative that claimed it.
         visited: Dict[CanonicalKey, CanonicalKey] = {initial_key: initial_raw}

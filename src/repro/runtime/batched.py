@@ -776,8 +776,10 @@ def _rebuild_graph(
     """Regenerate the retained StateGraph from the merged record set.
 
     Each merged expanded record is re-expanded (cheap, table-driven) and
-    its packed children fed to the graph builder in the instance's pid
-    order — the same per-node edge order as the serial walk.
+    its packed children, encoded as ints in the program's layout (the
+    tables are closed, so it never widens), fed to the graph builder in
+    the instance's pid order — the same per-node edge order as the
+    serial walk.
     ``StateGraph.to_bytes()`` sorts nodes by raw key, so the order in
     which this merge numbers nodes is irrelevant and the bytes come out
     identical to ``SerialBackend`` on complete runs.
@@ -785,8 +787,12 @@ def _rebuild_graph(
     from repro.verify.graph import GraphBuilder
 
     stride = program.m + len(program.slots)
+    encode = program.encode
     builder = GraphBuilder(
-        program.values, program.slot_entries(), tuple(program.initial_packed)
+        program.values,
+        program.slot_entries(),
+        encode(program.initial_packed),
+        (program.field_shift, program.field_mask),
     )
     pending_states = array("q")
     pending: List[int] = []
@@ -803,7 +809,7 @@ def _rebuild_graph(
                 else:
                     cbase = ci * stride
                     ci += 1
-                    dst = builder.node(tuple(children[cbase : cbase + stride]))
+                    dst = builder.node(encode(children[cbase : cbase + stride]))
                 builder.edge(edges[t + 1], dst)
                 t += 3
         del pending[:]
@@ -816,7 +822,7 @@ def _rebuild_graph(
             continue
         base = ri * stride
         packed = log["exp_packed"][base : base + stride]
-        ordinal = builder.node(tuple(packed))
+        ordinal = builder.node(encode(packed))
         if flag == _FLAG_TERMINAL:
             builder.expand(ordinal)
             continue

@@ -9,17 +9,20 @@ the exact transition system the walk explored, over which
 
 **Layout.**  Nodes are *ordinals*: ``0`` is the initial state, the rest
 are numbered in the order the walk first saw them.  Node ``o`` is stored
-as a packed state ``packed[o]`` — one index into ``values`` per register,
-then one index into ``entries[slot]`` per slot, where an entry is the
-``(pid, local, halted, crashed)`` tuple a
-:data:`~repro.runtime.kernel.GlobalState` keeps for that slot.  Out-edges
-live in two flat arrays, ``edge_slot`` (the stepping process's slot) and
+as one int ``packed[o]`` that packs one index into ``values`` per
+register, then one index into ``entries[slot]`` per slot, where an entry
+is the ``(pid, local, halted, crashed)`` tuple a
+:data:`~repro.runtime.kernel.GlobalState` keeps for that slot.  The
+graph carries the *layout* the ints were encoded in: packed position
+``i`` (registers first, then slots) is the bit field
+``(packed[o] >> field_shift[i]) & field_mask[i]``.  Out-edges live in
+two flat arrays, ``edge_slot`` (the stepping process's slot) and
 ``edge_dst`` (the destination ordinal); node ``o``'s edges are
 ``start[o] .. start[o] + count[o] - 1``, in the scheduler's pid order,
 and ``start[o] == -1`` means the walk never expanded ``o`` (a truncated
-frontier).  Nothing per node is a Python object except its packed tuple.
+frontier).  Nothing per node is a Python object except its int.
 
-Built on demand:
+Built on demand, reading fields by shift and mask:
 
 * ``nodes[o]`` — the exact ``GlobalState`` (registers and slot entries
   looked up in the component tables);
@@ -31,11 +34,18 @@ Built on demand:
   the integer keys of :meth:`PackedDigestTables.orbit_weights`, which
   order exactly like the bytes.
 
-Every producer feeds one :class:`GraphBuilder`: the compiled kernel
-hands it the packed tuples it already walks (its dedup dict *is* the
-builder's), the parallel backend its re-expanded packed children, and
-the interpreted serial walk packs its value states by interning register
-values and slot entries.
+The whole-graph readers (:meth:`StateGraph.fold`, which ``iter_nodes``,
+``to_bytes`` and the liveness masks use) read adjacent narrow fields
+with one lookup: a table per run of neighbouring fields, at most 16 bits
+wide, holds the sum of the fields' entries for every value of those
+bits.
+
+Every producer feeds one :class:`GraphBuilder` ints: the compiled
+kernel the int states it already walks (its dedup dict *is* the
+builder's), in the program's layout; the parallel backend its
+re-expanded packed children, encoded in the same layout; and the
+interpreted serial walk its value states, packed by interning register
+values and slot entries into fixed-width fields.
 
 Soundness constraints (enforced at the ``explore()`` entrance):
 
@@ -68,7 +78,7 @@ pin this.
 
 from __future__ import annotations
 
-from operator import getitem
+from operator import add
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -87,18 +97,22 @@ from repro.types import ProcessId
 if TYPE_CHECKING:
     from array import array
 
-#: A packed node: one register-value index per register, then one
-#: slot-entry index per slot.
-PackedNode = Tuple[int, ...]
-
 #: One slot entry, as a :data:`~repro.runtime.kernel.GlobalState` keeps
 #: it: ``(pid, local state, halted, crashed)``.
 SlotEntry = Tuple[ProcessId, Any, bool, bool]
+
+#: How a node int is encoded: per packed position (register values
+#: first, then slot entries), the bit shift and the mask of its field.
+Layout = Tuple[Sequence[int], Sequence[int]]
 
 #: Leading magic of the canonical :meth:`StateGraph.to_bytes` framing.
 #: Public so the disk store (:mod:`repro.farm.store`) can emit the same
 #: serialisation without re-stating the format.
 STATEGRAPH_MAGIC = b"repro.stategraph/v1"
+
+#: Widest run of adjacent fields :meth:`StateGraph.fold` reads with one
+#: lookup (its table has ``2**bits`` entries).
+_CHUNK_BITS = 16
 
 
 class StateGraph:
@@ -113,6 +127,8 @@ class StateGraph:
         "entries",
         "digests",
         "packed",
+        "field_shift",
+        "field_mask",
         "start",
         "count",
         "edge_slot",
@@ -132,7 +148,8 @@ class StateGraph:
         values: Sequence[Any],
         entries: Sequence[Sequence[SlotEntry]],
         digests: PackedDigestTables,
-        packed: Sequence[PackedNode],
+        packed: Sequence[int],
+        layout: Layout,
         start: "array[int]",
         count: "array[int]",
         edge_slot: "array[int]",
@@ -143,6 +160,9 @@ class StateGraph:
         self.entries = entries
         self.digests = digests
         self.packed = packed
+        #: Per packed position, its field's shift and mask in a node int.
+        self.field_shift: Tuple[int, ...] = tuple(layout[0])
+        self.field_mask: Tuple[int, ...] = tuple(layout[1])
         self.start = start
         self.count = count
         self.edge_slot = edge_slot
@@ -151,8 +171,8 @@ class StateGraph:
         #: Scheduler events the retention observed (one per recorded edge;
         #: informational — the walk's own counter includes acceleration).
         self.edge_count = len(edge_dst)
-        #: Registers per packed state (the packed prefix width).
-        self.m = len(packed[0]) - len(entries)
+        #: Registers per node (the packed positions before the slots).
+        self.m = len(self.field_shift) - len(entries)
         #: Slot -> the pid whose entries the slot holds.
         self.slot_pids: Tuple[ProcessId, ...] = tuple(
             row[0][0] for row in entries
@@ -163,6 +183,75 @@ class StateGraph:
     def __len__(self) -> int:
         return len(self.packed)
 
+    def fields(self, ordinal: int) -> Tuple[int, ...]:
+        """Node ``ordinal``'s component indices, one per packed position."""
+        node = self.packed[ordinal]
+        return tuple(
+            [node >> shift & mask for shift, mask in zip(self.field_shift, self.field_mask)]
+        )
+
+    def fold(self, tables: Sequence[Optional[Sequence[Any]]]) -> List[Any]:
+        """Per node, in ordinal order, the sum (``+``) over packed
+        positions ``i`` of ``tables[i][field i]``, skipping positions
+        whose table is ``None``: ints add, bytes concatenate in position
+        order.
+
+        A run of neighbouring positions, each field directly above the
+        previous one and at most 16 bits in all, is read with one
+        lookup into a table that holds the run's sum for every value of
+        its bits; in the compiled layout the register fields are
+        narrow, so a mutex ``m=9`` node takes 4 lookups, not 11.  Each
+        pass over the nodes makes two lookups.
+        """
+        packed = self.packed
+        chunks = self._chunks(tables)
+        out: Optional[List[Any]] = None
+        for i in range(0, len(chunks), 2):
+            if i + 1 < len(chunks):
+                (shift, mask, table), (shift2, mask2, table2) = chunks[i : i + 2]
+                column = [
+                    table[x >> shift & mask] + table2[x >> shift2 & mask2]
+                    for x in packed
+                ]
+            else:
+                shift, mask, table = chunks[i]
+                column = [table[x >> shift & mask] for x in packed]
+            out = column if out is None else list(map(add, out, column))
+        return out if out is not None else [0] * len(packed)
+
+    def _chunks(
+        self, tables: Sequence[Optional[Sequence[Any]]]
+    ) -> List[Tuple[int, int, Sequence[Any]]]:
+        """:meth:`fold`'s lookups: ``(shift, mask, table)`` per run of
+        neighbouring fields, in position order."""
+        # Small graphs merge fewer fields: a table costs 2**bits entries.
+        limit = min(_CHUNK_BITS, len(self.packed).bit_length())
+        chunks: List[Tuple[int, int, Sequence[Any]]] = []
+        end = -1  # the bit above position q - 1's field, -1 if not read
+        for q, table in enumerate(tables):
+            if table is None:
+                end = -1
+                continue
+            shift, mask = self.field_shift[q], self.field_mask[q]
+            width = mask.bit_length()
+            if shift == end and chunks[-1][1].bit_length() + width <= limit:
+                # Field q sits directly above the last run: index the
+                # merged table by the run's bits with field q's above
+                # them, both tables padded to their fields' full range
+                # (padding is never read).
+                low_shift, low_mask, low = chunks[-1]
+                merged = [
+                    lo + hi
+                    for hi in _padded(table, mask)
+                    for lo in _padded(low, low_mask)
+                ]
+                run = low_mask.bit_length() + width
+                chunks[-1] = (low_shift, (1 << run) - 1, merged)
+            else:
+                chunks.append((shift, mask, table))
+            end = shift + width
+        return chunks
+
     def _raw_tables(self) -> Tuple[Sequence[bytes], ...]:
         """Per packed position, the raw digest of each component index."""
         digests = self.digests
@@ -171,7 +260,9 @@ class StateGraph:
     def key(self, ordinal: int) -> bytes:
         """Node ``ordinal``'s raw content digest (the trivial
         canonicalizer's raw key of ``nodes[ordinal]``)."""
-        return b"".join(map(getitem, self._raw_tables(), self.packed[ordinal]))
+        return b"".join(
+            [table[i] for table, i in zip(self._raw_tables(), self.fields(ordinal))]
+        )
 
     def expanded(self, ordinal: int) -> bool:
         """Whether the walk expanded the node (terminal states included)."""
@@ -201,8 +292,7 @@ class StateGraph:
 
     def iter_nodes(self) -> Iterator[int]:
         """Node ordinals in raw-key (deterministic) order."""
-        weights = self.digests.orbit_weights(self.m).by_element[0]
-        keys = [sum(map(getitem, weights, packed)) for packed in self.packed]
+        keys = self.fold(self.digests.orbit_weights(self.m).by_element[0])
         return iter(sorted(range(len(keys)), key=keys.__getitem__))
 
     def path_to(self, target: int) -> Tuple[ProcessId, ...]:
@@ -255,8 +345,7 @@ class StateGraph:
         the content digest of the state, so two graphs with equal
         serialisations describe the same transition system.
         """
-        raw = self._raw_tables()
-        keys = [b"".join(map(getitem, raw, packed)) for packed in self.packed]
+        keys = self.fold(self._raw_tables())
         labels = [f"p{pid};".encode("ascii") for pid in self.slot_pids]
         start, count = self.start, self.count
         edge_slot, edge_dst = self.edge_slot, self.edge_dst
@@ -276,9 +365,14 @@ class StateGraph:
         return b"".join(out)
 
 
+def _padded(table: Sequence[Any], mask: int) -> List[Any]:
+    """``table`` extended to one entry per value of a field of ``mask``."""
+    return list(table) + list(table[:1]) * (mask + 1 - len(table))
+
+
 class NodeStates:
     """``graph.nodes``: node ordinal -> ``GlobalState``, rebuilt on demand
-    from the packed state and the component tables."""
+    from the node's fields and the component tables."""
 
     __slots__ = ("_graph",)
 
@@ -290,34 +384,38 @@ class NodeStates:
 
     def __getitem__(self, ordinal: int) -> GlobalState:
         graph = self._graph
-        packed = graph.packed[ordinal]
+        fields = graph.fields(ordinal)
         m = graph.m
         return (
-            tuple(map(graph.values.__getitem__, packed[:m])),
-            tuple(map(getitem, graph.entries, packed[m:])),
+            tuple(map(graph.values.__getitem__, fields[:m])),
+            tuple(row[i] for row, i in zip(graph.entries, fields[m:])),
         )
 
 
 class GraphBuilder:
     """One walk's graph under construction; every producer feeds one.
 
-    ``node(packed)`` returns a packed state's ordinal, numbering it on
-    first sight; ``expand(o)`` opens node ``o``'s out-edges (an expanded
+    ``node(packed)`` returns a node int's ordinal, numbering it on first
+    sight; ``expand(o)`` opens node ``o``'s out-edges (an expanded
     terminal state opens and records none) and ``edge(slot, dst)``
     appends one to the open node, so a node's edges are contiguous.
     ``finish`` packages the arrays with the per-component digests and
     the walk's completeness verdict.
 
-    ``ordinal_of`` is a plain ``packed -> ordinal`` dict and ``packed``
-    the ordinal-indexed list of packed states.  The compiled walk, whose
-    hot loop cannot afford a method call per edge, dedups through
-    ``ordinal_of`` itself and appends to ``packed`` and the edge and
-    expansion arrays in place, with the same meaning as the methods.
+    ``layout`` is the encoding of the node ints; ``ordinal_of`` is a
+    plain ``int -> ordinal`` dict and ``packed`` the ordinal-indexed
+    list of node ints.  The compiled walk, whose hot loop cannot afford
+    a method call per edge, dedups through ``ordinal_of`` itself and
+    appends to ``packed`` and the edge and expansion arrays in place,
+    with the same meaning as the methods; when its register fields
+    widen it re-encodes both, and it sets ``layout`` and ``entries``
+    when the walk ends.
     """
 
     __slots__ = (
         "values",
         "entries",
+        "layout",
         "packed",
         "ordinal_of",
         "opened",
@@ -330,7 +428,8 @@ class GraphBuilder:
         self,
         values: Sequence[Any],
         entries: Sequence[Sequence[SlotEntry]],
-        initial: PackedNode,
+        initial: int,
+        layout: Layout,
     ) -> None:
         # Imported here, not at module level: ``import repro`` loads this
         # module, and ``array`` is a shared library only walks need.
@@ -338,8 +437,9 @@ class GraphBuilder:
 
         self.values = values
         self.entries = entries
-        self.packed: List[PackedNode] = [initial]
-        self.ordinal_of: Dict[PackedNode, int] = {initial: 0}
+        self.layout = layout
+        self.packed: List[int] = [initial]
+        self.ordinal_of: Dict[int, int] = {initial: 0}
         #: Expanded ordinals in expansion order, and where each one's
         #: edges begin in the edge arrays.
         self.opened: "array[int]" = array("q")
@@ -347,8 +447,8 @@ class GraphBuilder:
         self.edge_slot: "array[int]" = array("H")
         self.edge_dst: "array[int]" = array("q")
 
-    def node(self, packed: PackedNode) -> int:
-        """The ordinal of ``packed``, numbered on first sight."""
+    def node(self, packed: int) -> int:
+        """The ordinal of node int ``packed``, numbered on first sight."""
         ordinal = self.ordinal_of.get(packed)
         if ordinal is None:
             ordinal = self.ordinal_of[packed] = len(self.packed)
@@ -383,6 +483,7 @@ class GraphBuilder:
             entries=self.entries,
             digests=digests,
             packed=self.packed,
+            layout=self.layout,
             start=start,
             count=count,
             edge_slot=self.edge_slot,

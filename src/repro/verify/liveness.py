@@ -60,7 +60,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from operator import getitem
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import VerificationError
@@ -128,8 +127,8 @@ def _node_masks(
 
     ``flags(entry)`` runs once per slot entry and returns one truth
     value per predicate; predicate ``j`` of slot ``s`` lands on bit
-    ``j * nslots + s`` of the node's mask, at the cost of one table
-    lookup per slot per node.
+    ``j * nslots + s`` of the node's mask.  Only the slot fields are
+    read: one table lookup per slot per node, by shift and mask.
     """
     nslots = len(graph.entries)
     tables: List[List[int]] = []
@@ -142,8 +141,9 @@ def _node_masks(
                     mask |= 1 << (j * nslots + slot)
             table.append(mask)
         tables.append(table)
-    m = graph.m
-    return [sum(map(getitem, tables, packed[m:])) for packed in graph.packed]
+    positions: List[Optional[List[int]]] = [None] * graph.m
+    positions.extend(tables)
+    return graph.fold(positions)
 
 
 def _live(entry: SlotEntry) -> Tuple[bool]:
@@ -184,6 +184,25 @@ def _in_cs(instance: StepInstance, state: GlobalState, pid: ProcessId) -> bool:
 def _trying(instance: StepInstance, state: GlobalState, pid: ProcessId) -> bool:
     local = instance.slot_entry(state, pid)[1]
     return instance.automata[pid].phase(local) == "entry"
+
+
+def _deadlock_flags(
+    instance: StepInstance,
+) -> Callable[[SlotEntry], Tuple[Any, ...]]:
+    """The deadlock-freedom checker's per-slot predicates: in the
+    critical section, trying (in the entry section), live."""
+    automata = instance.automata
+
+    def flags(entry: SlotEntry) -> Tuple[Any, ...]:
+        pid, local, halted, crashed = entry
+        automaton = automata[pid]
+        return (
+            automaton.in_critical_section(local),
+            automaton.phase(local) == "entry",
+            not (halted or crashed),
+        )
+
+    return flags
 
 
 def _nonprogress_sccs(
@@ -329,20 +348,9 @@ def check_deadlock_freedom(
     """
     _require_complete(graph, "deadlock-freedom")
     _require_mutex_automata(instance)
-    automata = instance.automata
-
-    def flags(entry: SlotEntry) -> Tuple[Any, ...]:
-        pid, local, halted, crashed = entry
-        automaton = automata[pid]
-        return (
-            automaton.in_critical_section(local),
-            automaton.phase(local) == "entry",
-            not (halted or crashed),
-        )
-
     # Bits 0..k-1: in the critical section; k..2k-1: trying; 2k..3k-1:
     # live.  Only the low bits matter to the progress-edge test.
-    masks = _node_masks(graph, flags)
+    masks = _node_masks(graph, _deadlock_flags(instance))
     nslots = len(graph.entries)
     all_slots = (1 << nslots) - 1
     sccs = _nonprogress_sccs(graph, list(graph.iter_nodes()), masks)

@@ -10,7 +10,7 @@ degrade semantics.
 
 import re
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 
 import pytest
 from hypothesis import given, settings
@@ -195,20 +195,36 @@ RETAINED_CUTS = [
 ]
 
 
-class TestRetainedGraph:
-    @pytest.mark.parametrize(
-        "spec, inst",
-        VERIFY_INSTANCES,
-        ids=[inst.label for _, inst in VERIFY_INSTANCES],
+#: Complete retained walks: (system factory, invariant, state and depth
+#: budget, compiled backend caps).  The verify-role instances, plus a
+#: system whose register fields are zero bits wide and whose counter's
+#: 8 local states fill its 3-bit slot field exactly.
+RETAINED_GRAPHS = [
+    pytest.param(
+        partial(spec.system, inst),
+        spec.invariant or null_invariant,
+        inst.verify_max_states,
+        {},
+        id=inst.label,
     )
-    def test_graph_bytes_identical(self, spec, inst):
-        invariant = spec.invariant or null_invariant
+    for spec, inst in VERIFY_INSTANCES
+] + [
+    pytest.param(
+        lambda: _boundary_system(),
+        null_invariant,
+        1_000,
+        {"max_local_states": 8},
+        id="field-width-boundaries",
+    )
+]
 
+
+class TestRetainedGraph:
+    @pytest.mark.parametrize("factory, invariant, budget, caps", RETAINED_GRAPHS)
+    def test_graph_bytes_identical(self, factory, invariant, budget, caps):
         def run(backend):
-            system = spec.system(inst)
-            budget = inst.verify_max_states
             return explore(
-                system,
+                factory(),
                 invariant,
                 max_states=budget,
                 max_depth=budget,
@@ -217,7 +233,8 @@ class TestRetainedGraph:
             )
 
         serial = run(SerialBackend())
-        compiled = run(CompiledBackend())
+        compiled = run(CompiledBackend(**caps))
+        assert compiled.kernel == "compiled"
         assert fingerprint(serial) == fingerprint(compiled)
         assert serial.graph is not None and compiled.graph is not None
         assert serial.graph.to_bytes() == compiled.graph.to_bytes()
@@ -584,6 +601,13 @@ def _reached_local_states(system):
     return max(len(states) for states in program.states)
 
 
+def _frontier(graph):
+    """The raw keys of a retained graph's never-expanded nodes."""
+    return {
+        graph.key(node) for node in range(len(graph)) if not graph.expanded(node)
+    }
+
+
 #: States in the complete late-writer walk.
 LATE_WRITER_STATES = explore(_late_writer_system(), null_invariant).states_explored
 
@@ -596,8 +620,10 @@ class TestTablesGrowMidWalk:
         widenings = []
         fill_step = compiled_module._fill_step
 
-        def spy(program, state, slot, si, value_mask, visited, stack):
-            out = fill_step(program, state, slot, si, value_mask, visited, stack)
+        def spy(program, state, slot, si, value_mask, visited, stack, *nodes):
+            out = fill_step(
+                program, state, slot, si, value_mask, visited, stack, *nodes
+            )
             if program.value_mask != value_mask:
                 widenings.append(
                     (value_mask.bit_length(), len(visited), len(stack))
@@ -614,19 +640,29 @@ class TestTablesGrowMidWalk:
         assert [bits for bits, _, _ in widenings] == [0, 1, 2]
         assert all(visited > 1 and stack > 0 for _, visited, stack in widenings)
 
-    def test_every_budget_cut_around_the_widenings(self):
+    @pytest.mark.parametrize("retain_graph", [False, True])
+    def test_every_budget_cut_around_the_widenings(self, retain_graph):
         # The depth-first walk widens the fields at its first writes of
         # 1, 2 and 4, with 6, 12 and 20 states visited; cut at every
-        # budget up to the complete walk.
+        # budget up to the complete walk.  Retaining, the graph's node
+        # list and dict are re-encoded with the stack.
         for max_states in range(1, LATE_WRITER_STATES + 1):
             serial, compiled = (
-                _outcome(
-                    _late_writer_system, null_invariant, backend,
-                    max_states=max_states,
+                explore(
+                    _late_writer_system(), null_invariant, backend=backend,
+                    max_states=max_states, retain_graph=retain_graph,
                 )
                 for backend in (SerialBackend(), CompiledBackend())
             )
-            assert compiled == (serial[0], "compiled"), max_states
+            assert compiled.kernel == "compiled", max_states
+            assert fingerprint(compiled) == fingerprint(serial), max_states
+            if retain_graph:
+                assert (
+                    compiled.graph.to_bytes() == serial.graph.to_bytes()
+                ), max_states
+                assert _frontier(compiled.graph) == _frontier(serial.graph), (
+                    max_states
+                )
 
     def test_a_cap_crossed_mid_walk_falls_back(self):
         reached = _reached_local_states(mutex_system())

@@ -211,8 +211,9 @@ class TestRetentionContract:
             graph.path_to(1)
 
 
-# A hand-built two-slot graph with no registers: packed states are
-# (slot 0 entry, slot 1 entry); entry 1 is "done" (halted).
+# A hand-built two-slot graph with no registers: a node int holds slot
+# 0's entry index in bit 0 and slot 1's in bit 1; entry 1 is "done"
+# (halted).
 TINY_ENTRIES = [
     [(101, "idle", False, False), (101, "done", True, False)],
     [(103, "idle", False, False), (103, "done", True, False)],
@@ -222,11 +223,12 @@ TINY_DIGESTS = PackedDigestTables(
     slot_raw=((b"\x05" * 9, b"\x07" * 9), (b"\x02" * 9, b"\x09" * 9)),
     candidates=(),
 )
-INITIAL, LEFT_DONE, RIGHT_DONE, ISOLATED = (0, 0), (1, 0), (0, 1), (1, 1)
+TINY_LAYOUT = ((0, 1), (1, 1))
+INITIAL, LEFT_DONE, RIGHT_DONE, ISOLATED = 0b00, 0b01, 0b10, 0b11
 
 
 def _tiny_builder():
-    return GraphBuilder([], TINY_ENTRIES, INITIAL)
+    return GraphBuilder([], TINY_ENTRIES, INITIAL, TINY_LAYOUT)
 
 
 class TestSerialisation:
@@ -261,7 +263,7 @@ class TestSerialisation:
         assert graph.successor_via(left, 101) is None  # terminal
         assert graph.expanded(left) and graph.successors(left) == ()
         assert graph.nodes[left] == ((), tuple(
-            row[index] for row, index in zip(TINY_ENTRIES, LEFT_DONE)
+            row[index] for row, index in zip(TINY_ENTRIES, (1, 0))
         ))
         assert graph.key(left) == b"\x07" * 9 + b"\x02" * 9
         assert graph.path_to(right) == (103,)

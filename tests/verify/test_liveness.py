@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.errors import VerificationError
-from repro.problems import get_problem
+from repro.problems import get_problem, instances_with_role
 from repro.request import RunRequest
 from repro.runtime.automaton import Algorithm, ProcessAutomaton
 from repro.runtime.backends import ParallelBackend, SerialBackend
@@ -29,6 +29,7 @@ from repro.verify import (
     check_obstruction_freedom,
     verify_instance,
 )
+from repro.verify.liveness import _deadlock_flags, _live, _node_masks
 
 from tests.conftest import pids
 
@@ -72,6 +73,47 @@ class TestTheoremsHold:
             "figure-3-renaming", "figure-3-renaming(n=2)"
         )
         assert check_obstruction_freedom(step, result.graph).holds
+
+
+VERIFY_INSTANCES = list(instances_with_role("verify", include_mutants=True))
+
+
+class TestNodeMasks:
+    """``_node_masks`` reads each node's slot fields by shift and mask; a
+    wrong field would flip a verdict no lasso pins, so every node's mask
+    is checked against the one its decoded ``GlobalState`` gives."""
+
+    @pytest.mark.parametrize(
+        "spec, inst",
+        VERIFY_INSTANCES,
+        ids=[inst.label for _, inst in VERIFY_INSTANCES],
+    )
+    @pytest.mark.parametrize("backend", [SerialBackend, CompiledBackend])
+    def test_masks_match_the_decoded_slot_entries(self, spec, inst, backend):
+        system = spec.system(inst)
+        graph = explore(
+            system,
+            spec.invariant,
+            max_states=inst.verify_max_states,
+            max_depth=inst.verify_max_states,
+            retain_graph=True,
+            backend=backend(),
+        ).graph
+        step = StepInstance.from_system(system)
+        predicates = [_live]
+        if any(prop.kind == "deadlock-freedom" for prop in spec.liveness):
+            predicates.append(_deadlock_flags(step))
+        nslots = len(graph.entries)
+        for flags in predicates:
+            masks = _node_masks(graph, flags)
+            assert len(masks) == len(graph)
+            for node in range(len(graph)):
+                expected = 0
+                for slot, entry in enumerate(graph.nodes[node][1]):
+                    for j, flag in enumerate(flags(entry)):
+                        if flag:
+                            expected |= 1 << (j * nslots + slot)
+                assert masks[node] == expected, (flags, node)
 
 
 class TestIncompleteGraphsAreRefused:
