@@ -17,18 +17,21 @@ are reproducible step-for-step, shard cleanly across farm cells
 (:mod:`repro.farm`), and produce byte-identical schedules under the
 interpreted and table-compiled step kernels.
 
+The public shrinkers (:func:`shrink_lasso`, :func:`shrink_safety`)
+step through a :class:`StepMemo` the caller builds for one instance.
 See ``docs/FUZZING.md`` for the strategy families, the seed/replay
 contract and shrink semantics.
 """
 
 from repro.fuzz.engine import FuzzReport, FuzzViolation, run_fuzz
-from repro.fuzz.shrink import shrink_lasso, shrink_safety
+from repro.fuzz.shrink import StepMemo, shrink_lasso, shrink_safety
 from repro.fuzz.strategies import STRATEGY_FAMILIES, build_strategy
 
 __all__ = [
     "FuzzReport",
     "FuzzViolation",
     "run_fuzz",
+    "StepMemo",
     "shrink_safety",
     "shrink_lasso",
     "STRATEGY_FAMILIES",

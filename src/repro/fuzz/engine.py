@@ -17,7 +17,9 @@ Every hit is shrunk (:mod:`repro.fuzz.shrink`) and then *certified*:
 replayed through :func:`repro.runtime.replay.replay_schedule` on a
 freshly built system, re-exhibiting the claimed violation.  A hit that
 fails certification raises :class:`~repro.errors.FuzzError` — it is a
-fuzzer bug, never a result.
+fuzzer bug, never a result.  The revisit oracles and the shrinkers
+step through one :class:`~repro.fuzz.shrink.StepMemo` per run;
+certification judges through a fresh one.
 
 Determinism: episode ``i`` of family ``f`` seeds its own
 ``random.Random`` from ``blake2b(f"{seed}:{i}:{f}")`` — independent of
@@ -38,7 +40,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigurationError, FuzzError
 from repro.fuzz.shrink import (
-    CsPredicates,
+    LASSO_ORACLES,
+    StepMemo,
     cycle_is_df_violation,
     cycle_is_of_violation,
     shrink_lasso,
@@ -364,10 +367,12 @@ def run_fuzz(
     stepper = _build_stepper(
         spec, instance, initial, spec.invariant, kernel, params
     )
-    predicates = CsPredicates(instance)
+    # One step memo per run: the lasso oracles and both shrinkers step
+    # through it, so ddmin's replays cost table lookups, not kernel steps.
+    memo = StepMemo(instance)
     liveness_kinds = {prop.kind for prop in spec.liveness}
     theorem_of = {prop.kind: prop.theorem for prop in spec.liveness}
-    check_df = "deadlock-freedom" in liveness_kinds and predicates.supported
+    check_df = "deadlock-freedom" in liveness_kinds and memo.supported
     check_of = "obstruction-freedom" in liveness_kinds
 
     def fuzz_with(stepper: Any) -> FuzzReport:
@@ -444,7 +449,7 @@ def run_fuzz(
                 if message is not None:
                     report.violations.append(
                         _certify_safety(
-                            spec, instance_record, instance, initial,
+                            spec, instance_record, memo, initial,
                             family, episode, tuple(schedule), message,
                             shrink=shrink, validate=validate,
                         )
@@ -458,13 +463,11 @@ def run_fuzz(
                     continue
                 # Revisit: candidate lasso (prefix=schedule[:j], cycle=rest).
                 cycle = tuple(schedule[position:])
-                entry = stepper.to_value_state(state)
+                entry = memo.intern(stepper.to_value_state(state))
                 hit_kind: Optional[str] = None
-                if check_df and cycle_is_df_violation(
-                    instance, entry, cycle, predicates
-                ):
+                if check_df and cycle_is_df_violation(memo, entry, cycle):
                     hit_kind = "deadlock-freedom"
-                elif check_of and cycle_is_of_violation(instance, entry, cycle):
+                elif check_of and cycle_is_of_violation(memo, entry, cycle):
                     hit_kind = "obstruction-freedom"
                 if hit_kind is None:
                     # Benign cycle; slide the window so the next revisit
@@ -473,9 +476,9 @@ def run_fuzz(
                     continue
                 report.violations.append(
                     _certify_lasso(
-                        spec, instance_record, instance, initial,
+                        spec, instance_record, memo, initial,
                         family, episode, tuple(schedule[:position]), cycle,
-                        hit_kind, theorem_of[hit_kind], predicates,
+                        hit_kind, theorem_of[hit_kind],
                         shrink=shrink, validate=validate,
                     )
                 )
@@ -509,7 +512,7 @@ def run_fuzz(
 def _certify_safety(
     spec: Any,
     instance_record: Any,
-    instance: StepInstance,
+    memo: StepMemo,
     initial: GlobalState,
     family: str,
     episode: int,
@@ -519,7 +522,7 @@ def _certify_safety(
     validate: bool,
 ) -> FuzzViolation:
     shrunk = (
-        shrink_safety(instance, initial, schedule, spec.invariant)
+        shrink_safety(memo, initial, schedule, spec.invariant)
         if shrink
         else schedule
     )
@@ -539,7 +542,7 @@ def _certify_safety(
 def _certify_lasso(
     spec: Any,
     instance_record: Any,
-    instance: StepInstance,
+    memo: StepMemo,
     initial: GlobalState,
     family: str,
     episode: int,
@@ -547,13 +550,12 @@ def _certify_lasso(
     cycle: Schedule,
     kind: str,
     theorem: str,
-    predicates: CsPredicates,
     shrink: bool,
     validate: bool,
 ) -> FuzzViolation:
     if shrink:
         shrunk_prefix, shrunk_cycle = shrink_lasso(
-            instance, initial, prefix, cycle, kind, predicates
+            memo, initial, prefix, cycle, kind
         )
     else:
         shrunk_prefix, shrunk_cycle = prefix, cycle
@@ -582,7 +584,7 @@ def _certify_lasso(
         shrunk_cycle=shrunk_cycle,
     )
     if validate:
-        _validate_lasso(spec, instance_record, instance, violation, predicates)
+        _validate_lasso(spec, instance_record, memo.instance, violation)
     return violation
 
 
@@ -613,11 +615,12 @@ def _validate_lasso(
     instance_record: Any,
     instance: StepInstance,
     violation: FuzzViolation,
-    predicates: CsPredicates,
 ) -> None:
     """Replay prefix and prefix+cycle on fresh systems; the cycle must
     close back to the prefix's end state and the oracle must still hold
-    there."""
+    there, judged through a fresh step memo so that certification
+    re-executes every step it checks and shares nothing with the
+    shrinker."""
     from repro.runtime.replay import replay_schedule
 
     prefix = list(violation.shrunk_prefix)
@@ -636,12 +639,9 @@ def _validate_lasso(
     if closed_system.scheduler.capture_state() != entry:
         raise FuzzError("lasso cycle does not close back to its entry state")
 
-    holds = (
-        cycle_is_df_violation(instance, entry, tuple(cycle), predicates)
-        if violation.kind == "deadlock-freedom"
-        else cycle_is_of_violation(instance, entry, tuple(cycle))
-    )
-    if not holds:
+    memo = StepMemo(instance)
+    oracle = LASSO_ORACLES[violation.kind]
+    if not oracle(memo, memo.intern(entry), tuple(cycle)):
         raise FuzzError(
             f"replayed lasso no longer satisfies the "
             f"{violation.kind} violation conditions"

@@ -1,4 +1,4 @@
-"""Schedule shrinking and the pure-kernel violation oracles.
+"""Schedule shrinking and the violation oracles, over a per-run step memo.
 
 A fuzz hit arrives as a raw schedule (hundreds of steps of whatever the
 strategy happened to do); what ships in a report must be the *minimal*
@@ -6,10 +6,16 @@ schedule that still exhibits the violation, because minimal schedules
 are what humans read and what regression tests replay.  This module
 holds both halves of that contract:
 
-* the **oracles** — pure :func:`~repro.runtime.kernel.step_value` walks
-  that decide whether a schedule (or a prefix+cycle lasso) exhibits a
-  safety violation, a fair non-progress cycle (deadlock-freedom, the
-  conditions of ``repro.verify``'s lasso validator) or a solo livelock
+* the **step memo** (:class:`StepMemo`) — the pure kernel's transition
+  function, memoised for one fuzz run: value states are interned as
+  integer ids and each ``(state id, pid)`` step is computed by
+  :func:`~repro.runtime.kernel.step_value` once.  ddmin replays
+  near-identical schedules from the same few states over and over, so
+  almost every step it asks for is already in the table;
+* the **oracles** — walks over the memo that decide whether a schedule
+  (or a prefix+cycle lasso) exhibits a safety violation, a fair
+  non-progress cycle (deadlock-freedom, the conditions of
+  ``repro.verify``'s lasso validator) or a solo livelock
   (obstruction-freedom).  The engine uses them to confirm candidate
   hits; the shrinker uses them as the predicate to preserve;
 * the **shrinkers** — ddmin-style chunk removal over schedules
@@ -20,32 +26,164 @@ holds both halves of that contract:
 
 Everything here is deterministic — no RNG, no wall clock — so shrunk
 schedules are reproducible artefacts of the (seed, episode) that found
-them.
+them.  :func:`replay_values` is the memo-free reference walk.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
-from repro.errors import ProtocolError, SchedulingError
+from repro.errors import FuzzError, ProtocolError, SchedulingError
 from repro.runtime.kernel import (
     GlobalState,
+    StateView,
     StepInstance,
-    solo_run_value,
+    enabled_pids,
     step_value,
 )
 from repro.types import ProcessId
 
 __all__ = [
+    "StepMemo",
     "replay_values",
     "safety_message",
     "cycle_is_df_violation",
     "cycle_is_of_violation",
+    "LASSO_ORACLES",
     "shrink_safety",
     "shrink_lasso",
 ]
 
 Schedule = Tuple[ProcessId, ...]
+
+#: The successor id of a step the kernel rejected (halted, crashed or
+#: unknown process, out-of-range register).
+REJECTED = -1
+
+
+# -- the step memo -----------------------------------------------------
+
+class StepMemo:
+    """The kernel's transition function over interned states, for one run.
+
+    ``states[i]`` is the value state with id ``i``; :meth:`step` looks a
+    ``(state id, pid)`` step up in the table and calls
+    :func:`~repro.runtime.kernel.step_value` only on a miss.  A step the
+    kernel rejects with ``SchedulingError``/``ProtocolError`` is stored
+    as :data:`REJECTED` with its error's class and arguments
+    (:meth:`solo_run` raises it again); any other exception propagates
+    and is not stored.  The automata are pure, so a memoised step equals
+    a recomputed one.
+
+    ``in_cs``/``phase`` memoise the automata's ``in_critical_section``/
+    ``phase`` hooks per ``(state id, pid)``; ``supported`` reports
+    whether every automaton exposes both (mutex-style automata only).
+
+    A memo grows with every state its caller touches and is never
+    evicted, so the engine builds one per run and drops it with the run.
+    """
+
+    def __init__(self, instance: StepInstance) -> None:
+        self.instance = instance
+        self.supported = all(
+            hasattr(a, "in_critical_section") and hasattr(a, "phase")
+            for a in instance.automata.values()
+        )
+        self.states: List[GlobalState] = []
+        self._ids: Dict[GlobalState, int] = {}
+        self._table: Dict[Tuple[int, ProcessId], int] = {}
+        self._rejections: Dict[
+            Tuple[int, ProcessId], Tuple[Type[Exception], Tuple[Any, ...]]
+        ] = {}
+        self._in_cs: Dict[Tuple[int, ProcessId], bool] = {}
+        self._phase: Dict[Tuple[int, ProcessId], str] = {}
+
+    def intern(self, state: GlobalState) -> int:
+        """The id of ``state``, assigning the next one if it is new."""
+        sid = self._ids.get(state)
+        if sid is None:
+            sid = self._ids[state] = len(self.states)
+            self.states.append(state)
+        return sid
+
+    def step(self, sid: int, pid: ProcessId) -> int:
+        """The id of ``pid``'s successor of state ``sid``, or
+        :data:`REJECTED`."""
+        successor = self._table.get((sid, pid))
+        if successor is None:
+            successor = self._miss(sid, pid)
+        return successor
+
+    def _miss(self, sid: int, pid: ProcessId) -> int:
+        try:
+            state = step_value(self.instance, self.states[sid], pid)
+        except (SchedulingError, ProtocolError) as error:
+            # Not the error itself: its traceback would pin every frame
+            # above the step for as long as the memo lives.
+            self._rejections[(sid, pid)] = (type(error), error.args)
+            successor = REJECTED
+        else:
+            successor = self.intern(state)
+        self._table[(sid, pid)] = successor
+        return successor
+
+    def replay(self, sid: int, schedule: Sequence[ProcessId]) -> Optional[int]:
+        """Walk ``schedule`` from ``sid``; ``None`` if a step is rejected
+        (the memoised :func:`replay_values`)."""
+        table = self._table
+        for pid in schedule:  # :meth:`step`, inlined: ddmin's hot loop
+            successor = table.get((sid, pid))
+            if successor is None:
+                successor = self._miss(sid, pid)
+            if successor == REJECTED:
+                return None
+            sid = successor
+        return sid
+
+    def solo_run(
+        self, sid: int, pid: ProcessId, max_steps: int
+    ) -> Tuple[int, int, bool]:
+        """:func:`~repro.runtime.kernel.solo_run_value` over ids: run
+        ``pid`` alone for at most ``max_steps``, returning
+        ``(final id, steps taken, settled)``.  A rejected step raises
+        the kernel's error, as the plain solo run does."""
+        slot = self.instance.slot_of[pid]
+        for steps in range(max_steps):
+            if self._settled(sid, slot):
+                return sid, steps, True
+            successor = self.step(sid, pid)
+            if successor == REJECTED:
+                error_type, args = self._rejections[(sid, pid)]
+                raise error_type(*args)
+            sid = successor
+        return sid, max_steps, self._settled(sid, slot)
+
+    def _settled(self, sid: int, slot: int) -> bool:
+        _, _, halted, crashed = self.states[sid][1][slot]
+        return halted or crashed
+
+    def live_pids(self, sid: int) -> Tuple[ProcessId, ...]:
+        """Processes neither halted nor crashed at ``sid``, in scheduler
+        order."""
+        return enabled_pids(self.instance, self.states[sid])
+
+    def in_cs(self, sid: int, pid: ProcessId) -> bool:
+        """Whether ``pid`` is in its critical section at ``sid``."""
+        flag = self._in_cs.get((sid, pid))
+        if flag is None:
+            local = self.instance.slot_entry(self.states[sid], pid)[1]
+            flag = self.instance.automata[pid].in_critical_section(local)
+            self._in_cs[(sid, pid)] = flag
+        return flag
+
+    def phase(self, sid: int, pid: ProcessId) -> str:
+        """``pid``'s section (entry/critical/exit/remainder) at ``sid``."""
+        name = self._phase.get((sid, pid))
+        if name is None:
+            local = self.instance.slot_entry(self.states[sid], pid)[1]
+            name = self.instance.automata[pid].phase(local)
+            self._phase[(sid, pid)] = name
+        return name
 
 
 # -- oracles -----------------------------------------------------------
@@ -57,7 +195,8 @@ def replay_values(
 ) -> Optional[GlobalState]:
     """Walk ``schedule`` through the pure kernel; ``None`` if infeasible
     (a step targets a halted/crashed process or is otherwise rejected —
-    the state shrinking has to avoid creating)."""
+    the state shrinking has to avoid creating).  The memo-free reference
+    for :meth:`StepMemo.replay`."""
     state = initial
     for pid in schedule:
         try:
@@ -67,124 +206,74 @@ def replay_values(
     return state
 
 
-class CsPredicates:
-    """Memoised ``in_critical_section``/``phase`` over local states.
-
-    The fuzzer's copy of the predicate pair the deadlock-freedom
-    analysis uses (mutex-style automata only); ``supported`` reports
-    whether every automaton exposes both hooks.
-    """
-
-    def __init__(self, instance: StepInstance) -> None:
-        self._instance = instance
-        self.supported = all(
-            hasattr(a, "in_critical_section") and hasattr(a, "phase")
-            for a in instance.automata.values()
-        )
-        self._in_cs: Dict[Tuple[ProcessId, object], bool] = {}
-        self._phase: Dict[Tuple[ProcessId, object], str] = {}
-
-    def in_cs(self, state: GlobalState, pid: ProcessId) -> bool:
-        local = self._instance.slot_entry(state, pid)[1]
-        key = (pid, local)
-        cached = self._in_cs.get(key)
-        if cached is None:
-            cached = self._instance.automata[pid].in_critical_section(local)
-            self._in_cs[key] = cached
-        return cached
-
-    def phase(self, state: GlobalState, pid: ProcessId) -> str:
-        local = self._instance.slot_entry(state, pid)[1]
-        key = (pid, local)
-        cached = self._phase.get(key)
-        if cached is None:
-            cached = self._instance.automata[pid].phase(local)
-            self._phase[key] = cached
-        return cached
-
-
-def _live_pids(
-    instance: StepInstance, state: GlobalState
-) -> Tuple[ProcessId, ...]:
-    locals_part = state[1]
-    return tuple(
-        pid
-        for pid in instance.pid_order
-        if not (
-            locals_part[instance.slot_of[pid]][2]
-            or locals_part[instance.slot_of[pid]][3]
-        )
-    )
-
-
 def cycle_is_df_violation(
-    instance: StepInstance,
-    entry: GlobalState,
-    cycle: Sequence[ProcessId],
-    predicates: CsPredicates,
+    memo: StepMemo, entry: int, cycle: Sequence[ProcessId]
 ) -> bool:
-    """Whether ``cycle`` from ``entry`` is a fair non-progress cycle.
+    """Whether ``cycle`` from state id ``entry`` is a fair non-progress
+    cycle.
 
     The exact conditions ``repro.verify``'s lasso validator re-checks:
-    the cycle closes back to ``entry``; every live process steps in it
-    (fairness); no step is a critical-section *entry* (non-progress);
-    and some live process is in its entry section at ``entry`` (someone
-    is actually trying).  Sound: on a deadlock-free instance no cycle
-    can satisfy all four, so the fuzzer cannot report a false positive.
+    the cycle closes back to ``entry``; every process live at ``entry``
+    steps in it (fairness); no step is a critical-section *entry*
+    (non-progress); and some process live at ``entry`` is in its entry
+    section there (someone is actually trying).  Sound: on a
+    deadlock-free instance no cycle can satisfy all four, so the fuzzer
+    cannot report a false positive.
     """
-    if not cycle or not predicates.supported:
+    if not cycle or not memo.supported:
         return False
-    live = _live_pids(instance, entry)
+    live = memo.live_pids(entry)
     if not live or not set(live) <= set(cycle):
         return False
-    if not any(predicates.phase(entry, pid) == "entry" for pid in live):
+    if not any(memo.phase(entry, pid) == "entry" for pid in live):
         return False
-    state = entry
+    step, in_cs = memo.step, memo.in_cs
+    sid = entry
     for pid in cycle:
-        try:
-            successor = step_value(instance, state, pid)
-        except (SchedulingError, ProtocolError):
+        successor = step(sid, pid)
+        if successor == REJECTED:
             return False
-        if not predicates.in_cs(state, pid) and predicates.in_cs(
-            successor, pid
-        ):
+        if not in_cs(sid, pid) and in_cs(successor, pid):
             return False  # progress edge: someone got in
-        state = successor
-    return state == entry
+        sid = successor
+    return sid == entry
 
 
 def cycle_is_of_violation(
-    instance: StepInstance,
-    entry: GlobalState,
-    cycle: Sequence[ProcessId],
+    memo: StepMemo, entry: int, cycle: Sequence[ProcessId]
 ) -> bool:
     """Whether ``cycle`` is a solo livelock (obstruction-freedom hit):
     a single live process runs the whole cycle alone and returns to
-    ``entry`` without settling."""
+    state id ``entry`` without settling."""
     if not cycle or len(set(cycle)) != 1:
         return False
     pid = cycle[0]
-    if pid not in _live_pids(instance, entry):
+    if pid not in memo.live_pids(entry):
         return False
-    final, steps, settled = solo_run_value(instance, entry, pid, len(cycle))
+    final, steps, settled = memo.solo_run(entry, pid, len(cycle))
     return not settled and steps == len(cycle) and final == entry
 
 
+#: Each lasso violation kind and the oracle that decides it.
+LASSO_ORACLES: Dict[str, Callable[[StepMemo, int, Sequence[ProcessId]], bool]] = {
+    "deadlock-freedom": cycle_is_df_violation,
+    "obstruction-freedom": cycle_is_of_violation,
+}
+
+
 def safety_message(
-    instance: StepInstance,
-    initial: GlobalState,
+    memo: StepMemo,
+    initial: int,
     schedule: Sequence[ProcessId],
     invariant: Callable[..., Optional[str]],
 ) -> Optional[str]:
-    """The invariant's violation message at the end of ``schedule``
-    (``None`` when the schedule is infeasible or the final state is
-    clean)."""
-    from repro.runtime.kernel import StateView
-
-    state = replay_values(instance, initial, schedule)
-    if state is None:
+    """The invariant's violation message at the end of ``schedule`` from
+    state id ``initial`` (``None`` when the schedule is infeasible or the
+    final state is clean)."""
+    final = memo.replay(initial, schedule)
+    if final is None:
         return None
-    return invariant(StateView(instance, state))
+    return invariant(StateView(memo.instance, memo.states[final]))
 
 
 # -- ddmin -------------------------------------------------------------
@@ -218,19 +307,29 @@ def _ddmin(
 # -- the shrinkers -----------------------------------------------------
 
 def shrink_safety(
-    instance: StepInstance,
+    memo: StepMemo,
     initial: GlobalState,
     schedule: Sequence[ProcessId],
     invariant: Callable[..., Optional[str]],
 ) -> Schedule:
     """A minimal feasible schedule whose final state still violates
     ``invariant`` (any violation message counts — shrinking may land on
-    a different, smaller witness of the same property)."""
+    a different, smaller witness of the same property).
+
+    Raises :class:`~repro.errors.FuzzError` when ``schedule`` itself is
+    infeasible or ends in a clean state: there is nothing to shrink.
+    """
+    start = memo.intern(initial)
 
     def still_violates(candidate: Schedule) -> bool:
-        return safety_message(instance, initial, candidate, invariant) is not None
+        return safety_message(memo, start, candidate, invariant) is not None
 
-    return _ddmin(tuple(schedule), still_violates)
+    schedule = tuple(schedule)
+    if not still_violates(schedule):
+        raise FuzzError(
+            "safety witness to shrink is infeasible or ends in a clean state"
+        )
+    return _ddmin(schedule, still_violates)
 
 
 def _minimal_repeating_unit(
@@ -249,12 +348,11 @@ def _minimal_repeating_unit(
 
 
 def shrink_lasso(
-    instance: StepInstance,
+    memo: StepMemo,
     initial: GlobalState,
     prefix: Sequence[ProcessId],
     cycle: Sequence[ProcessId],
     kind: str,
-    predicates: CsPredicates,
 ) -> Tuple[Schedule, Schedule]:
     """Minimise a liveness lasso, preserving its violation ``kind``
     (``"deadlock-freedom"`` or ``"obstruction-freedom"``).
@@ -264,25 +362,35 @@ def shrink_lasso(
     predicate "still feasible *and* the cycle still violates from the
     state this prefix reaches" — a shorter prefix may legitimately land
     on a different entry state of the same recurrent class.
+
+    Raises :class:`~repro.errors.FuzzError` for an unknown ``kind``, an
+    infeasible ``prefix``, or a ``cycle`` that does not exhibit ``kind``
+    from the state ``prefix`` reaches.
     """
+    oracle = LASSO_ORACLES.get(kind)
+    if oracle is None:
+        raise FuzzError(
+            f"unknown lasso kind {kind!r}; expected one of {sorted(LASSO_ORACLES)}"
+        )
     prefix = tuple(prefix)
     cycle = tuple(cycle)
+    start = memo.intern(initial)
 
-    def cycle_valid_from(entry: GlobalState, candidate: Schedule) -> bool:
-        if kind == "deadlock-freedom":
-            return cycle_is_df_violation(instance, entry, candidate, predicates)
-        return cycle_is_of_violation(instance, entry, candidate)
+    entry = memo.replay(start, prefix)
+    if entry is None:
+        raise FuzzError("lasso prefix to shrink is infeasible")
+    if not oracle(memo, entry, cycle):
+        raise FuzzError(f"lasso cycle to shrink is not a {kind} violation")
 
-    entry = replay_values(instance, initial, prefix)
-    assert entry is not None, "lasso prefix must be feasible"
-    cycle = _minimal_repeating_unit(
-        cycle, lambda unit: cycle_valid_from(entry, unit)
-    )
-    cycle = _ddmin(cycle, lambda unit: cycle_valid_from(entry, unit))
+    def cycle_valid(unit: Schedule) -> bool:
+        return oracle(memo, entry, unit)
+
+    cycle = _minimal_repeating_unit(cycle, cycle_valid)
+    cycle = _ddmin(cycle, cycle_valid)
 
     def prefix_ok(candidate: Schedule) -> bool:
-        reached = replay_values(instance, initial, candidate)
-        return reached is not None and cycle_valid_from(reached, cycle)
+        reached = memo.replay(start, candidate)
+        return reached is not None and oracle(memo, reached, cycle)
 
     prefix = _ddmin(prefix, prefix_ok) if prefix else prefix
     # ddmin bottoms out at one element; a zero-length prefix is common

@@ -22,6 +22,7 @@ The schema itself is documented field-by-field in docs/OBSERVABILITY.md.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import platform
@@ -101,13 +102,28 @@ def host_fingerprint() -> Dict[str, Any]:
 def current_git_revision(cwd: Optional[Union[str, Path]] = None) -> Optional[str]:
     """The checkout's HEAD commit, or ``None`` outside a git checkout.
 
+    Looked up once per process and directory (``cwd``, default the
+    working directory): the revision describes the code this process
+    imported, which cannot change while it runs, so a farm writing one
+    manifest per cell starts one ``git`` subprocess, not one per cell.
+    ``_git_revision_at.cache_clear()`` forgets the lookups.
+
     Never raises: a manifest must be writable from an installed wheel,
     a tarball, or a host without git just as well as from the repo.
     """
     try:
+        directory = os.path.abspath(cwd if cwd is not None else os.getcwd())
+    except OSError:  # the working directory was removed
+        return None
+    return _git_revision_at(directory)
+
+
+@functools.lru_cache(maxsize=32)
+def _git_revision_at(directory: str) -> Optional[str]:
+    try:
         proc = subprocess.run(
             ["git", "rev-parse", "HEAD"],
-            cwd=str(cwd) if cwd is not None else None,
+            cwd=directory,
             capture_output=True,
             text=True,
             timeout=5,

@@ -1,6 +1,8 @@
 """Schema round-trip and validation tests for run manifests."""
 
 import json
+import os
+import subprocess
 
 import pytest
 
@@ -14,6 +16,7 @@ from repro.obs import (
     validate_manifest,
     write_manifests_ndjson,
 )
+from repro.obs import manifest as manifest_module
 
 
 def make_manifest(**overrides):
@@ -172,6 +175,33 @@ class TestHostFingerprint:
         assert isinstance(fingerprint["platform"], str)
         assert isinstance(fingerprint["python"], str)
         assert fingerprint["cpus"] is None or fingerprint["cpus"] >= 1
+
+
+class TestGitRevision:
+    @pytest.fixture
+    def fake_git(self, monkeypatch):
+        """Count ``git`` subprocesses; each answers one fixed revision."""
+        calls = []
+
+        def run(argv, **kwargs):
+            calls.append((argv, kwargs.get("cwd")))
+            return subprocess.CompletedProcess(argv, 0, stdout="f" * 40 + "\n")
+
+        manifest_module._git_revision_at.cache_clear()
+        monkeypatch.setattr(manifest_module.subprocess, "run", run)
+        yield calls
+        manifest_module._git_revision_at.cache_clear()
+
+    def test_two_manifests_start_one_subprocess(self, fake_git):
+        first, second = make_manifest(), make_manifest()
+        assert len(fake_git) == 1
+        assert first.git_rev == second.git_rev == "f" * 40
+
+    def test_each_directory_is_looked_up_once(self, fake_git, tmp_path):
+        for _ in range(2):
+            manifest_module.current_git_revision(tmp_path)
+            manifest_module.current_git_revision()
+        assert [cwd for _, cwd in fake_git] == [str(tmp_path), os.getcwd()]
 
 
 class TestTruncatedTail:
