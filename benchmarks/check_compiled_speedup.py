@@ -20,6 +20,14 @@ counts, its ``complete`` flag and a SHA-256 of ``to_bytes()``.  No
 value-domain hint is passed, so on mutex m=9 the compiled walk widens
 its register fields twice with the graph already holding nodes.
 
+``--instance LABEL`` walks a registry instance under its problem's
+invariant instead of two-process mutex, and ``--reduction symmetry``
+walks the symmetry quotient instead of every state.  With
+``--instance 'figure-2-consensus(n=3,equal)' --reduction symmetry
+--threshold 0`` the compiled quotient walk of three-process consensus
+(group order 6) must match the interpreted one on 199,100 states,
+587,505 events and 109,945 orbit hits.
+
 The committed benchmark records the full ≥10× measurement; CI holds the
 gate at 5× (``--threshold 5``) so shared-runner noise cannot flake an
 honest build.  On a single-CPU host the correctness checks still run
@@ -35,7 +43,7 @@ import os
 import sys
 
 from repro.core.mutex import AnonymousMutex
-from repro.runtime.canonical import TrivialCanonicalizer
+from repro.request import resolve_target
 from repro.runtime.compiled import CompiledBackend
 from repro.runtime.exploration import explore, mutual_exclusion_invariant
 from repro.runtime.system import System
@@ -47,12 +55,31 @@ PIDS = (101, 103)
 BUDGETS = {"max_states": 500_000, "max_depth": 1_000_000}
 
 
-def run(m, backend, retain_graph=False):
-    system = System(AnonymousMutex(m=m, cs_visits=1), PIDS, record_trace=False)
+def null_invariant(_system):
+    return None
+
+
+def target(m, label=None):
+    """``(name, system factory, invariant)``: two-process mutex with
+    ``m`` registers, or the registry instance ``label`` under its
+    problem's invariant."""
+    if label is None:
+        return (
+            f"mutex m={m}",
+            lambda: System(
+                AnonymousMutex(m=m, cs_visits=1), PIDS, record_trace=False
+            ),
+            mutual_exclusion_invariant,
+        )
+    spec, inst = resolve_target(label.split("(", 1)[0], label)
+    return label, lambda: spec.system(inst), spec.invariant or null_invariant
+
+
+def run(build, invariant, backend, reduction="none", retain_graph=False):
     return explore(
-        system,
-        mutual_exclusion_invariant,
-        canonicalizer=TrivialCanonicalizer(system.scheduler),
+        build(),
+        invariant,
+        reduction=reduction,
         backend=backend,
         retain_graph=retain_graph,
         **BUDGETS,
@@ -116,11 +143,27 @@ def main(argv=None):
         "--retain-graph", action="store_true",
         help="retain both walks' state graphs and compare them too",
     )
+    parser.add_argument(
+        "--instance", metavar="LABEL", default=None,
+        help="walk this registry instance under its problem's invariant "
+             "instead of two-process mutex (--m is then ignored)",
+    )
+    parser.add_argument(
+        "--reduction", choices=("none", "symmetry"), default="none",
+        help="walk every state, or the symmetry quotient (default: none)",
+    )
     args = parser.parse_args(argv)
+    if args.retain_graph and args.reduction != "none":
+        parser.error("--retain-graph needs --reduction none")
 
-    interpreted = run(args.m, backend=None, retain_graph=args.retain_graph)
+    name, build, invariant = target(args.m, args.instance)
+    interpreted = run(
+        build, invariant, backend=None, reduction=args.reduction,
+        retain_graph=args.retain_graph,
+    )
     compiled = run(
-        args.m, backend=CompiledBackend(), retain_graph=args.retain_graph
+        build, invariant, backend=CompiledBackend(), reduction=args.reduction,
+        retain_graph=args.retain_graph,
     )
     if compiled.kernel != "compiled":
         print(f"FAIL: table compilation fell back to {compiled.kernel!r}")
@@ -142,9 +185,12 @@ def main(argv=None):
             f"graph {fields['graph.nodes']} nodes, {fields['graph.edges']} "
             f"edges, sha256 {fields['graph.sha256'][:16]}…, "
         )
+    orbits = ""
+    if args.reduction != "none":
+        orbits = f"{interpreted.orbits_collapsed} orbit hits, "
     print(
-        f"mutex m={args.m}: {interpreted.states_explored} states, "
-        f"{interpreted.events_executed} events, "
+        f"{name} ({args.reduction}): {interpreted.states_explored} states, "
+        f"{interpreted.events_executed} events, {orbits}"
         f"truncated_by={interpreted.truncated_by}, {graph}"
         f"identical on both kernels; "
         f"interpreted {interpreted.states_per_second:,.0f}/s, "

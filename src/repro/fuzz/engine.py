@@ -159,6 +159,7 @@ class FuzzReport:
 
     def to_dict(self) -> Dict[str, Any]:
         return {
+            "verdict": "violation" if self.violations else "ok",
             "problem": self.problem,
             "instance": self.instance,
             "kernel": self.kernel,

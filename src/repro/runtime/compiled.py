@@ -24,14 +24,17 @@ small finite sets.  This module hoists it into tables:
    register value indices followed by one local-state index per slot —
    so successor expansion is integer indexing plus a tuple copy instead
    of attribute lookups and ``isinstance`` dispatch per step.  Every
-   trivial walk carries each state as one int instead
+   walk carries each state as one int instead
    (:meth:`CompiledProgram.encode`): the slot fields lowest, each wide
    enough for ``max_local_states`` states, and the register fields above
-   them, as wide as the value domain so far.  There a successor is the
-   state plus a delta (:meth:`CompiledProgram.delta_tables`), the
-   visited set holds ints, a retained graph stores the same ints as its
-   nodes, and a value that widens the register fields re-encodes the
-   walk (and the graph so far) once.  The quotient walk keeps tuples.
+   them, as wide as the value domain so far.  A successor is the state
+   plus a delta (:meth:`CompiledProgram.delta_tables`), the visited set
+   holds ints, a retained graph stores the same ints as its nodes, and a
+   value that widens the register fields re-encodes the walk (and the
+   graph so far) once.  The quotient walk closes the tables first, so
+   its layout never widens; beside each int it carries one orbit key
+   per group element, moved per step by a row of
+   :meth:`CompiledProgram.orbit_delta_tables` at the same index.
 
 3. :class:`CompiledBackend` conforms to the
    :class:`~repro.runtime.backends.ExplorationBackend` protocol and
@@ -58,10 +61,12 @@ load-bearing for correctness:
   a per-(slot, local-state) fact table, grown with the local states,
   decides suspicion with a few integer lookups, and only suspected
   states are unpacked and handed to the real invariant — so violation
-  messages are byte-identical by construction.  A fact hook that raises
-  makes every later state suspect.  Unknown invariants are evaluated on
-  every state over an unpacked :class:`~repro.runtime.kernel.StateView`
-  (slow but exact).
+  messages are byte-identical by construction.  In front of it, per-slot
+  0/1 flags and a threshold, read inline from the int state, pass only
+  the states that may be suspect to the decode.  A fact hook that raises
+  sets every flag and makes every later state suspect.  Unknown
+  invariants are evaluated on every state over an unpacked
+  :class:`~repro.runtime.kernel.StateView` (slow but exact).
 """
 
 from __future__ import annotations
@@ -69,6 +74,7 @@ from __future__ import annotations
 import time
 from array import array
 from functools import partial
+from operator import add
 from typing import (
     Any,
     Callable,
@@ -452,10 +458,8 @@ class CompiledProgram:
     def decode(self, state: int) -> PackedState:
         """The packed state an int state denotes (inverse of :meth:`encode`).
 
-        The trivial walk decodes every state for a suspect other than a
-        ``_PairSuspect``, so this is on its hot path: a list
-        comprehension over the layout's ``(shift, mask)`` pairs, which
-        costs about half what a generator over ``zip`` does.
+        The walks decode a state only when its suspicion flags reach the
+        invariant's threshold, and for a poisoned entry.
         """
         return tuple([state >> shift & mask for shift, mask in self._fields])
 
@@ -532,6 +536,76 @@ class CompiledProgram:
             row = [None]
         self._deltas[slot][si] = row
         self._at[slot][si] = at
+
+    def orbit_delta_tables(
+        self, by_position: Sequence[Sequence[Sequence[int]]]
+    ) -> List[List[List[Optional[Tuple[int, ...]]]]]:
+        """Per slot and local state, the orbit-key change of its step.
+
+        ``by_position`` is :attr:`PackedOrbitWeights.by_position
+        <repro.runtime.canonical.PackedOrbitWeights>` over these tables
+        as they stand, which must be closed.  The rows are indexed
+        exactly like :meth:`delta_tables`: the step of slot ``s`` from
+        local state ``si`` moves the key vector of int state ``x`` (one
+        int per group element) by::
+
+            vd = rows[s][si][(x >> at[s][si]) & self.value_mask]
+
+        element by element, where ``at`` is :meth:`delta_tables`'s.
+        ``None`` marks the entries whose delta is ``None`` and the WRITE
+        entries no register holds.  A snapshot, not kept current; equal
+        entries share one tuple, and WRITE rows that move the slot's
+        keys alike and write the same value to the same register share
+        one row.
+        """
+        m = self.m
+        width = self.value_mask + 1
+        nvalues = len(self.values)
+        interned: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        write_rows: Dict[Any, List[Optional[Tuple[int, ...]]]] = {}
+
+        def change(
+            tables: Sequence[Sequence[int]], old: int, new: int
+        ) -> List[int]:
+            return [table[new] - table[old] for table in tables]
+
+        def intern(vd: Iterable[int]) -> Tuple[int, ...]:
+            key = tuple(vd)
+            return interned.setdefault(key, key)
+
+        out: List[List[List[Optional[Tuple[int, ...]]]]] = []
+        for slot, kinds in enumerate(self.kind):
+            own = by_position[m + slot]
+            slot_rows: List[List[Optional[Tuple[int, ...]]]] = []
+            for si, k in enumerate(kinds):
+                row: List[Optional[Tuple[int, ...]]]
+                if k == OP_READ:
+                    row = [
+                        intern(change(own, si, nsi)) if nsi >= 0 else None
+                        for nsi in self.rows[slot][si]  # type: ignore[union-attr]
+                    ]
+                    row.extend([None] * (width - len(row)))
+                elif k == OP_WRITE:
+                    step = intern(change(own, si, self.next_state[slot][si]))
+                    phys = self.arg[slot][si]
+                    new = self.write_value[slot][si]
+                    shared = write_rows.get((step, phys, new))
+                    if shared is None:
+                        reg = by_position[phys]
+                        shared = [
+                            intern(map(add, step, change(reg, old, new)))
+                            for old in range(nvalues)
+                        ]
+                        shared.extend([None] * (width - nvalues))
+                        write_rows[step, phys, new] = shared
+                    row = shared
+                elif k == OP_LOCAL:
+                    row = [intern(change(own, si, self.next_state[slot][si]))]
+                else:
+                    row = [None]
+                slot_rows.append(row)
+            out.append(slot_rows)
+        return out
 
     def slot_entries(self) -> List[List[Tuple[ProcessId, Any, bool, bool]]]:
         """``[slot][si]``: the ``(pid, local, halted, crashed)`` entry a
@@ -759,6 +833,12 @@ def compile_program(
 # a hook failure while computing a fact poisons the tables and the
 # checker degrades to evaluating the real invariant on every state
 # from then on (slow but trivially exact).
+#
+# In front of the suspect function sit per-slot 0/1 flags and a
+# threshold (:class:`_Suspect`): a state whose slots' flags sum to less
+# than the threshold cannot be suspect, so the walks read the flags
+# inline from their int states and decode only the states that reach
+# it.
 
 _SKIP = object()  # slot not decided (not halted, or output is None)
 
@@ -769,42 +849,78 @@ def _always_suspect(_packed: PackedState) -> bool:
     return True
 
 
-def _one(_slot: int, _si: int) -> int:
-    return 1
+def _never_suspect(_packed: PackedState) -> bool:
+    return False
+
+
+def _decided(value: Any) -> bool:
+    return value is not _SKIP
+
+
+class _Flags:
+    """Per-slot 0/1 suspicion flags, grown with the program.
+
+    ``rows[slot][si]`` starts at ``initial`` for every local state the
+    program interns; the :class:`_Facts` that feed these flags then set
+    it to 1 when their fact marks the state.  Rows grow and change in
+    place, so a walk can hoist them.
+    """
+
+    __slots__ = ("rows", "_initial")
+
+    def __init__(self, program: CompiledProgram, initial: int = 0) -> None:
+        self.rows: List[List[int]] = [[] for _ in program.slots]
+        self._initial = initial
+        # Registered before any fact that feeds these flags, so a new
+        # state's flag exists when its facts are computed.
+        program.watch(self._add)
+
+    def _add(self, slot: int, si: int) -> None:
+        self.rows[slot].append(self._initial)
 
 
 class _Facts:
     """Per-(slot, si) facts about local states, grown with the program.
 
     ``tables[slot][si]`` is ``fact(slot, si)`` for every local state the
-    program has interned (:meth:`CompiledProgram.watch`).  A fact that
-    raises poisons the tables: ``poisoned`` is set and every entry, now
-    and later, reads 1.  A suspect built on them flags every state from
-    then on — suspect functions test ``poisoned``, the two-process walk's
-    inline pair filter sees the ones — so the real invariant raises or
-    reports exactly where the interpreted one does, and the failure
-    never surfaces at the step that reached the state.
+    program has interned (:meth:`CompiledProgram.watch`), and the flag
+    of that state in ``flags`` is set when ``flag(fact)`` holds.  A fact
+    that raises poisons them: ``poisoned`` is set and every flag in
+    ``flags``, now and later, reads 1.  A suspect built on them flags
+    every state from then on — the walks' inline flag test passes and
+    the suspect functions test ``poisoned`` — so the real invariant
+    raises or reports exactly where the interpreted one does, and the
+    failure never surfaces at the step that reached the state.
     """
 
-    __slots__ = ("tables", "poisoned", "_fact")
+    __slots__ = ("tables", "poisoned", "_fact", "_flag", "_flags")
 
     def __init__(
-        self, program: CompiledProgram, fact: Callable[[int, int], Any]
+        self,
+        program: CompiledProgram,
+        fact: Callable[[int, int], Any],
+        flag: Callable[[Any], Any],
+        flags: _Flags,
     ) -> None:
         self.tables: List[List[Any]] = [[] for _ in program.slots]
         self.poisoned = False
         self._fact = fact
+        self._flag = flag
+        self._flags = flags.rows
         program.watch(self._add)
 
     def _add(self, slot: int, si: int) -> None:
-        value = 1
+        value, marked = 1, True
         if not self.poisoned:
             try:
                 value = self._fact(slot, si)
+                marked = self._flag(value)
             except Exception:
                 self.poisoned = True
-                for row in self.tables:
+                for row in self._flags:
                     row[:] = [1] * len(row)
+        if marked:
+            self._flags[slot][si] = 1
         self.tables[slot].append(value)
 
 
@@ -823,31 +939,37 @@ def _output(program: CompiledProgram, slot: int, si: int) -> Any:
     return _SKIP if out is None else out
 
 
-class _PairSuspect:
-    """Two-slot boolean-AND suspect (mutex with n=2).
+class _Suspect:
+    """A compiled invariant's suspicion test, in two stages.
 
-    Callable like any suspect function, but also exposes its per-slot
-    fact tables so the two-process walk can test the two subscripts
-    inline and decode and call only on states both flag: with 0/1
-    facts, ``count > 1`` ⟺ both flags set.  Poisoned facts all read 1,
-    so every state is flagged.
+    ``flags.rows[slot][si]`` is 1 on every local state that can take
+    part in a violation, and a state whose slots' flags sum to less
+    than ``threshold`` is never suspect: the walks read the flags from
+    their int states by shift and mask and decode only the states that
+    reach the threshold.  ``exact`` is the suspect function proper, on
+    the decoded packed state.  Poisoned facts set every flag, and no
+    threshold exceeds the slot count (bar :func:`_never_suspect`'s,
+    which has no facts), so a poisoned suspect decodes every state.
     """
 
-    __slots__ = ("tables", "m")
+    __slots__ = ("flags", "threshold", "exact")
 
-    def __init__(self, tables: List[List[int]], m: int) -> None:
-        self.tables = tables
-        self.m = m
+    def __init__(
+        self,
+        flags: _Flags,
+        threshold: int,
+        exact: Callable[[PackedState], bool],
+    ) -> None:
+        self.flags = flags
+        self.threshold = threshold
+        self.exact = exact
 
-    def __call__(self, packed: PackedState) -> bool:
-        m = self.m
-        return bool(self.tables[0][packed[m]] and self.tables[1][packed[m + 1]])
 
+def _mutex_suspect(program: CompiledProgram, flags: _Flags) -> Optional[_Suspect]:
+    """Suspect when ≥ 2 non-halted processes sit in the critical section.
 
-def _mutex_suspect(
-    program: CompiledProgram,
-) -> Optional[Callable[[PackedState], bool]]:
-    """Suspect when ≥ 2 non-halted processes sit in the critical section."""
+    Flags: in the critical section; threshold 2.
+    """
     in_cs = [getattr(auto, "in_critical_section", None) for auto in program.autos]
     if any(hook is None for hook in in_cs):
         return None
@@ -857,10 +979,8 @@ def _mutex_suspect(
             return 0
         return 1 if in_cs[slot](program.states[slot][si]) else 0
 
-    facts = _Facts(program, inside)
+    facts = _Facts(program, inside, bool, flags)
     m = program.m
-    if len(facts.tables) == 2:
-        return _PairSuspect(facts.tables, m)
     offs = [(m + slot, row) for slot, row in enumerate(facts.tables)]
 
     def suspect(packed: PackedState) -> bool:
@@ -871,14 +991,17 @@ def _mutex_suspect(
             count += row[packed[off]]
         return count > 1
 
-    return suspect
+    return _Suspect(flags, min(2, len(offs)), suspect)
 
 
 def _agreement_suspect(
-    program: CompiledProgram,
-) -> Optional[Callable[[PackedState], bool]]:
-    """Suspect when two decided outputs are distinct (set semantics)."""
-    facts = _Facts(program, partial(_output, program))
+    program: CompiledProgram, flags: _Flags
+) -> Optional[_Suspect]:
+    """Suspect when two decided outputs are distinct (set semantics).
+
+    Flags: decided; threshold 2.
+    """
+    facts = _Facts(program, partial(_output, program), _decided, flags)
     m = program.m
     offs = [(m + slot, row) for slot, row in enumerate(facts.tables)]
 
@@ -890,13 +1013,16 @@ def _agreement_suspect(
         ]
         return len(decided) > 1 and len(set(decided)) > 1
 
-    return suspect
+    return _Suspect(flags, min(2, len(offs)), suspect)
 
 
 def _validity_suspect(
-    program: CompiledProgram,
-) -> Optional[Callable[[PackedState], bool]]:
-    """Suspect when a decided output is not one of the instance inputs."""
+    program: CompiledProgram, flags: _Flags
+) -> Optional[_Suspect]:
+    """Suspect when a decided output is not one of the instance inputs.
+
+    Flags: decided an illegal value; threshold 1.
+    """
     try:
         legal = set(program.instance.inputs.values())
     except Exception:
@@ -906,7 +1032,7 @@ def _validity_suspect(
         v = _output(program, slot, si)
         return v is not _SKIP and v not in legal
 
-    facts = _Facts(program, illegal)
+    facts = _Facts(program, illegal, bool, flags)
     m = program.m
     offs = [(m + slot, row) for slot, row in enumerate(facts.tables)]
 
@@ -915,13 +1041,16 @@ def _validity_suspect(
             return True
         return any(row[packed[off]] for off, row in offs)
 
-    return suspect
+    return _Suspect(flags, 1, suspect)
 
 
 def _unique_names_suspect(
-    program: CompiledProgram,
-) -> Optional[Callable[[PackedState], bool]]:
-    """Suspect on duplicate names or a name outside ``1..n``."""
+    program: CompiledProgram, flags: _Flags
+) -> Optional[_Suspect]:
+    """Suspect on duplicate names or a name outside ``1..n``.
+
+    Flags: decided; threshold 1 (one name can be out of range).
+    """
     n = len(program.instance.inputs)
 
     def name(slot: int, si: int) -> Any:
@@ -931,7 +1060,7 @@ def _unique_names_suspect(
         # evaluating it reproduces that.
         return v if v is _SKIP else (v, not 1 <= v <= n)
 
-    facts = _Facts(program, name)
+    facts = _Facts(program, name, _decided, flags)
     m = program.m
     offs = [(m + slot, row) for slot, row in enumerate(facts.tables)]
 
@@ -949,43 +1078,57 @@ def _unique_names_suspect(
             names.append(v)
         return len(names) > 1 and len(set(names)) != len(names)
 
-    return suspect
+    return _Suspect(flags, 1, suspect)
 
 
 def _compile_suspect(
-    invariant: Invariant, program: CompiledProgram
-) -> Optional[Callable[[PackedState], bool]]:
-    """Suspect function for a known invariant, or None to go generic."""
+    invariant: Invariant,
+    program: CompiledProgram,
+    flags: Optional[_Flags] = None,
+) -> Optional[_Suspect]:
+    """Suspect for a known invariant, or None to go generic.
+
+    The subs of a conjunction share one :class:`_Flags`, so its flags
+    are the OR of theirs, and its threshold is their smallest.
+    """
     from repro.runtime import exploration as _exploration
 
     try:
         from repro.verify.runner import _no_invariant
     except ImportError:  # pragma: no cover - verify layer always ships
         _no_invariant = None
+    if flags is None:
+        flags = _Flags(program)
+    never = len(program.slots) + 1  # no flag sum reaches it
     if _no_invariant is not None and invariant is _no_invariant:
-        return lambda packed: False
+        return _Suspect(flags, never, _never_suspect)
     if invariant is _exploration.mutual_exclusion_invariant:
-        return _mutex_suspect(program)
+        return _mutex_suspect(program, flags)
     if invariant is _exploration.agreement_invariant:
-        return _agreement_suspect(program)
+        return _agreement_suspect(program, flags)
     if invariant is _exploration.validity_invariant:
-        return _validity_suspect(program)
+        return _validity_suspect(program, flags)
     if invariant is _exploration.unique_names_invariant:
-        return _unique_names_suspect(program)
+        return _unique_names_suspect(program, flags)
     if isinstance(invariant, _exploration._ConjoinedInvariant):
         subs = [
-            _compile_suspect(sub, program) for sub in invariant.invariants
+            _compile_suspect(sub, program, flags) for sub in invariant.invariants
         ]
         if any(sub is None for sub in subs):
             return None
+        exacts = [sub.exact for sub in subs]  # type: ignore[union-attr]
 
         def conjoined(packed: PackedState) -> bool:
-            for sub in subs:
-                if sub(packed):  # type: ignore[misc]
+            for exact in exacts:
+                if exact(packed):
                     return True
             return False
 
-        return conjoined
+        threshold = min(
+            (sub.threshold for sub in subs),  # type: ignore[union-attr]
+            default=never,
+        )
+        return _Suspect(flags, threshold, conjoined)
     return None
 
 
@@ -1008,9 +1151,10 @@ def compile_checker(
             return invariant(StateView(instance, unpack(packed)))
 
         return generic
+    exact = suspect.exact
 
     def fast(packed: PackedState) -> Optional[str]:
-        if suspect(packed):
+        if exact(packed):
             return invariant(StateView(instance, unpack(packed)))
         return None
 
@@ -1161,7 +1305,7 @@ class CompiledBackend:
 
         if suspect is None:
             # Unknown invariant: evaluate it on every state.
-            suspect = _always_suspect
+            suspect = _Suspect(_Flags(program), 0, _always_suspect)
         try:
             if not trivial:
                 result = self._run_general(
@@ -1192,7 +1336,7 @@ class CompiledBackend:
         self,
         task: ExplorationTask,
         program: CompiledProgram,
-        suspect: Callable[[PackedState], bool],
+        suspect: _Suspect,
         slow: Callable[[PackedState], Optional[str]],
         telemetry: TelemetrySink,
     ) -> ExplorationResult:
@@ -1202,14 +1346,15 @@ class CompiledBackend:
         loop unrolled — every check happens at the same point in the
         same order, over the same int states (the layout of
         :meth:`CompiledProgram.encode`) and delta tables — and with a
-        visited set instead of an ``int -> ordinal`` dict.  A state is
-        decoded to its packed tuple only when the invariant's suspect is
-        consulted (for a ``_PairSuspect``, only on states its tables
-        flag) and for a poisoned entry.  An entry the tables lack (a
-        ``None`` delta) goes through :func:`_fill_step`, which fills it;
-        the tables are the program's own, so they stay current, and the
-        one local that can go stale, ``value_mask``, is reloaded after
-        it.
+        visited set instead of an ``int -> ordinal`` dict.  Its inline
+        flag test is an ``and`` of the two slots' flags: exactly the
+        suspect's threshold of 2 (mutual exclusion), and under a lower
+        threshold every state passes.  A state is decoded to its packed
+        tuple only when it passes, and for a poisoned entry.  An entry
+        the tables lack (a ``None`` delta) goes through
+        :func:`_fill_step`, which fills it; the tables are the program's
+        own, so they stay current, and the one local that can go stale,
+        ``value_mask``, is reloaded after it.
 
         Every plain (``retain_graph=False``) trivial walk of a two-slot
         instance runs here, e.g. two-process mutex explored with
@@ -1234,14 +1379,11 @@ class CompiledBackend:
         deltas, at = program.delta_tables()
         deltas_a, deltas_b = deltas[s_a], deltas[s_b]
         at_a, at_b = at[s_a], at[s_b]
-        # A _PairSuspect's tables filter states before the suspect is
-        # called; any other suspect is called on every state.
-        filters = (
-            suspect.tables
-            if isinstance(suspect, _PairSuspect)
-            else _Facts(program, _one).tables
-        )
-        cs_a, cs_b = filters[s_a], filters[s_b]
+        # Two 0/1 flags reach a threshold of 2 exactly when both are
+        # set; below that, every state reaches it.
+        flags = suspect.flags if suspect.threshold > 1 else _Flags(program, 1)
+        cs_a, cs_b = flags.rows[s_a], flags.rows[s_b]
+        exact = suspect.exact
 
         initial = program.encode(program.initial_packed)
         visited = {initial}
@@ -1281,7 +1423,7 @@ class CompiledBackend:
             si_b = (state >> shift_b) & mask_b
             if cs_a[si_a] and cs_b[si_b]:
                 packed = decode(state)
-                violation = slow(packed) if suspect(packed) else None
+                violation = slow(packed) if exact(packed) else None
                 if violation is not None:
                     result.violation = violation
                     result.violation_schedule = _unwind(link)
@@ -1350,7 +1492,7 @@ class CompiledBackend:
         self,
         task: ExplorationTask,
         program: CompiledProgram,
-        suspect: Callable[[PackedState], bool],
+        suspect: _Suspect,
         slow: Callable[[PackedState], Optional[str]],
         telemetry: TelemetrySink,
     ) -> ExplorationResult:
@@ -1367,9 +1509,9 @@ class CompiledBackend:
         builder's arrays in place.  A register-field widening re-encodes
         the dict, the stack and the node list once, and the graph takes
         the program's layout as it stands when the walk ends.  A state is
-        decoded to its packed tuple only for the invariant's suspect
-        (for a ``_PairSuspect``, only on states its tables flag inline)
-        and for a poisoned entry.
+        decoded to its packed tuple only when its slots' suspicion flags,
+        read inline, reach the suspect's threshold, and for a poisoned
+        entry.
 
         Runs every trivial walk :meth:`_run_trivial_two` does not: all
         of ``verify`` (two slots, retaining) and the walks of three or
@@ -1391,14 +1533,13 @@ class CompiledBackend:
             (pid, s, shift[off], mask[off], program.live[s], deltas[s], at[s])
             for pid, s, off in program.step_order
         )
-        # A _PairSuspect's tables filter states before the suspect is
-        # called; any other suspect is called on every state.
-        filters = suspect.tables if isinstance(suspect, _PairSuspect) else None
-        if filters is not None:
-            m = program.m
-            cs_a, cs_b = filters
-            shift_a, shift_b = shift[m], shift[m + 1]
-            mask_a, mask_b = mask[m], mask[m + 1]
+        # Each slot's field and suspicion flags; the flags grow in place.
+        flag_fields = tuple(
+            (shift[off], mask[off], suspect.flags.rows[s])
+            for _pid, s, off in program.step_order
+        )
+        threshold = suspect.threshold
+        exact = suspect.exact
 
         initial = program.encode(program.initial_packed)
         # Under the trivial canonicalizer a raw key is the content
@@ -1454,37 +1595,41 @@ class CompiledBackend:
                     orbit_hits=result.orbits_collapsed,
                     depth=depth,
                 )
-            if filters is None or (
-                cs_a[state >> shift_a & mask_a] and cs_b[state >> shift_b & mask_b]
-            ):
+            hits = 0
+            for field, width, flags in flag_fields:
+                hits += flags[state >> field & width]
+            if hits >= threshold:
                 packed = decode(state)
-                violation = slow(packed) if suspect(packed) else None
+                violation = slow(packed) if exact(packed) else None
                 if violation is not None:
                     result.violation = violation
                     result.violation_schedule = _unwind(link)
                     result.truncated_by = "violation"
                     break
-            expand = [
-                (pid, s, si, deltas_row, at_row)
-                for pid, s, field, width, live, deltas_row, at_row in steps
-                if live[si := state >> field & width]
-            ]
-            if not expand:
-                # No enabled pid ⟺ every slot halted or crashed ⟺
-                # all_settled, so the serial stuck counter can never
-                # tick here.  Expanded, with no edges.
-                if builder is not None:
-                    opened_append(ordinal)
-                    opened_at_append(len(edge_dst))
-                continue
             if depth >= max_depth:
-                result.truncated_by = "max_depth"
+                for _pid, _s, field, width, live, _deltas, _at in steps:
+                    if live[state >> field & width]:
+                        result.truncated_by = "max_depth"
+                        break
+                else:
+                    # No enabled pid ⟺ every slot halted or crashed ⟺
+                    # all_settled, so the serial stuck counter can never
+                    # tick here.  Expanded, with no edges.
+                    if builder is not None:
+                        opened_append(ordinal)
+                        opened_at_append(len(edge_dst))
                 continue
+            # A state with no enabled pid is expanded too, with no edges.
             if builder is not None:
                 opened_append(ordinal)
                 opened_at_append(len(edge_dst))
             budget_exhausted = False
-            for pid, s, si, deltas_row, at_row in expand:
+            for pid, s, field, width, live, deltas_row, at_row in steps:
+                # Slot fields never move, so a re-encoded state (see
+                # _fill_step) reads the same local states.
+                si = state >> field & width
+                if not live[si]:
+                    continue
                 delta = deltas_row[si][state >> at_row[si] & value_mask]
                 if delta is None:
                     state, delta = _fill_step(
@@ -1555,53 +1700,87 @@ class CompiledBackend:
         self,
         task: ExplorationTask,
         program: CompiledProgram,
-        suspect: Callable[[PackedState], bool],
+        suspect: _Suspect,
         slow: Callable[[PackedState], Optional[str]],
         tables: Any,
         telemetry: TelemetrySink,
     ) -> ExplorationResult:
+        """The quotient walk: int states beside their orbit-key vectors.
+
+        Each stacked state is the program's int state
+        (:meth:`CompiledProgram.encode`) and one int key per group
+        element, identity first.  Equal ints are equal bytes keys and
+        ``<`` agrees (:meth:`PackedDigestTables.orbit_weights`), so the
+        walk dedups on the vector's minimum exactly as ``key_of_state``
+        would.  ``run`` closed the tables first, so the ranks cover every
+        digest and the int layout is fixed: a step of slot ``s`` is
+        ``state + d`` with ``d`` from :meth:`CompiledProgram.delta_tables`
+        and the vector moves element by element by the row of
+        :meth:`CompiledProgram.orbit_delta_tables` at the same index.
+        Only a poisoned entry (a ``None`` delta) is stepped on the
+        decoded tuple, by :meth:`CompiledProgram.step_packed`, which
+        interprets it; tables that grew there would leave the layout or
+        the weights behind, so the walk raises :class:`CompileOverflow`
+        instead and the interpreter takes the task.  The suspicion flags
+        are read inline, as in the trivial walks.
+        """
         canonicalizer = task.canonicalizer
         max_states = task.max_states
         max_depth = task.max_depth
         emit = telemetry.enabled
         progress_mask = self.progress_interval - 1
 
-        m = program.m
-        halted = program.halted
-        crashed = program.crashed
-        step_packed = program.step_packed
-        live = program.live
-        # Keys are ints, one per group element (identity first), kept
-        # per stacked state and moved per step by the weight deltas of
-        # the positions the step changed.  Equal ints are equal bytes
-        # keys and ``<`` agrees (PackedDigestTables.orbit_weights), so
-        # the walk dedups exactly as key_of_state would.  run closed the
-        # tables first: the ranks cover every digest.
-        weights = tables.orbit_weights(m)
-        by_position = weights.by_position
+        weights = tables.orbit_weights(program.m)
         vector_of = weights.vector
-        step_tabs = tuple(
+        decode = program.decode
+        encode = program.encode
+        step_packed = program.step_packed
+        value_mask = program.value_mask
+        shift, mask = program.field_shift, program.field_mask
+        deltas, at = program.delta_tables()
+        vdeltas = program.orbit_delta_tables(weights.by_position)
+        # One bundle per pid in scheduling order: the slot's field and
+        # its per-slot tables.  live[si] ⟺ the slot can step.
+        steps = tuple(
             (
                 pid,
                 s,
-                off,
-                live[s],
-                program.kind[s],
-                program.arg[s],
-                program.write_value[s],
-                program.next_state[s],
-                program.rows[s],
-                by_position[off],
+                shift[off],
+                mask[off],
+                program.live[s],
+                deltas[s],
+                at[s],
+                vdeltas[s],
             )
             for pid, s, off in program.step_order
         )
+        flag_fields = tuple(
+            (shift[off], mask[off], suspect.flags.rows[s])
+            for _pid, s, off in program.step_order
+        )
+        threshold = suspect.threshold
+        exact = suspect.exact
 
-        initial = program.initial_packed
-        initial_vector = vector_of(initial)
+        def table_sizes() -> List[int]:
+            return [len(program.values)] + [len(x) for x in program.states]
+
+        sizes = table_sizes()
+
+        def poisoned_step(state: int, s: int) -> Tuple[int, List[int]]:
+            """Step a poisoned entry through the interpreter."""
+            child = step_packed(decode(state), s)
+            if table_sizes() != sizes:
+                raise CompileOverflow("the tables grew during the quotient walk")
+            return encode(child), vector_of(child)
+
+        initial = encode(program.initial_packed)
+        initial_vector = vector_of(program.initial_packed)
         visited: Dict[int, int] = {min(initial_vector): initial_vector[0]}
-        stack: List[Tuple[PackedState, int, Any, List[int]]] = [
+        stack: List[Tuple[int, int, Any, List[int]]] = [
             (initial, 0, None, initial_vector)
         ]
+        push = stack.append
+        pop = stack.pop
         result = ExplorationResult(
             complete=True,
             states_explored=0,
@@ -1616,7 +1795,7 @@ class CompiledBackend:
         started = time.perf_counter()
 
         while stack:
-            state, depth, link, vector = stack.pop()
+            state, depth, link, vector = pop()
             state_raw = vector[0]
             states_explored += 1
             if depth > max_depth_reached:
@@ -1632,86 +1811,70 @@ class CompiledBackend:
                     orbit_hits=orbits_collapsed,
                     depth=depth,
                 )
-            if suspect(state):
-                violation = slow(state)
-                if violation is not None:
-                    result.violation = violation
-                    result.violation_schedule = _unwind(link)
-                    result.truncated_by = "violation"
-                    break
-            expand = [t for t in step_tabs if t[3][state[t[2]]]]
-            if not expand:
-                # No enabled pid ⟺ all_settled: stuck never ticks.
-                continue
+            hits = 0
+            for field, width, flags in flag_fields:
+                hits += flags[state >> field & width]
+            if hits >= threshold:
+                packed = decode(state)
+                if exact(packed):
+                    violation = slow(packed)
+                    if violation is not None:
+                        result.violation = violation
+                        result.violation_schedule = _unwind(link)
+                        result.truncated_by = "violation"
+                        break
             if depth >= max_depth:
-                result.truncated_by = "max_depth"
+                # No enabled pid ⟺ all_settled: stuck never ticks, and
+                # the budget cuts nothing.
+                for _pid, _s, field, width, live, _d, _a, _v in steps:
+                    if live[state >> field & width]:
+                        result.truncated_by = "max_depth"
+                        break
                 continue
             budget_exhausted = False
-            for (
-                pid,
-                s,
-                off,
-                _live_row,
-                kind_row,
-                arg_row,
-                wval_row,
-                nxt_row,
-                rows_row,
-                slot_weights,
-            ) in expand:
-                si = state[off]
-                k = kind_row[si]
-                if k == OP_READ:
-                    nsi = rows_row[si][state[arg_row[si]]]
-                elif k == OP_WRITE or k == OP_LOCAL:
-                    nsi = nxt_row[si]
+            for pid, s, field, width, live, deltas_row, at_row, vrow in steps:
+                si = state >> field & width
+                if not live[si]:
+                    continue
+                index = state >> at_row[si] & value_mask
+                delta = deltas_row[si][index]
+                if delta is None:
+                    child, child_vector = poisoned_step(state, s)
+                elif not delta:
+                    # The exact self-loop (child == state): serial steps
+                    # once, steps once more in the acceleration loop
+                    # below, sees the local repeat and gives up.
+                    events_executed += 2
+                    continue
                 else:
-                    nsi = RAISE_ENTRY
-                if nsi < 0:
-                    # Poisoned entry: interpret, then rebuild the key vector.
-                    child = step_packed(state, s)
-                    child_vector = vector_of(child)
-                elif k == OP_WRITE:
-                    phys = arg_row[si]
-                    old = state[phys]
-                    new = wval_row[si]
-                    child = (
-                        state[:phys]
-                        + (new,)
-                        + state[phys + 1 : off]
-                        + (nsi,)
-                        + state[off + 1 :]
-                    )
-                    child_vector = [
-                        key_g - slot[si] + slot[nsi] - reg[old] + reg[new]
-                        for key_g, slot, reg in zip(
-                            vector, slot_weights, by_position[phys]
-                        )
-                    ]
-                else:
-                    child = state[:off] + (nsi,) + state[off + 1 :]
-                    child_vector = [
-                        key_g - slot[si] + slot[nsi]
-                        for key_g, slot in zip(vector, slot_weights)
-                    ]
+                    child = state + delta
+                    child_vector = list(map(add, vector, vrow[si][index]))
                 events_executed += 1
                 raw = child_vector[0]
                 step_link = (link, pid)
                 if raw == state_raw:
                     # Inert acceleration, exactly as serial: keep
-                    # stepping this pid while it stays inert, watching
-                    # its local state (⟺ its packed index — interning
-                    # is by value equality) for a repeat.
-                    seen_locals = {child[off]}
-                    while raw == state_raw and not (
-                        halted[s][child[off]] or crashed[s]
-                    ):
-                        child = step_packed(child, s)
+                    # stepping this pid while the raw key stays put,
+                    # watching its local state (⟺ its index — interning
+                    # is by value equality) for a repeat.  A step can
+                    # move the state yet keep the raw key: footprints
+                    # merge local states.
+                    local = child >> field & width
+                    seen_locals = {local}
+                    while raw == state_raw and live[local]:
+                        index = child >> at_row[local] & value_mask
+                        delta = deltas_row[local][index]
+                        if delta is None:
+                            child, child_vector = poisoned_step(child, s)
+                        else:
+                            child += delta
+                            child_vector = list(
+                                map(add, child_vector, vrow[local][index])
+                            )
                         events_executed += 1
                         step_link = (step_link, pid)
-                        child_vector = vector_of(child)
                         raw = child_vector[0]
-                        local = child[off]
+                        local = child >> field & width
                         if raw == state_raw:
                             if local in seen_locals:
                                 break
@@ -1729,7 +1892,7 @@ class CompiledBackend:
                     budget_exhausted = True
                     break
                 visited[key] = raw
-                stack.append((child, depth + 1, step_link, child_vector))
+                push((child, depth + 1, step_link, child_vector))
             if budget_exhausted:
                 break
 

@@ -176,3 +176,57 @@ class TestFuzzFarmCli:
                 "--out", str(tmp_path / "farm"), "--max-violations", "1",
             ])
         assert "one-shot only" in capsys.readouterr().err
+
+
+class TestFuzzManifestVerdicts:
+    """``repro report`` shows each fuzz manifest's verdict: ``violation``
+    on the even-m mutant, ``ok`` on mutex m=3, one-shot and farmed."""
+
+    TARGETS = [
+        ("figure-1-mutex-even-m", "violation"),
+        ("figure-1-mutex(m=3)", "ok"),
+    ]
+
+    @staticmethod
+    def fuzz(instance, *flags):
+        main([
+            "fuzz", "--problem", "figure-1-mutex", "--instance", instance,
+            "--seed", "7", "--episodes", "8", "--max-steps", "64", *flags,
+        ])
+
+    @staticmethod
+    def reported_verdicts(capsys, directory):
+        """The verdict column of the report's fuzz rows, in order."""
+        capsys.readouterr()
+        assert main(["report", str(directory)]) == 0
+        rows = [
+            line.split()
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("fuzz ")
+        ]
+        return [
+            next(word for word in row if word in ("ok", "violation", "?"))
+            for row in rows
+        ]
+
+    def test_one_shot_telemetry_manifests(self, tmp_path, capsys):
+        telemetry = tmp_path / "telemetry"
+        for instance, _verdict in self.TARGETS:
+            self.fuzz(instance, "--telemetry", str(telemetry))
+        verdicts = self.reported_verdicts(capsys, telemetry)
+        assert sorted(verdicts) == sorted(v for _, v in self.TARGETS)
+        by_instance = {
+            manifest.parameters["instance"]: manifest.verdict()
+            for path in sorted(telemetry.iterdir())
+            for manifest in load_manifests(path)
+        }
+        assert by_instance == {
+            "figure-1-mutex-even-m(m=4)": "violation",
+            "figure-1-mutex(m=3)": "ok",
+        }
+
+    @pytest.mark.parametrize("instance, verdict", TARGETS)
+    def test_farm_manifests(self, tmp_path, capsys, instance, verdict):
+        farm = tmp_path / "farm"
+        self.fuzz(instance, "--episodes-per-cell", "4", "--out", str(farm))
+        assert self.reported_verdicts(capsys, farm) == [verdict, verdict]

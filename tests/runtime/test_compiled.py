@@ -26,7 +26,14 @@ from repro.runtime.automaton import Algorithm, ProcessAutomaton
 from repro.runtime.backends import SerialBackend, resolve_backend
 from repro.runtime.canonical import TrivialCanonicalizer, build_canonicalizer
 from repro.runtime.compiled import CompiledBackend, compile_program
-from repro.runtime.exploration import explore, mutual_exclusion_invariant
+from repro.runtime.exploration import (
+    agreement_invariant,
+    conjoin,
+    explore,
+    mutual_exclusion_invariant,
+    unique_names_invariant,
+    validity_invariant,
+)
 from repro.runtime.kernel import StepInstance, enabled_pids, step_value
 from repro.runtime.ops import NoOp, ReadOp, WriteOp
 from repro.runtime.system import System
@@ -104,8 +111,9 @@ TRUNCATED_WALKS = [
 
 
 #: Every early budget cut of two-process mutex m=3 (1,747 states, depth
-#: 75).  Its max_states cuts trip in both unrolled per-pid branches of
-#: the two-process walk, the first pid's and the second's.
+#: 75; under symmetry 771 states, depth 44).  Its max_states cuts trip
+#: in both unrolled per-pid branches of the two-process walk, the first
+#: pid's and the second's.
 EARLY_CUTS = [
     pytest.param(dict(max_states=n), id=f"max_states={n}") for n in range(1, 80)
 ] + [pytest.param(dict(max_depth=d), id=f"max_depth={d}") for d in range(40)]
@@ -166,6 +174,24 @@ class TestCompiledMatchesSerial:
         serial = run(SerialBackend())
         compiled = run(CompiledBackend())
         assert not serial.complete
+        assert compiled.kernel == "compiled"
+        assert fingerprint(serial) == fingerprint(compiled)
+
+    @pytest.mark.parametrize("budgets", EARLY_CUTS)
+    def test_every_early_quotient_cut_is_bit_identical(self, budgets):
+        def run(backend):
+            system = mutex_system(m=3)
+            return explore(
+                system,
+                mutual_exclusion_invariant,
+                canonicalizer=build_canonicalizer(system),
+                backend=backend,
+                **budgets,
+            )
+
+        serial = run(SerialBackend())
+        compiled = run(CompiledBackend())
+        assert not serial.complete and serial.group_size == 2
         assert compiled.kernel == "compiled"
         assert fingerprint(serial) == fingerprint(compiled)
 
@@ -493,6 +519,113 @@ class TestIntStateProperties:
         assert fingerprint(serial) == fingerprint(compiled)
 
 
+class _Decider(ProcessAutomaton):
+    """Decides a fixed value in one step.  The writer writes register 0
+    and decides; a waiter spins on register 0, an exact self-loop, until
+    it is written.  The symmetry hooks let processes that decide alike
+    and wait alike swap."""
+
+    def __init__(self, decision, waits):
+        self.decision = decision
+        self.waits = waits
+
+    def initial_state(self):
+        return _Pc()
+
+    def is_halted(self, state):
+        return state.pc == 1
+
+    def next_op(self, state):
+        return ReadOp(0) if self.waits else WriteOp(0, 1)
+
+    def apply(self, state, op, result):
+        return _Pc(1) if result or not self.waits else state
+
+    def output(self, state):
+        return self.decision if state.pc == 1 else None
+
+    def symmetry_signature(self):
+        return (self.decision, self.waits), None
+
+    def state_footprint(self, state):
+        return state
+
+    def rename_state_footprint(self, footprint, pids_renamed, values_renamed):
+        return footprint
+
+    def rename_register_value(self, value, pids_renamed, values_renamed):
+        return value
+
+
+class _DecidersAlgorithm(Algorithm):
+    """The last process writes, the others wait; process k decides
+    ``decisions[k]``."""
+
+    name = "deciders"
+
+    def __init__(self, decisions):
+        self.decisions = decisions
+
+    def register_count(self):
+        return 1
+
+    def automaton_for(self, pid, input=None):
+        k = pids(len(self.decisions)).index(pid)
+        return _Decider(self.decisions[k], waits=k < len(self.decisions) - 1)
+
+
+def _deciders_system(decisions):
+    return System(
+        _DecidersAlgorithm(decisions),
+        {pid: "a" for pid in pids(len(decisions))},
+        record_trace=False,
+    )
+
+
+#: (invariant, n -> decisions; every input is "a").  The writer decides
+#: first, so the first violating state holds exactly the invariant's
+#: flag threshold of decided processes: one for an out-of-range name or
+#: an illegal value, two for disagreement.
+FLAG_THRESHOLDS = [
+    pytest.param(unique_names_invariant, lambda n: [99] * n, id="unique-names"),
+    pytest.param(validity_invariant, lambda n: ["z"] * n, id="validity"),
+    pytest.param(
+        agreement_invariant, lambda n: ["a"] * (n - 1) + ["b"], id="agreement"
+    ),
+    pytest.param(
+        conjoin(agreement_invariant, validity_invariant),
+        lambda n: ["z"] * n,
+        id="agreement-and-validity",
+    ),
+]
+
+
+class TestSuspectFlags:
+    """Each stock suspect's flags and threshold pass the states its
+    violations need: in the two-slot walk, the generic trivial walk and,
+    with three processes under symmetry (a group of order 2, waiters
+    spinning in exact self-loops), the quotient walk."""
+
+    @pytest.mark.parametrize("invariant, decide", FLAG_THRESHOLDS)
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("reduction", ["trivial", "symmetry"])
+    def test_violation_at_the_threshold(self, invariant, decide, n, reduction):
+        def run(backend):
+            system = _deciders_system(decide(n))
+            return explore(
+                system,
+                invariant,
+                canonicalizer=canonicalizer_for(system, reduction),
+                backend=backend,
+            )
+
+        serial, compiled = run(SerialBackend()), run(CompiledBackend())
+        assert serial.truncated_by == "violation"
+        assert serial.group_size == (2 if reduction == "symmetry" and n == 3 else 1)
+        assert compiled.kernel == "compiled"
+        assert fingerprint(compiled) == fingerprint(serial)
+
+
 @dataclass(frozen=True)
 class _Step:
     pc: int = 0
@@ -779,6 +912,167 @@ class TestOrbitKeyOrder:
             canon_a, canon_b
         )
         assert _compare(vector_a[0], vector_b[0]) == _compare(raw_a, raw_b)
+
+
+@cache
+def _orbit_delta_rows(name):
+    """The orbit-key delta rows of :func:`_orbit_keys`'s program."""
+    _, _, program, _, weights = _orbit_keys(name)
+    return program.orbit_delta_tables(weights.by_position)
+
+
+def _check_orbit_deltas(name, packed):
+    """Each enabled slot's int delta and orbit-key delta row entry, read
+    at the same index, move the int state and the key vector to those of
+    its ``step_packed`` child.  Returns the kinds of the steps checked."""
+    _, _, program, _, weights = _orbit_keys(name)
+    deltas, at = program.delta_tables()
+    vdeltas = _orbit_delta_rows(name)
+    state = program.encode(packed)
+    vector = weights.vector(packed)
+    kinds = set()
+    for slot in range(len(program.slots)):
+        si = packed[program.m + slot]
+        if not program.live[slot][si]:
+            continue
+        index = (state >> at[slot][si]) & program.value_mask
+        child = program.step_packed(packed, slot)
+        assert state + deltas[slot][si][index] == program.encode(child)
+        moved = [key + d for key, d in zip(vector, vdeltas[slot][si][index])]
+        assert moved == weights.vector(child)
+        kinds.add(program.kind[slot][si])
+    return kinds
+
+
+class TestOrbitDeltaRows:
+    """The quotient walk's successor arithmetic matches the packed
+    kernel and the from-scratch key vector."""
+
+    @pytest.mark.parametrize("name", sorted(ORBIT_INSTANCES))
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=7), max_size=60))
+    def test_delta_rows_step_like_the_kernel(self, name, choices):
+        instance, initial, program, _, _ = _orbit_keys(name)
+        state = initial
+        for choice in choices:
+            _check_orbit_deltas(name, program.pack(state))
+            enabled = enabled_pids(instance, state)
+            if not enabled:
+                break
+            state = step_value(instance, state, enabled[choice % len(enabled)])
+
+    @pytest.mark.parametrize("name", sorted(ORBIT_INSTANCES))
+    def test_reads_and_writes_are_covered(self, name):
+        # Breadth first from the initial state: the random walks above
+        # step writes too, and here they provably do.
+        instance, initial, program, _, _ = _orbit_keys(name)
+        seen = {initial}
+        frontier = [initial]
+        kinds = set()
+        while frontier and len(seen) < 300:
+            state = frontier.pop(0)
+            kinds |= _check_orbit_deltas(name, program.pack(state))
+            for pid in enabled_pids(instance, state):
+                child = step_value(instance, state, pid)
+                if child not in seen:
+                    seen.add(child)
+                    frontier.append(child)
+        assert {compiled_module.OP_READ, compiled_module.OP_WRITE} <= kinds
+
+    def test_equal_rows_share_one_tuple(self):
+        rows = _orbit_delta_rows("consensus-n3-equal")
+        entries = [
+            vd for slot in rows for row in slot for vd in row if vd is not None
+        ]
+        assert len({id(vd) for vd in entries}) == len(set(entries))
+
+
+def _raising_consensus_n3(hook):
+    """Three-process consensus whose first process's ``hook`` raises deep
+    in the quotient walk: ``output`` on its decided state, ``next_op``
+    and ``apply`` on its write to the last register.  Overridden on the
+    automaton object, so the symmetry group (order 6) still applies."""
+    system = consensus_n3_system()
+    pid = pids(3)[0]
+    automaton = system.scheduler.runtime(pid).automaton
+    plain = getattr(automaton, hook)
+
+    def raising(state, *args):
+        if hook == "output":
+            hit = state.pc == "decided"
+        else:
+            hit = state.pc == "write" and state.write_index == 4
+        if hit:
+            raise RuntimeError(f"{hook} raised on process {pid}: {state}")
+        return plain(state, *args)
+
+    setattr(automaton, hook, raising)
+    return system
+
+
+def _quotient_outcome(build, backend, telemetry=None, **budgets):
+    """The fingerprint and kernel of a quotient walk, or the exception
+    it raised."""
+    system = build()
+    try:
+        result = explore(
+            system,
+            CONSENSUS.invariant,
+            canonicalizer=build_canonicalizer(system),
+            backend=backend,
+            telemetry=telemetry,
+            **budgets,
+        )
+    except RuntimeError as error:
+        return ("raised", str(error))
+    return fingerprint(result), result.kernel
+
+
+class TestQuotientWalkHooks:
+    """Hooks that raise deep in a three-process symmetric walk: the
+    compiled quotient walk raises exactly where the serial one does."""
+
+    @pytest.mark.parametrize("hook", ["output", "next_op", "apply"])
+    def test_a_hook_raising_deep_in_the_walk(self, hook):
+        build = partial(_raising_consensus_n3, hook)
+        assert build_canonicalizer(build()).group_order == 6
+        serial = _quotient_outcome(build, SerialBackend())
+        assert serial[0] == "raised"
+        assert _quotient_outcome(build, CompiledBackend()) == serial
+        # The serial walk raises at its 195th-201st visited state; cut
+        # before that, both walks end cleanly and alike.  An output
+        # hook poisons the suspect's facts when the tables close, so
+        # every state is decoded and checked from the start.
+        for max_states in (1, 50, 120):
+            serial = _quotient_outcome(
+                build, SerialBackend(), max_states=max_states
+            )
+            assert serial[0] != "raised", max_states
+            assert _quotient_outcome(
+                build, CompiledBackend(), max_states=max_states
+            ) == (serial[0], "compiled"), max_states
+
+    def test_tables_growing_during_the_walk_fall_back(self, monkeypatch):
+        # Closed tables cannot grow, so force it on the walk's one slow
+        # path, a poisoned entry: its step interns a value that widens
+        # the register fields.  The walk must stop before it encodes
+        # anything in the new layout, and the interpreter takes over.
+        def widening(program, packed, slot):
+            program._intern(("fresh", len(program.values)))
+            return packed
+
+        build = partial(_raising_consensus_n3, "apply")
+        serial = _quotient_outcome(build, SerialBackend())
+        monkeypatch.setattr(
+            compiled_module.CompiledProgram, "step_packed", widening
+        )
+        tel = Telemetry()
+        assert _quotient_outcome(build, CompiledBackend(), telemetry=tel) == serial
+        assert [
+            fields["reason"]
+            for _, name, fields in tel.events()
+            if name == "explore.kernel_fallback"
+        ] == ["the tables grew during the quotient walk"]
 
 
 class TestKernelWiring:

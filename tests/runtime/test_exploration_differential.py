@@ -119,6 +119,32 @@ VIOLATING_INSTANCES = [
         consensus_invariant,
         id="consensus-1-register",
     ),
+] + [
+    # Three processes on too few registers (Theorems 6.3 and 6.5), 7 to
+    # 26 states each: three-slot walks report violations too, the
+    # quotient walk's under groups of order 2 and 6.
+    pytest.param(
+        lambda registers=registers, inputs=inputs: System(
+            AnonymousConsensus(n=3, registers=registers),
+            dict(zip(pids(3), inputs)),
+            record_trace=False,
+        ),
+        consensus_invariant,
+        id=f"consensus-n3-{registers}-register-{''.join(inputs)}",
+    )
+    for registers in (1, 2)
+    for inputs in (("a", "a", "b"), ("a", "b", "c"))
+] + [
+    pytest.param(
+        lambda registers=registers: System(
+            AnonymousRenaming(n=3, registers=registers),
+            pids(3),
+            record_trace=False,
+        ),
+        unique_names_invariant,
+        id=f"renaming-n3-{registers}-register",
+    )
+    for registers in (1, 2)
 ]
 
 
