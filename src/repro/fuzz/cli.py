@@ -149,7 +149,12 @@ def fuzz_main(argv: Sequence[str]) -> int:
                         help="explicit builder parameter (repeatable; "
                         "mutually exclusive with --instance)")
     add_seed_flag(parser)
-    add_kernel_flag(parser)
+    add_kernel_flag(
+        parser,
+        help_text="step kernel of the search: 'compiled' steps packed "
+        "states through the table-compiled kernel (serial only; "
+        "byte-identical reports)",
+    )
     add_backend_flag(
         parser,
         help_text="execution backend (fuzz episodes are serial; "

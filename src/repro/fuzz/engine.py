@@ -21,14 +21,19 @@ fuzzer bug, never a result.  The revisit oracles and the shrinkers
 step through one :class:`~repro.fuzz.shrink.StepMemo` per run;
 certification judges through a fresh one.
 
+The interpreted kernel searches through that memo too: its states are
+the memo's ids, so a step, a strategy's context or an invariant message
+the run has met before is a table lookup.  The compiled kernel steps
+packed states (:mod:`repro.runtime.compiled`) and interns a state in the
+memo only when a revisit hands it to the oracles.
+
 Determinism: episode ``i`` of family ``f`` seeds its own
 ``random.Random`` from ``blake2b(f"{seed}:{i}:{f}")`` — independent of
 ``PYTHONHASHSEED``, stable across shards (farm cells pass
-``episode_base``), and kernel-independent.  The compiled kernel steps
-packed states (:mod:`repro.runtime.compiled`); packing is a bijection
-on the states a run reaches, so revisit positions — and therefore
-schedules, hits and shrunk witnesses — are byte-identical to the
-interpreted kernel's (pinned by ``tests/fuzz/test_differential.py``).
+``episode_base``), and kernel-independent.  Memo ids and packed states
+are both bijections on the states a run reaches, so revisit positions —
+and therefore schedules, hits and shrunk witnesses — are byte-identical
+under either kernel (pinned by ``tests/fuzz/test_differential.py``).
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.errors import ConfigurationError, FuzzError
 from repro.fuzz.shrink import (
     LASSO_ORACLES,
+    Context,
     StepMemo,
     cycle_is_df_violation,
     cycle_is_of_violation,
@@ -53,13 +59,7 @@ from repro.fuzz.strategies import (
     build_strategy,
 )
 from repro.request import RunRequest
-from repro.runtime.kernel import (
-    GlobalState,
-    StateView,
-    StepInstance,
-    step_value,
-)
-from repro.runtime.ops import ReadOp, WriteOp
+from repro.runtime.kernel import GlobalState, StepInstance
 from repro.types import ProcessId
 
 __all__ = [
@@ -180,60 +180,29 @@ class FuzzReport:
 
 # -- steppers ----------------------------------------------------------
 #
-# Both kernels expose the same five operations; their state keys differ
-# (value tuples vs packed index tuples) but are bijective over the
-# states a run reaches, so revisit bookkeeping is kernel-independent.
+# Both kernels expose ``initial``, ``context``, ``step`` and ``check``,
+# plus ``entry``, which hands a revisited state to the oracles as a memo
+# id; their states differ (memo ids vs packed index tuples) but are
+# bijective over the states a run reaches, so revisit bookkeeping is
+# kernel-independent.
 
 class _InterpretedStepper:
+    """The search over the run's :class:`StepMemo`: its states are memo
+    ids, and each step, context and message comes from the id's row."""
+
     kernel = "interpreted"
     #: No step here can overflow a table (catches nothing).
     overflow: Tuple[type, ...] = ()
 
-    def __init__(
-        self,
-        instance: StepInstance,
-        initial: GlobalState,
-        invariant: Optional[Callable[..., Optional[str]]],
-    ) -> None:
-        self.instance = instance
-        self.initial = initial
-        self._invariant = invariant
+    def __init__(self, memo: StepMemo, initial: GlobalState) -> None:
+        self.initial = memo.intern(initial)
+        self.context: Callable[[int], Context] = memo.context
+        self.step: Callable[[int, ProcessId], int] = memo.advance
+        self.check: Callable[[int], Optional[str]] = memo.message
 
-    def step(self, state: GlobalState, pid: ProcessId) -> GlobalState:
-        return step_value(self.instance, state, pid)
-
-    def enabled(self, state: GlobalState) -> Tuple[ProcessId, ...]:
-        locals_part = state[1]
-        slot_of = self.instance.slot_of
-        return tuple(
-            pid
-            for pid in self.instance.pid_order
-            if not (
-                locals_part[slot_of[pid]][2] or locals_part[slot_of[pid]][3]
-            )
-        )
-
-    def check(self, state: GlobalState) -> Optional[str]:
-        if self._invariant is None:
-            return None
-        return self._invariant(StateView(self.instance, state))
-
-    def pending_physical(
-        self, state: GlobalState, pid: ProcessId
-    ) -> Optional[int]:
-        local = self.instance.slot_entry(state, pid)[1]
-        try:
-            op = self.instance.automata[pid].next_op(local)
-        except Exception:  # noqa: BLE001 — poison ops surface on step
-            return None
-        if isinstance(op, (ReadOp, WriteOp)):
-            perm = self.instance.permutations[pid]
-            if 0 <= op.index < len(perm):
-                return perm[op.index]
-        return None
-
-    def to_value_state(self, state: GlobalState) -> GlobalState:
-        return state
+    @staticmethod
+    def entry(sid: int) -> int:
+        return sid
 
 
 class _CompiledStepper:
@@ -243,6 +212,7 @@ class _CompiledStepper:
         self,
         program: Any,
         invariant: Optional[Callable[..., Optional[str]]],
+        memo: StepMemo,
     ) -> None:
         from repro.runtime.compiled import CompileOverflow, compile_checker
 
@@ -251,6 +221,7 @@ class _CompiledStepper:
         self.instance = program.instance
         self.program = program
         self.initial = program.initial_packed
+        self._memo = memo
         self._checker = (
             compile_checker(invariant, program)
             if invariant is not None
@@ -262,22 +233,25 @@ class _CompiledStepper:
             packed, self.instance.slot_of[pid]
         )
 
-    def enabled(self, packed: Tuple[int, ...]) -> Tuple[ProcessId, ...]:
+    def context(self, packed: Tuple[int, ...]) -> Context:
         program = self.program
-        return tuple(
+        enabled = tuple(
             pid
             for pid, slot, offset in program.step_order
             if not (
                 program.halted[slot][packed[offset]] or program.crashed[slot]
             )
         )
+        return enabled, {
+            pid: self._pending_physical(packed, pid) for pid in enabled
+        }
 
     def check(self, packed: Tuple[int, ...]) -> Optional[str]:
         if self._checker is None:
             return None
         return self._checker(packed)
 
-    def pending_physical(
+    def _pending_physical(
         self, packed: Tuple[int, ...], pid: ProcessId
     ) -> Optional[int]:
         from repro.runtime.compiled import OP_READ, OP_WRITE
@@ -290,35 +264,36 @@ class _CompiledStepper:
             return program.arg[slot][si]
         return None
 
-    def to_value_state(self, packed: Tuple[int, ...]) -> GlobalState:
-        return self.program.unpack(packed)
+    def entry(self, packed: Tuple[int, ...]) -> int:
+        return self._memo.intern(self.program.unpack(packed))
 
 
 # -- the engine --------------------------------------------------------
 
 def _build_stepper(
     spec: Any,
-    instance: StepInstance,
+    memo: StepMemo,
     initial: GlobalState,
-    invariant: Optional[Callable[..., Optional[str]]],
     kernel: str,
     params: Dict[str, Any],
 ) -> Any:
     if kernel == "interpreted":
-        return _InterpretedStepper(instance, initial, invariant)
+        return _InterpretedStepper(memo, initial)
     from repro.runtime.compiled import CompileOverflow, compile_program
 
     domain_hint: Sequence[Any] = ()
     if spec.value_domain is not None:
         domain_hint = spec.value_domain(params)
     try:
-        program = compile_program(instance, initial, domain_hint=domain_hint)
+        program = compile_program(
+            memo.instance, initial, domain_hint=domain_hint
+        )
     except CompileOverflow:
         # Same fallback contract as CompiledBackend: outside the
         # enumerable envelope the interpreted kernel takes over; the
         # report records the effective kernel.
-        return _InterpretedStepper(instance, initial, invariant)
-    return _CompiledStepper(program, invariant)
+        return _InterpretedStepper(memo, initial)
+    return _CompiledStepper(program, spec.invariant, memo)
 
 
 def run_fuzz(
@@ -365,12 +340,11 @@ def run_fuzz(
     instance = StepInstance.from_system(system)
     initial = system.scheduler.capture_state()
     params = instance_record.params_dict()
-    stepper = _build_stepper(
-        spec, instance, initial, spec.invariant, kernel, params
-    )
-    # One step memo per run: the lasso oracles and both shrinkers step
-    # through it, so ddmin's replays cost table lookups, not kernel steps.
-    memo = StepMemo(instance)
+    # One step memo per run: the interpreted search, the lasso oracles
+    # and both shrinkers step through it, so a step the run has met
+    # before costs a table lookup, not a kernel step.
+    memo = StepMemo(instance, spec.invariant)
+    stepper = _build_stepper(spec, memo, initial, kernel, params)
     liveness_kinds = {prop.kind for prop in spec.liveness}
     theorem_of = {prop.kind: prop.theorem for prop in spec.liveness}
     check_df = "deadlock-freedom" in liveness_kinds and memo.supported
@@ -398,6 +372,7 @@ def run_fuzz(
                 episodes=episodes,
             )
 
+        context, step, check = stepper.context, stepper.step, stepper.check
         coverage: Set[Any] = set()
         pid_count = len(instance.pid_order)
         for episode in range(episode_base, episode_base + episodes):
@@ -419,12 +394,9 @@ def run_fuzz(
             last_accessor: Dict[int, ProcessId] = {}
 
             for step_index in range(max_steps):
-                enabled = stepper.enabled(state)
+                enabled, pending = context(state)
                 if not enabled:
                     break  # everyone settled: nothing left to schedule
-                pending = {
-                    pid: stepper.pending_physical(state, pid) for pid in enabled
-                }
                 pid = strategy.choose(
                     FuzzContext(
                         enabled=enabled,
@@ -437,7 +409,7 @@ def run_fuzz(
                 if pid is None:
                     break  # strategy surrendered (e.g. broken lockstep)
                 physical = pending[pid]
-                state = stepper.step(state, pid)
+                state = step(state, pid)
                 schedule.append(pid)
                 report.steps += 1
                 if physical is not None:
@@ -446,7 +418,7 @@ def run_fuzz(
                         contention[pid] = contention.get(pid, 0) + 1
                     last_accessor[physical] = pid
 
-                message = stepper.check(state)
+                message = check(state)
                 if message is not None:
                     report.violations.append(
                         _certify_safety(
@@ -464,7 +436,7 @@ def run_fuzz(
                     continue
                 # Revisit: candidate lasso (prefix=schedule[:j], cycle=rest).
                 cycle = tuple(schedule[position:])
-                entry = memo.intern(stepper.to_value_state(state))
+                entry = stepper.entry(state)
                 hit_kind: Optional[str] = None
                 if check_df and cycle_is_df_violation(memo, entry, cycle):
                     hit_kind = "deadlock-freedom"
@@ -493,9 +465,7 @@ def run_fuzz(
     except stepper.overflow:
         # The run reached past the compiled tables' caps: as with
         # CompiledBackend, the interpreted kernel runs it again whole.
-        report = fuzz_with(
-            _InterpretedStepper(instance, initial, spec.invariant)
-        )
+        report = fuzz_with(_InterpretedStepper(memo, initial))
     if telemetry.enabled:
         telemetry.gauge("fuzz.episodes", report.episodes_run)
         telemetry.gauge("fuzz.steps", report.steps)

@@ -8,10 +8,12 @@ holds both halves of that contract:
 
 * the **step memo** (:class:`StepMemo`) — the pure kernel's transition
   function, memoised for one fuzz run: value states are interned as
-  integer ids and each ``(state id, pid)`` step is computed by
-  :func:`~repro.runtime.kernel.step_value` once.  ddmin replays
+  integer ids, and each id's row holds its successor per slot (computed
+  by :func:`~repro.runtime.kernel.step_value` once), its scheduling
+  context, its critical-section mask and the run invariant's message.
+  The interpreted search walks these ids, and ddmin replays
   near-identical schedules from the same few states over and over, so
-  almost every step it asks for is already in the table;
+  almost every step either asks for is already in the table;
 * the **oracles** — walks over the memo that decide whether a schedule
   (or a prefix+cycle lasso) exhibits a safety violation, a fair
   non-progress cycle (deadlock-freedom, the conditions of
@@ -41,6 +43,7 @@ from repro.runtime.kernel import (
     enabled_pids,
     step_value,
 )
+from repro.runtime.ops import ReadOp, WriteOp
 from repro.types import ProcessId
 
 __all__ = [
@@ -60,42 +63,73 @@ Schedule = Tuple[ProcessId, ...]
 #: unknown process, out-of-range register).
 REJECTED = -1
 
+#: A state's live pids and, for each, the physical register its pending
+#: operation touches (``None`` for a local step): what the search builds
+#: each :class:`~repro.fuzz.strategies.FuzzContext` from.  Every visit
+#: of the state shares one, so readers must not mutate it.
+Context = Tuple[Tuple[ProcessId, ...], Dict[ProcessId, Optional[int]]]
+
+# The fields of a state's row; the successor ids follow, one per slot.
+_CONTEXT, _CS_MASK, _MESSAGE, _NEXT = range(4)
+
+#: A message field not yet evaluated (``None`` is a clean state's).
+_UNSET: Any = object()
+
 
 # -- the step memo -----------------------------------------------------
 
 class StepMemo:
     """The kernel's transition function over interned states, for one run.
 
-    ``states[i]`` is the value state with id ``i``; :meth:`step` looks a
-    ``(state id, pid)`` step up in the table and calls
-    :func:`~repro.runtime.kernel.step_value` only on a miss.  A step the
-    kernel rejects with ``SchedulingError``/``ProtocolError`` is stored
-    as :data:`REJECTED` with its error's class and arguments
-    (:meth:`solo_run` raises it again); any other exception propagates
-    and is not stored.  The automata are pure, so a memoised step equals
-    a recomputed one.
+    ``states[i]`` is the value state with id ``i``.  Each id has one row,
+    whose fields are filled the first time they are asked for:
 
-    ``in_cs``/``phase`` memoise the automata's ``in_critical_section``/
-    ``phase`` hooks per ``(state id, pid)``; ``supported`` reports
-    whether every automaton exposes both (mutex-style automata only).
+    * the successor id per slot (:meth:`step`), computed by
+      :func:`~repro.runtime.kernel.step_value` on a miss.  A step the
+      kernel rejects with ``SchedulingError``/``ProtocolError`` is stored
+      as :data:`REJECTED` with its error's class and arguments
+      (:meth:`advance` and :meth:`solo_run` raise it again); any other
+      exception propagates and is not stored;
+    * the :data:`Context` (:meth:`context`): the live pids and their
+      pending physical registers.  A ``next_op`` that raises leaves the
+      register ``None``; the step itself then raises;
+    * the bit mask of the slots in their critical section
+      (:meth:`cs_mask`);
+    * the message of ``invariant``, the run's invariant (:meth:`message`).
+      An invariant that raises propagates and is not stored.
+
+    The automata are pure, so a memoised field equals a recomputed one.
+    ``phase`` memoises the automata's ``phase`` hook per
+    ``(state id, pid)``; ``supported`` reports whether every automaton
+    exposes it and ``in_critical_section`` (mutex-style automata only).
 
     A memo grows with every state its caller touches and is never
     evicted, so the engine builds one per run and drops it with the run.
     """
 
-    def __init__(self, instance: StepInstance) -> None:
+    def __init__(
+        self,
+        instance: StepInstance,
+        invariant: Optional[Callable[..., Optional[str]]] = None,
+    ) -> None:
         self.instance = instance
+        self.invariant = invariant
         self.supported = all(
             hasattr(a, "in_critical_section") and hasattr(a, "phase")
             for a in instance.automata.values()
         )
         self.states: List[GlobalState] = []
         self._ids: Dict[GlobalState, int] = {}
-        self._table: Dict[Tuple[int, ProcessId], int] = {}
+        self._rows: List[List[Any]] = []
+        self._blank: List[Any] = [None] * (_NEXT + len(instance.slot_of))
+        self._blank[_MESSAGE] = _UNSET
+        #: pid -> the row field of its successor.
+        self._next_of = {
+            pid: _NEXT + slot for pid, slot in instance.slot_of.items()
+        }
         self._rejections: Dict[
             Tuple[int, ProcessId], Tuple[Type[Exception], Tuple[Any, ...]]
         ] = {}
-        self._in_cs: Dict[Tuple[int, ProcessId], bool] = {}
         self._phase: Dict[Tuple[int, ProcessId], str] = {}
 
     def intern(self, state: GlobalState) -> int:
@@ -104,17 +138,32 @@ class StepMemo:
         if sid is None:
             sid = self._ids[state] = len(self.states)
             self.states.append(state)
+            self._rows.append(self._blank[:])
         return sid
 
     def step(self, sid: int, pid: ProcessId) -> int:
         """The id of ``pid``'s successor of state ``sid``, or
         :data:`REJECTED`."""
-        successor = self._table.get((sid, pid))
+        field = self._next_of.get(pid)
+        if field is not None:
+            successor: Optional[int] = self._rows[sid][field]
+            if successor is not None:
+                return successor
+        return self._miss(sid, pid, field)
+
+    def advance(self, sid: int, pid: ProcessId) -> int:
+        """:meth:`step`, raising the kernel's error on a rejected step
+        (the search's step)."""
+        field = self._next_of[pid]
+        successor: Optional[int] = self._rows[sid][field]
         if successor is None:
-            successor = self._miss(sid, pid)
+            successor = self._miss(sid, pid, field)
+        if successor == REJECTED:
+            error_type, args = self._rejections[(sid, pid)]
+            raise error_type(*args)
         return successor
 
-    def _miss(self, sid: int, pid: ProcessId) -> int:
+    def _miss(self, sid: int, pid: ProcessId, field: Optional[int]) -> int:
         try:
             state = step_value(self.instance, self.states[sid], pid)
         except (SchedulingError, ProtocolError) as error:
@@ -124,17 +173,19 @@ class StepMemo:
             successor = REJECTED
         else:
             successor = self.intern(state)
-        self._table[(sid, pid)] = successor
+        if field is not None:  # an unknown pid has no field
+            self._rows[sid][field] = successor
         return successor
 
     def replay(self, sid: int, schedule: Sequence[ProcessId]) -> Optional[int]:
         """Walk ``schedule`` from ``sid``; ``None`` if a step is rejected
         (the memoised :func:`replay_values`)."""
-        table = self._table
+        rows, next_of = self._rows, self._next_of
         for pid in schedule:  # :meth:`step`, inlined: ddmin's hot loop
-            successor = table.get((sid, pid))
+            field = next_of.get(pid)
+            successor = None if field is None else rows[sid][field]
             if successor is None:
-                successor = self._miss(sid, pid)
+                successor = self._miss(sid, pid, field)
             if successor == REJECTED:
                 return None
             sid = successor
@@ -151,30 +202,64 @@ class StepMemo:
         for steps in range(max_steps):
             if self._settled(sid, slot):
                 return sid, steps, True
-            successor = self.step(sid, pid)
-            if successor == REJECTED:
-                error_type, args = self._rejections[(sid, pid)]
-                raise error_type(*args)
-            sid = successor
+            sid = self.advance(sid, pid)
         return sid, max_steps, self._settled(sid, slot)
 
     def _settled(self, sid: int, slot: int) -> bool:
         _, _, halted, crashed = self.states[sid][1][slot]
         return halted or crashed
 
+    def context(self, sid: int) -> Context:
+        """The live pids at ``sid``, in scheduler order, and the physical
+        register each one's pending operation touches."""
+        row = self._rows[sid]
+        context: Optional[Context] = row[_CONTEXT]
+        if context is None:
+            instance = self.instance
+            state = self.states[sid]
+            live = enabled_pids(instance, state)
+            context = row[_CONTEXT] = (
+                live,
+                {pid: _pending_register(instance, state, pid) for pid in live},
+            )
+        return context
+
     def live_pids(self, sid: int) -> Tuple[ProcessId, ...]:
         """Processes neither halted nor crashed at ``sid``, in scheduler
         order."""
-        return enabled_pids(self.instance, self.states[sid])
+        return self.context(sid)[0]
+
+    def cs_mask(self, sid: int) -> int:
+        """The slots in their critical section at ``sid``, one bit each
+        (bit ``slot_of[pid]``)."""
+        row = self._rows[sid]
+        mask: Optional[int] = row[_CS_MASK]
+        if mask is None:
+            automata = self.instance.automata
+            mask = 0
+            for slot, (pid, local, _, _) in enumerate(self.states[sid][1]):
+                if automata[pid].in_critical_section(local):
+                    mask |= 1 << slot
+            row[_CS_MASK] = mask
+        return mask
 
     def in_cs(self, sid: int, pid: ProcessId) -> bool:
         """Whether ``pid`` is in its critical section at ``sid``."""
-        flag = self._in_cs.get((sid, pid))
-        if flag is None:
-            local = self.instance.slot_entry(self.states[sid], pid)[1]
-            flag = self.instance.automata[pid].in_critical_section(local)
-            self._in_cs[(sid, pid)] = flag
-        return flag
+        return bool(self.cs_mask(sid) >> self.instance.slot_of[pid] & 1)
+
+    def message(self, sid: int) -> Optional[str]:
+        """The run invariant's violation message at ``sid`` (``None``
+        when the state is clean or the memo has no invariant)."""
+        row = self._rows[sid]
+        message: Optional[str] = row[_MESSAGE]
+        if message is _UNSET:
+            invariant = self.invariant
+            message = row[_MESSAGE] = (
+                None
+                if invariant is None
+                else invariant(StateView(self.instance, self.states[sid]))
+            )
+        return message
 
     def phase(self, sid: int, pid: ProcessId) -> str:
         """``pid``'s section (entry/critical/exit/remainder) at ``sid``."""
@@ -184,6 +269,24 @@ class StepMemo:
             name = self.instance.automata[pid].phase(local)
             self._phase[(sid, pid)] = name
         return name
+
+
+def _pending_register(
+    instance: StepInstance, state: GlobalState, pid: ProcessId
+) -> Optional[int]:
+    """The physical register ``pid``'s next operation at ``state``
+    touches; ``None`` for a local step, an out-of-range register or a
+    ``next_op`` that raises (the step itself raises)."""
+    local = instance.slot_entry(state, pid)[1]
+    try:
+        op = instance.automata[pid].next_op(local)
+    except Exception:  # noqa: BLE001 — poison ops surface on the step
+        return None
+    if isinstance(op, (ReadOp, WriteOp)):
+        perm = instance.permutations[pid]
+        if 0 <= op.index < len(perm):
+            return perm[op.index]
+    return None
 
 
 # -- oracles -----------------------------------------------------------
@@ -227,15 +330,17 @@ def cycle_is_df_violation(
         return False
     if not any(memo.phase(entry, pid) == "entry" for pid in live):
         return False
-    step, in_cs = memo.step, memo.in_cs
-    sid = entry
+    step, cs_mask = memo.step, memo.cs_mask
+    slot_of = memo.instance.slot_of
+    sid, inside = entry, cs_mask(entry)
     for pid in cycle:
         successor = step(sid, pid)
         if successor == REJECTED:
             return False
-        if not in_cs(sid, pid) and in_cs(successor, pid):
+        after = cs_mask(successor)
+        if (after & ~inside) >> slot_of[pid] & 1:
             return False  # progress edge: someone got in
-        sid = successor
+        sid, inside = successor, after
     return sid == entry
 
 
@@ -269,10 +374,13 @@ def safety_message(
 ) -> Optional[str]:
     """The invariant's violation message at the end of ``schedule`` from
     state id ``initial`` (``None`` when the schedule is infeasible or the
-    final state is clean)."""
+    final state is clean).  Only the memo's own invariant reads its
+    message rows; any other is evaluated on the state."""
     final = memo.replay(initial, schedule)
     if final is None:
         return None
+    if invariant is memo.invariant:
+        return memo.message(final)
     return invariant(StateView(memo.instance, memo.states[final]))
 
 

@@ -860,23 +860,22 @@ def _decided(value: Any) -> bool:
 class _Flags:
     """Per-slot 0/1 suspicion flags, grown with the program.
 
-    ``rows[slot][si]`` starts at ``initial`` for every local state the
-    program interns; the :class:`_Facts` that feed these flags then set
-    it to 1 when their fact marks the state.  Rows grow and change in
-    place, so a walk can hoist them.
+    ``rows[slot][si]`` starts at 0 for every local state the program
+    interns; the :class:`_Facts` that feed these flags then set it to 1
+    when their fact marks the state.  Rows grow and change in place, so
+    a walk can hoist them.
     """
 
-    __slots__ = ("rows", "_initial")
+    __slots__ = ("rows",)
 
-    def __init__(self, program: CompiledProgram, initial: int = 0) -> None:
+    def __init__(self, program: CompiledProgram) -> None:
         self.rows: List[List[int]] = [[] for _ in program.slots]
-        self._initial = initial
         # Registered before any fact that feeds these flags, so a new
         # state's flag exists when its facts are computed.
         program.watch(self._add)
 
     def _add(self, slot: int, si: int) -> None:
-        self.rows[slot].append(self._initial)
+        self.rows[slot].append(0)
 
 
 class _Facts:
@@ -1311,7 +1310,11 @@ class CompiledBackend:
                 result = self._run_general(
                     task, program, suspect, slow, tables, telemetry
                 )
-            elif len(program.slots) == 2 and not task.retain_graph:
+            elif (
+                len(program.slots) == 2
+                and not task.retain_graph
+                and suspect.threshold == 2
+            ):
                 result = self._run_trivial_two(
                     task, program, suspect, slow, telemetry
                 )
@@ -1347,9 +1350,8 @@ class CompiledBackend:
         same order, over the same int states (the layout of
         :meth:`CompiledProgram.encode`) and delta tables — and with a
         visited set instead of an ``int -> ordinal`` dict.  Its inline
-        flag test is an ``and`` of the two slots' flags: exactly the
-        suspect's threshold of 2 (mutual exclusion), and under a lower
-        threshold every state passes.  A state is decoded to its packed
+        flag test is an ``and`` of the two slots' flags, which is exactly
+        the suspect's threshold of 2.  A state is decoded to its packed
         tuple only when it passes, and for a poisoned entry.  An entry
         the tables lack (a ``None`` delta) goes through
         :func:`_fill_step`, which fills it; the tables are the program's
@@ -1357,9 +1359,13 @@ class CompiledBackend:
         ``value_mask``, is reloaded after it.
 
         Every plain (``retain_graph=False``) trivial walk of a two-slot
-        instance runs here, e.g. two-process mutex explored with
+        instance under a threshold-2 suspect (mutual exclusion,
+        agreement) runs here, e.g. two-process mutex explored with
         ``reduction="none"``: on mutex m=9 it beats the generic loop by
-        more than 15%.  ``verify`` retains graphs and so runs
+        more than 15%.  Under any other threshold the ``and`` would
+        decode states the threshold rules out, or miss ones it lets
+        through, so those walks run :meth:`_run_trivial`, which tests
+        the sum.  ``verify`` retains graphs and so runs
         :meth:`_run_trivial`, and the three-process instances have three
         slots.
         """
@@ -1379,10 +1385,8 @@ class CompiledBackend:
         deltas, at = program.delta_tables()
         deltas_a, deltas_b = deltas[s_a], deltas[s_b]
         at_a, at_b = at[s_a], at[s_b]
-        # Two 0/1 flags reach a threshold of 2 exactly when both are
-        # set; below that, every state reaches it.
-        flags = suspect.flags if suspect.threshold > 1 else _Flags(program, 1)
-        cs_a, cs_b = flags.rows[s_a], flags.rows[s_b]
+        # Two 0/1 flags reach the threshold of 2 exactly when both are set.
+        cs_a, cs_b = suspect.flags.rows[s_a], suspect.flags.rows[s_b]
         exact = suspect.exact
 
         initial = program.encode(program.initial_packed)
@@ -1514,8 +1518,8 @@ class CompiledBackend:
         entry.
 
         Runs every trivial walk :meth:`_run_trivial_two` does not: all
-        of ``verify`` (two slots, retaining) and the walks of three or
-        more slots.
+        of ``verify`` (two slots, retaining), plain two-slot walks under
+        a threshold other than 2 and the walks of three or more slots.
         """
         max_states = task.max_states
         max_depth = task.max_depth

@@ -2,11 +2,14 @@
 byte-identical reports — schedules, violations, shrunk witnesses,
 coverage counts — under the compiled and interpreted kernels.
 
-This holds because packing is a bijection on the reachable closure
-(state revisits happen at identical schedule positions) and both
-steppers derive identical :class:`~repro.fuzz.strategies.FuzzContext`
-snapshots (same enabled order, same pending physical registers), so the
-strategies' RNG streams never diverge.
+This holds because packing and the step memo's ids are both bijections
+on the reachable closure (state revisits happen at identical schedule
+positions) and both steppers derive identical
+:class:`~repro.fuzz.strategies.FuzzContext` snapshots (same enabled
+order, same pending physical registers), so the strategies' RNG streams
+never diverge.  The mutex targets run the deadlock-freedom oracle and
+mutual exclusion; consensus, renaming and election run the
+obstruction-freedom oracle and agreement, validity and unique names.
 """
 
 import json
@@ -21,12 +24,12 @@ from repro.runtime import compiled as compiled_module
 KERNEL_KEYS = ("kernel", "effective_kernel")
 
 
-def report_dict(instance, kernel, episodes):
+def report_dict(instance, kernel, episodes, problem="figure-1-mutex", seed=7):
     report = run_fuzz(
         RunRequest(
-            problem="figure-1-mutex",
+            problem=problem,
             instance=instance,
-            seed=7,
+            seed=seed,
             kernel=kernel if kernel == "compiled" else None,
         ),
         episodes=episodes,
@@ -47,6 +50,22 @@ def test_compiled_and_interpreted_reports_byte_identical(
     interpreted = report_dict(instance, "interpreted", episodes)
     compiled = report_dict(instance, "compiled", episodes)
     assert bool(interpreted["violations"]) == expect_found
+    assert json.dumps(interpreted, sort_keys=True) == json.dumps(
+        compiled, sort_keys=True
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 7, 12345])
+@pytest.mark.parametrize("problem, instance", [
+    ("figure-2-consensus", "figure-2-consensus(n=2)"),
+    ("figure-2-consensus", "figure-2-consensus(n=3,equal)"),
+    ("figure-3-renaming", "figure-3-renaming(n=2)"),
+    ("election", "election(n=2)"),
+])
+def test_obstruction_free_targets_byte_identical(problem, instance, seed):
+    interpreted = report_dict(instance, "interpreted", 16, problem, seed)
+    compiled = report_dict(instance, "compiled", 16, problem, seed)
+    assert interpreted["steps"] > 0 and not interpreted["violations"]
     assert json.dumps(interpreted, sort_keys=True) == json.dumps(
         compiled, sort_keys=True
     )

@@ -1,12 +1,18 @@
 """Engine acceptance tests: the mutant is found, clean instances stay
-clean, every reported witness replays on a live system, and the run is
-a pure function of its seed."""
+clean, every reported witness replays on a live system, the run is a
+pure function of its seed, and a search step or hook that fails fails
+the run alike under both kernels."""
+
+import dataclasses
 
 import pytest
 
-from repro.errors import ConfigurationError, FuzzError
+from repro.core.mutex import AnonymousMutexProcess
+from repro.errors import ConfigurationError, FuzzError, ProtocolError
+from repro.fuzz import engine
 from repro.fuzz.engine import run_fuzz
-from repro.request import RunRequest
+from repro.request import RunRequest, resolve_target
+from repro.runtime.ops import ReadOp
 from repro.runtime.replay import replay_schedule
 
 EPISODES = 16  # the shared budget: enough for every family to fire 4x
@@ -152,3 +158,103 @@ class TestEpisodeSharding:
             if 8 <= v.episode < 16
         ]
         assert [v.to_dict() for v in shard.violations] == expected
+
+
+class TestCoverage:
+    def test_states_the_shrinker_interns_do_not_count(self, monkeypatch):
+        # The run's memo also holds every state ddmin replayed to; the
+        # coverage and the max_states budget count the search's alone.
+        memos = []
+
+        class RecordingMemo(engine.StepMemo):
+            def __init__(self, *args):
+                super().__init__(*args)
+                memos.append(self)
+
+        monkeypatch.setattr(engine, "StepMemo", RecordingMemo)
+        searched = fuzz("figure-1-mutex-even-m", shrink=False, validate=False)
+        memos.clear()
+        shrunk = fuzz("figure-1-mutex-even-m")
+        assert shrunk.found
+        assert len(memos[0].states) > shrunk.distinct_states
+        assert shrunk.distinct_states == searched.distinct_states
+
+        budget = searched.distinct_states // 2
+        cut = [
+            run_fuzz(
+                RunRequest(
+                    problem="figure-1-mutex",
+                    instance="figure-1-mutex-even-m",
+                    seed=7,
+                    max_states=budget,
+                ),
+                episodes=EPISODES,
+                shrink=shrink,
+                validate=shrink,
+            )
+            for shrink in (False, True)
+        ]
+        assert cut[0].truncated_by == cut[1].truncated_by == "max_states"
+        assert cut[0].episodes_run == cut[1].episodes_run < EPISODES
+        assert cut[0].steps == cut[1].steps
+        assert cut[0].distinct_states == cut[1].distinct_states
+
+
+def fuzz_m3(kernel, episodes=8):
+    return run_fuzz(
+        RunRequest(
+            problem="figure-1-mutex",
+            instance="figure-1-mutex(m=3)",
+            seed=7,
+            kernel=kernel,
+        ),
+        episodes=episodes,
+    )
+
+
+@pytest.fixture
+def collect_op(monkeypatch):
+    """Replace the mutex's pending operation on its last collect read
+    (m=3) with ``op(automaton)``."""
+    plain = AnonymousMutexProcess.next_op
+
+    def install(op):
+        def next_op(automaton, state):
+            if state.pc == "collect" and state.j == 2:
+                return op(automaton)
+            return plain(automaton, state)
+
+        monkeypatch.setattr(AnonymousMutexProcess, "next_op", next_op)
+
+    return install
+
+
+def raising_invariant(system):
+    runtime = system.scheduler.runtime(101)
+    if runtime.automaton.in_critical_section(runtime.state):
+        raise RuntimeError("the invariant raised: 101 is in its critical section")
+    return None
+
+
+@pytest.mark.parametrize("kernel", [None, "compiled"])
+class TestSearchFailures:
+    def test_a_rejected_step_raises_the_kernels_error(self, collect_op, kernel):
+        collect_op(lambda automaton: ReadOp(99))
+        with pytest.raises(ProtocolError) as error:
+            fuzz_m3(kernel)
+        assert str(error.value) == "process 101: register index 99 out of range 0..2"
+
+    def test_a_raising_next_op_fails_on_the_step(self, collect_op, kernel):
+        def raising(automaton):
+            raise RuntimeError(f"next_op raised on process {automaton.pid}")
+
+        collect_op(raising)
+        with pytest.raises(RuntimeError, match="^next_op raised on process 101$"):
+            fuzz_m3(kernel)
+
+    def test_a_raising_invariant_propagates(self, monkeypatch, kernel):
+        spec, record = resolve_target("figure-1-mutex", "figure-1-mutex(m=3)")
+        patched = dataclasses.replace(spec, invariant=raising_invariant)
+        monkeypatch.setattr(RunRequest, "resolve", lambda request: (patched, record))
+        with pytest.raises(RuntimeError, match="^the invariant raised"):
+            fuzz_m3(kernel)

@@ -28,7 +28,7 @@ from repro.runtime.kernel import (
     solo_run_value,
     step_value,
 )
-from repro.runtime.ops import NoOp, ReadOp
+from repro.runtime.ops import NoOp, ReadOp, WriteOp
 
 #: The two processes of every instance below, plus one no instance has.
 PIDS = (101, 103)
@@ -302,12 +302,24 @@ lockstep = st.integers(min_value=0, max_value=10).map(lambda k: PIDS * k)
 lasso_parts = st.one_of(lockstep, st.lists(st.sampled_from(PIDS), max_size=24))
 
 
+def reference_pending(instance, state, pid):
+    """The physical register ``pid``'s next operation touches at
+    ``state``, written straight on the automaton and the permutation."""
+    op = instance.automata[pid].next_op(instance.slot_entry(state, pid)[1])
+    perm = instance.permutations[pid]
+    if isinstance(op, (ReadOp, WriteOp)) and 0 <= op.index < len(perm):
+        return perm[op.index]
+    return None
+
+
 @pytest.fixture(scope="module", params=["mutant", "mutex3"])
 def target(request):
     """One instance and one memo shared by every example, so later
-    examples step through a warm table."""
+    examples step through a warm table.  The memo's invariant trips
+    whenever 101 holds the critical section, so its message rows are
+    not all clean."""
     _, _, instance, initial = request.getfixturevalue(request.param)
-    return instance, initial, StepMemo(instance)
+    return instance, initial, StepMemo(instance, holds_101_in_cs)
 
 
 class TestMemoMatchesThePlainKernel:
@@ -356,6 +368,29 @@ class TestMemoMatchesThePlainKernel:
             assert memo.phase(sid, pid) == automaton.phase(local)
 
     @settings(max_examples=30, deadline=None)
+    @given(prefix=lasso_parts)
+    @example(prefix=(101,) * 10)  # 101 alone in its critical section (m=3)
+    @example(prefix=(101,) * 13)  # the same on the mutant (m=4)
+    def test_rows_equal_the_kernel(self, target, prefix):
+        instance, initial, memo = target
+        state = replay_values(instance, initial, prefix)
+        if state is None:
+            return
+        sid = memo.intern(state)
+        live = enabled_pids(instance, state)
+        assert memo.context(sid) == (
+            live, {pid: reference_pending(instance, state, pid) for pid in live}
+        )
+        assert memo.message(sid) == holds_101_in_cs(StateView(instance, state))
+        assert memo.cs_mask(sid) == sum(
+            1 << instance.slot_of[pid]
+            for pid in instance.pid_order
+            if instance.automata[pid].in_critical_section(
+                instance.slot_entry(state, pid)[1]
+            )
+        )
+
+    @settings(max_examples=30, deadline=None)
     @given(
         prefix=lasso_parts,
         pid=st.sampled_from(PIDS),
@@ -378,18 +413,75 @@ class TestMemoMatchesThePlainKernel:
             assert reference_df(instance, entry, LOCKSTEP_CYCLE) is expected
 
 
+class TestMessageRows:
+    """A memo's message rows hold its own invariant's messages, and no
+    other invariant reads them."""
+
+    @pytest.fixture(scope="class")
+    def in_cs_schedule(self, mutex3):
+        # The shortest solo run of 101 that ends in its critical section.
+        _, _, instance, initial = mutex3
+        for length in range(1, 30):
+            state = replay_values(instance, initial, (101,) * length)
+            if holds_101_in_cs(StateView(instance, state)) is not None:
+                return (101,) * length
+        raise AssertionError("101 never reached its critical section alone")
+
+    def test_another_invariant_never_reads_the_rows(self, mutex3, in_cs_schedule):
+        spec, _, instance, initial = mutex3
+        run_memo = StepMemo(instance, spec.invariant)
+        start = run_memo.intern(initial)
+        final = run_memo.replay(start, in_cs_schedule)
+        assert run_memo.message(final) is None  # mutual exclusion holds
+        assert (
+            safety_message(run_memo, start, in_cs_schedule, holds_101_in_cs)
+            == "pid 101 is in the critical section"
+        )
+
+        test_memo = StepMemo(instance, holds_101_in_cs)
+        start = test_memo.intern(initial)
+        final = test_memo.replay(start, in_cs_schedule)
+        assert test_memo.message(final) == "pid 101 is in the critical section"
+        assert safety_message(test_memo, start, in_cs_schedule, spec.invariant) is None
+        with pytest.raises(FuzzError, match="clean"):
+            shrink_safety(test_memo, initial, in_cs_schedule, spec.invariant)
+        assert shrink_safety(
+            test_memo, initial, in_cs_schedule, holds_101_in_cs
+        ) == in_cs_schedule
+
+    def test_a_raising_invariant_propagates_and_is_not_stored(self, toy):
+        calls = []
+
+        def flaky(system):
+            calls.append(system.global_state)
+            if len(calls) == 1:
+                raise ValueError("flaky invariant")
+            return None
+
+        memo = StepMemo(toy, flaky)
+        sid = memo.intern(toy_state("spin", "spin"))
+        with pytest.raises(ValueError, match="flaky invariant"):
+            memo.message(sid)
+        assert memo.message(sid) is None
+        assert memo.message(sid) is None
+        assert len(calls) == 2
+
+
 class Toy:
     """A toy mutex process on local steps only: ``spin`` loops in the
     entry section, ``try`` enters the critical section and leaves it
     again, ``done`` has halted.  Unlike Figure 1's processes, which
     halt after one passage, it can close a cycle through the critical
     section.  ``poison`` reads a register no process has (the kernel
-    rejects the step); ``broken`` fails inside the automaton."""
+    rejects the step); ``broken`` fails inside the automaton, in
+    ``apply``, and ``mute`` in ``next_op``."""
 
     NEXT = {"spin": "spin", "try": "crit", "crit": "try"}
     PHASE = {"crit": "critical", "done": "remainder"}  # the rest: "entry"
 
     def next_op(self, state):
+        if state == "mute":
+            raise ValueError("mute automaton")
         return ReadOp(0) if state == "poison" else NoOp()
 
     def apply(self, state, op, result):
@@ -445,6 +537,28 @@ class TestRejectedSteps:
         for _ in range(2):
             with pytest.raises(ValueError, match="broken automaton"):
                 memo.step(entry, 1)
+
+    def test_the_search_step_raises_the_kernels_error(self, toy):
+        state = toy_state("poison", "spin")
+        with pytest.raises(ProtocolError) as plain:
+            step_value(toy, state, 1)
+        memo = StepMemo(toy)
+        entry = memo.intern(state)
+        # An out-of-range register has no pending physical register.
+        assert memo.context(entry) == ((1, 2), {1: None, 2: None})
+        for _ in range(2):
+            with pytest.raises(ProtocolError) as searched:
+                memo.advance(entry, 1)
+            assert str(searched.value) == str(plain.value)
+
+    def test_a_raising_next_op_fails_on_the_step(self, toy):
+        memo = StepMemo(toy)
+        entry = memo.intern(toy_state("mute", "spin"))
+        assert memo.context(entry) == ((1, 2), {1: None, 2: None})
+        assert memo.advance(entry, 2) == entry  # 2 spins in place
+        for _ in range(2):
+            with pytest.raises(ValueError, match="mute automaton"):
+                memo.advance(entry, 1)
 
 
 class TestDfOracleConditions:

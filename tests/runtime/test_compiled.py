@@ -625,6 +625,40 @@ class TestSuspectFlags:
         assert compiled.kernel == "compiled"
         assert fingerprint(compiled) == fingerprint(serial)
 
+    @pytest.mark.parametrize("problem, label", [
+        ("figure-2-consensus", "figure-2-consensus(n=2)"),  # threshold 1
+        ("figure-3-renaming", "figure-3-renaming(n=2)"),  # threshold 1
+        ("election", "election(n=2)"),  # threshold 2
+    ])
+    def test_plain_and_retaining_walks_decode_alike(
+        self, monkeypatch, problem, label
+    ):
+        # A plain two-slot walk decodes only the states whose flags
+        # reach the suspect's threshold, as the retaining walk does.
+        decoded = []
+        decode = compiled_module.CompiledProgram.decode
+
+        def counting(program, state):
+            decoded.append(state)
+            return decode(program, state)
+
+        monkeypatch.setattr(compiled_module.CompiledProgram, "decode", counting)
+        spec = get_problem(problem)
+        record = spec.instance(label)
+        counts = []
+        for retain_graph in (False, True):
+            decoded.clear()
+            result = explore(
+                spec.system(record),
+                spec.invariant,
+                backend=CompiledBackend(),
+                retain_graph=retain_graph,
+            )
+            assert result.kernel == "compiled" and result.complete
+            assert result.states_explored == 2888
+            counts.append(len(decoded))
+        assert counts[0] == counts[1] < 2888
+
 
 @dataclass(frozen=True)
 class _Step:
