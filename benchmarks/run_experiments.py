@@ -44,7 +44,7 @@ from repro.analysis.tables import print_table
 from repro.baselines.named_consensus import NamedConsensus, PaddedAlgorithm
 from repro.baselines.named_mutex import PetersonMutex, TournamentMutex
 from repro.baselines.named_renaming import ElectionChainRenaming
-from repro.cliflags import positive_workers
+from repro.cliflags import reject_flag
 from repro.core.consensus import AnonymousConsensus
 from repro.core.election import AnonymousElection
 from repro.core.mutex import AnonymousMutex
@@ -68,7 +68,6 @@ from repro.runtime.adversary import (
     StagedObstructionAdversary,
     standard_adversaries,
 )
-from repro.runtime.backends import resolve_backend
 from repro.runtime.canonical import TrivialCanonicalizer, build_canonicalizer
 from repro.runtime.compiled import CompiledBackend
 from repro.runtime.exploration import explore, mutual_exclusion_invariant
@@ -412,10 +411,6 @@ def e14_performance(rng_seed=5):
 #: orbit strings previously-parallel branches into longer chains).
 BENCH_BUDGETS = {"max_states": 500_000, "max_depth": 1_000_000}
 
-#: Worker counts of the v8 parallel speedup curve (``--backend
-#: parallel`` records one point per count on every bench instance).
-CURVE_WORKERS = (1, 2, 4, 8)
-
 
 def _bench_instances(quick):
     """(label, factory, invariant, overrides, spec, instance) rows,
@@ -487,7 +482,7 @@ def _bench_slug(label):
 
 
 def _write_bench_manifest(directory, index, label, engine, budgets, record,
-                          telemetry, backend="serial", workers=1):
+                          telemetry, backend="serial"):
     """Write one repro.obs run manifest for one engine run; returns its name."""
     manifest = RunManifest.create(
         kind="exploration",
@@ -496,7 +491,6 @@ def _write_bench_manifest(directory, index, label, engine, budgets, record,
         naming="identity",
         adversary="exhaustive (all schedules)",
         backend=backend,
-        workers=workers,
         outcome=dict(record),
         telemetry=telemetry.snapshot(),
     )
@@ -616,23 +610,9 @@ def _bench_fuzz(rng_seed, episodes=32):
     }
 
 
-def exploration_benchmark(quick=False, rng_seed=5, backend="serial", workers=2,
-                          telemetry_dir=None, kernel="interpreted",
-                          max_states=None):
+def exploration_benchmark(quick=False, rng_seed=5, telemetry_dir=None,
+                          kernel="interpreted", max_states=None):
     """Run every instance under both engines; return the JSON document.
-
-    With ``backend="parallel"`` each instance additionally runs the
-    canonical explorer on a
-    :class:`~repro.runtime.backends.ParallelBackend` with ``workers``
-    worker processes; the record asserts verdict identity against the
-    serial canonical run and stores the measured wall-clock speedup
-    (``host_cpus`` is recorded alongside, because on a single-core host
-    the honest speedup is necessarily < 1 — the parallel run pays IPC
-    with no extra hardware to spend it on; such blocks and the document
-    top level carry ``degraded_host: true``).  Each parallel block also
-    records a ``curve``: the same walk at every :data:`CURVE_WORKERS`
-    count with its own ``speedup_vs_serial`` point, the raw material
-    for the CI smoke gate (``benchmarks/check_parallel_speedup.py``).
 
     With ``kernel="compiled"`` each instance additionally runs the
     table-compiled step kernel (:mod:`repro.runtime.compiled`) under
@@ -649,9 +629,6 @@ def exploration_benchmark(quick=False, rng_seed=5, backend="serial", workers=2,
     shared_budgets = dict(BENCH_BUDGETS)
     if max_states is not None:
         shared_budgets["max_states"] = max_states
-    parallel_backend = None
-    if backend == "parallel":
-        parallel_backend = resolve_backend("parallel", workers)
     if telemetry_dir is not None:
         telemetry_dir = Path(telemetry_dir)
         telemetry_dir.mkdir(parents=True, exist_ok=True)
@@ -789,86 +766,6 @@ def exploration_benchmark(quick=False, rng_seed=5, backend="serial", workers=2,
             row_tail.append(
                 "n/a" if speedup is None else f"x{speedup}"
             )
-        if parallel_backend is not None:
-            system = factory()
-            par_canonicalizer = build_canonicalizer(system)
-            par_tel = bench_telemetry()
-            par_res = explore(
-                system, invariant, canonicalizer=par_canonicalizer,
-                backend=parallel_backend, telemetry=par_tel, **budgets,
-            )
-            par_verdict = "violation" if not par_res.ok else (
-                "exhaustive-ok" if par_res.complete else "bounded-ok"
-            )
-            serial_verdict = record["canonical"]["verdict"]
-            assert par_verdict == serial_verdict, (
-                f"{label}: parallel verdict {par_verdict} "
-                f"!= serial {serial_verdict}"
-            )
-            par_record = _engine_record(par_res, par_canonicalizer)
-            par_record["backend"] = par_res.backend
-            par_record["workers"] = par_res.workers
-            par_record["speedup_vs_serial"] = (
-                round(reduced_res.wall_seconds / par_res.wall_seconds, 2)
-                if par_res.wall_seconds > 0 else None
-            )
-            # A single-hardware-thread host cannot show a real speedup;
-            # flag the block so baseline consumers discount it.
-            par_record["degraded_host"] = os.cpu_count() == 1
-            # v8: the same canonical walk across the worker-count curve,
-            # every point's speedup against the serial canonical wall
-            # time.  Degraded hosts still record the (honest, < 1)
-            # curve; gates skip it instead of failing.
-            curve = []
-            for count in CURVE_WORKERS:
-                if count == parallel_backend.workers:
-                    point_res = par_res
-                else:
-                    system = factory()
-                    point_res = explore(
-                        system, invariant,
-                        canonicalizer=build_canonicalizer(system),
-                        backend=resolve_backend("parallel", count),
-                        **budgets,
-                    )
-                    point_verdict = "violation" if not point_res.ok else (
-                        "exhaustive-ok" if point_res.complete
-                        else "bounded-ok"
-                    )
-                    assert point_verdict == serial_verdict, (
-                        f"{label}: parallel x{count} verdict "
-                        f"{point_verdict} != serial {serial_verdict}"
-                    )
-                    if point_res.complete and reduced_res.complete:
-                        assert (
-                            point_res.states_explored
-                            == reduced_res.states_explored
-                        ), (
-                            f"{label}: parallel x{count} explored "
-                            f"{point_res.states_explored} states, "
-                            f"serial {reduced_res.states_explored}"
-                        )
-                curve.append({
-                    "workers": count,
-                    "states": point_res.states_explored,
-                    "wall_seconds": round(point_res.wall_seconds, 3),
-                    "speedup_vs_serial": (
-                        round(
-                            reduced_res.wall_seconds
-                            / point_res.wall_seconds, 2
-                        )
-                        if point_res.wall_seconds > 0 else None
-                    ),
-                })
-            par_record["curve"] = curve
-            record["parallel"] = par_record
-            if telemetry_dir is not None:
-                manifest_names.append(_write_bench_manifest(
-                    telemetry_dir, index, label, "parallel", budgets,
-                    par_record, par_tel,
-                    backend="parallel", workers=par_res.workers,
-                ))
-            row_tail.append(f"x{par_record['speedup_vs_serial']}")
         records.append(record)
         rows.append([
             label,
@@ -882,8 +779,6 @@ def exploration_benchmark(quick=False, rng_seed=5, backend="serial", workers=2,
                "canonical rate", ""]
     if kernel == "compiled":
         headers.append("compiled speedup")
-    if parallel_backend is not None:
-        headers.append(f"parallel x{parallel_backend.workers} speedup")
     print_table(
         headers,
         rows,
@@ -892,8 +787,6 @@ def exploration_benchmark(quick=False, rng_seed=5, backend="serial", workers=2,
     generated = "python benchmarks/run_experiments.py --bench"
     if quick:
         generated += " --quick"
-    if parallel_backend is not None:
-        generated += f" --backend parallel --workers {parallel_backend.workers}"
     if kernel == "compiled":
         generated += " --kernel compiled"
     if max_states is not None:
@@ -905,13 +798,13 @@ def exploration_benchmark(quick=False, rng_seed=5, backend="serial", workers=2,
         "generated_by": generated,
         "rng_seed": rng_seed,
         "quick": quick,
-        "backend": backend,
+        # "backend" and "workers" keep the v8 layout: every walk is serial.
+        "backend": "serial",
         "kernel": kernel,
-        "workers": parallel_backend.workers if parallel_backend else 1,
+        "workers": 1,
         "host_cpus": os.cpu_count(),
-        # v8: stamped at the document top level (not just inside each
-        # parallel block) so speedup gates can decide skip-vs-fail
-        # without digging into per-instance records.
+        # v8: stamped at the document top level so speedup gates can
+        # decide skip-vs-fail without digging into per-instance records.
         "degraded_host": os.cpu_count() == 1,
         "budgets": dict(shared_budgets),
         "telemetry": {
@@ -1011,15 +904,14 @@ def main(argv=None):
         help="RNG seed for the randomised E14 workloads (default: 5); "
              "recorded in the bench JSON",
     )
-    parser.add_argument(
-        "--backend", choices=("serial", "parallel"), default="serial",
-        help="with --bench: also run the canonical explorer on this "
-             "exploration backend and record per-backend wall time "
-             "(default: serial only)",
+    reject_flag(
+        parser, "--backend", "experiments",
+        "every benchmarked walk is serial; add the table-compiled "
+        "kernel with --kernel compiled",
     )
-    parser.add_argument(
-        "--workers", type=positive_workers, default=4, metavar="N",
-        help="with --backend parallel: worker process count (default: 4)",
+    reject_flag(
+        parser, "--workers", "experiments",
+        "every benchmarked walk runs in one process",
     )
     parser.add_argument(
         "--kernel", choices=("interpreted", "compiled"),
@@ -1038,7 +930,6 @@ def main(argv=None):
     if args.bench:
         document = exploration_benchmark(
             quick=args.quick, rng_seed=args.seed,
-            backend=args.backend, workers=args.workers,
             telemetry_dir=args.telemetry, kernel=args.kernel,
             max_states=args.max_states,
         )

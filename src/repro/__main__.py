@@ -10,7 +10,7 @@ Subcommands (every key of ``COMMANDS`` below appears here; pinned by
                     (deadlock-freedom, obstruction-freedom) over retained
                     state graphs, mutant counterexamples included
                     (``--list``, ``--problem``, ``--instance``,
-                    ``--backend``, ``--kernel``, ``--telemetry``);
+                    ``--kernel``, ``--telemetry``);
 * ``attack``      — run the Theorem 3.4 symmetry attack on Figure 1 with
                     an even register count and show the provable livelock;
 * ``lint``        — dataflow-IR static analysis + runtime audits of the
@@ -81,7 +81,7 @@ def cmd_demo() -> int:
 
 def cmd_verify(rest=()) -> int:
     """Exhaustive safety + liveness verification of registry instances."""
-    from repro.cliflags import add_workers_flag, reject_flag
+    from repro.cliflags import reject_flag
     from repro.errors import VerificationError
     from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
     from repro.problems import get_problem, instances_with_role
@@ -117,15 +117,6 @@ def cmd_verify(rest=()) -> int:
         help="list the verify-role instances and exit",
     )
     parser.add_argument(
-        "--backend",
-        choices=["serial", "parallel"],
-        default="serial",
-        help="exploration backend for the graph-retaining walk",
-    )
-    add_workers_flag(
-        parser, help_text="worker processes for --backend parallel"
-    )
-    parser.add_argument(
         "--max-states",
         type=int,
         default=None,
@@ -137,8 +128,8 @@ def cmd_verify(rest=()) -> int:
         choices=["interpreted", "compiled"],
         default="interpreted",
         help="step kernel for the walk: 'compiled' runs the "
-        "table-compiled kernel (serial backend only; bit-identical "
-        "graph, ~10x the throughput)",
+        "table-compiled kernel (bit-identical graph, ~10x the "
+        "throughput)",
     )
     parser.add_argument(
         "--telemetry",
@@ -152,12 +143,17 @@ def cmd_verify(rest=()) -> int:
         "exhaustive verification quantifies over every schedule; "
         "there is nothing to seed (randomised search is `repro fuzz`)",
     )
+    reject_flag(
+        parser, "--backend", "verify",
+        "the graph-retaining walk is serial; choose its step kernel "
+        "with --kernel",
+    )
+    reject_flag(
+        parser, "--workers", "verify",
+        "each instance's graph-retaining walk runs in one process; "
+        "the fast path is --kernel compiled",
+    )
     args = parser.parse_args(list(rest))
-    if args.kernel == "compiled" and args.backend != "serial":
-        parser.error(
-            "--kernel compiled is a drop-in replacement for the serial "
-            "backend; it cannot combine with --backend parallel"
-        )
 
     selected = []
     if args.problem:
@@ -166,21 +162,21 @@ def cmd_verify(rest=()) -> int:
             selected.extend(
                 (spec, inst) for inst in spec.instances_with_role("verify")
             )
+        if not selected:
+            parser.error(
+                f"problem(s) {args.problem} declare no verify-role "
+                "instance; `repro verify --list` lists those there are"
+            )
     else:
         selected = list(instances_with_role("verify", include_mutants=True))
     if args.instance:
         wanted = set(args.instance)
+        known = [inst.label for _, inst in selected]
         selected = [
             (spec, inst) for spec, inst in selected if inst.label in wanted
         ]
         missing = wanted - {inst.label for _, inst in selected}
         if missing:
-            known = [
-                inst.label
-                for _, inst in instances_with_role(
-                    "verify", include_mutants=True
-                )
-            ]
             parser.error(
                 f"unknown instance label(s) {sorted(missing)}; known: {known}"
             )
@@ -198,11 +194,7 @@ def cmd_verify(rest=()) -> int:
     for spec, inst in selected:
         telemetry = Telemetry() if args.telemetry else NULL_TELEMETRY
         request = RunRequest(
-            # verify_instance builds the compiled backend itself so it
-            # can seed it with the spec's declared value domain.
-            kernel=args.kernel if args.kernel == "compiled" else None,
-            backend=None if args.kernel == "compiled" else args.backend,
-            workers=args.workers,
+            kernel=args.kernel,
             max_states=args.max_states,
             telemetry=telemetry,
         )
@@ -492,7 +484,7 @@ def main(argv=None) -> int:
         default="demo",
         choices=list(COMMANDS),
         help="demo (default) | verify [--list --problem --instance "
-             "--backend --kernel --telemetry] (exhaustive safety + "
+             "--kernel --telemetry] (exhaustive safety + "
              "liveness over "
              "the problem registry) | attack | lint | "
              "sweep [--out DIR --resume DIR --workers N] (resumable "

@@ -7,8 +7,7 @@ collect metrics, and aggregate over a battery of namings and adversaries.
 tables are printed from.
 
 The (naming × adversary) cells of a sweep are independent runs, so the
-loop is expressed as an ordered ``map`` over an executor — the same
-serial/parallel abstraction the exploration backends use
+loop is expressed as an ordered ``map`` over an executor
 (:class:`~repro.runtime.backends.SerialExecutor` /
 :class:`~repro.runtime.backends.ProcessExecutor`).  Every adversary's
 ``reset()`` reseeds from its stored seed, so cells are independent of

@@ -15,11 +15,16 @@ The accept/reject matrix is pinned by ``tests/test_cliflags.py``:
 =============  ========  =========  =========  ======  ============
 command        --kernel  --backend  --workers  --seed  --max-states
 =============  ========  =========  =========  ======  ============
-verify         accept    accept     accept     reject  accept
+verify         accept    reject     reject     reject  accept
 sweep          reject    reject     accept     reject  reject
 fuzz           accept    accept*    accept     accept  accept
-bench          accept    accept     accept     accept  accept
+bench          accept    reject     reject     accept  accept
 =============  ========  =========  =========  ======  ============
+
+``bench`` is ``benchmarks/run_experiments.py --bench``, the script
+``repro experiments`` runs; its rejections name ``repro experiments``.
+Every exhaustive walk is serial, so the commands that run one
+(``verify``, ``bench``) take neither a backend nor a worker count.
 
 ``*`` — fuzz accepts only ``--backend serial`` (episodes are serial by
 construction; parallelism is ``--workers`` over farm cells) and rejects
@@ -49,8 +54,9 @@ def positive_workers(text: str) -> int:
     Shared by every command that accepts ``--workers`` so that
     ``--workers 0`` (or a negative count, or junk) dies with the same
     one-line message everywhere — the text mirrors the
-    :class:`~repro.errors.ConfigurationError` the backends raise for
-    the same mistake, pinned by ``tests/test_cliflags.py``.
+    :class:`~repro.errors.ConfigurationError`
+    :class:`~repro.runtime.backends.ProcessExecutor` raises for the
+    same mistake, pinned by ``tests/test_cliflags.py``.
     """
     try:
         value = int(text)

@@ -47,9 +47,9 @@ __all__ = [
 #: The step-kernel vocabulary every entry point shares.
 KERNELS: Tuple[str, ...] = ("interpreted", "compiled")
 
-#: The backend-name vocabulary (exploration backends + the sweep
-#: executor's ``"process"`` spelling).
-BACKENDS: Tuple[str, ...] = ("serial", "parallel", "process")
+#: The backend-name vocabulary (the serial exploration backend + the
+#: sweep executor's ``"process"`` spelling).
+BACKENDS: Tuple[str, ...] = ("serial", "process")
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ class RunRequest:
         if isinstance(self.backend, str) and self.backend not in BACKENDS:
             raise ConfigurationError(
                 f"unknown backend {self.backend!r}; "
-                "expected 'serial', 'parallel' or 'process'"
+                "expected 'serial' or 'process'"
             )
         if self.kernel == "compiled" and isinstance(self.backend, str) and (
             self.backend != "serial"

@@ -13,36 +13,15 @@ is live: no scheduler, no memory, no locks.  Two backends ship:
     restore → step → capture on a shared scheduler.  Same visit order,
     same dedup rule, same acceleration, same counters — bit-identical
     results (the differential tests in
-    ``tests/runtime/test_backends.py`` pin this) — but the system is
-    never mutated and successor capture is free value passing.
+    ``tests/runtime/test_exploration_differential.py`` pin this) — but
+    the system is never mutated and successor capture is free value
+    passing.
 
-:class:`ParallelBackend`
-    A work-stealing walk over the batched packed-state engine
-    (:mod:`repro.runtime.batched`).  The task is compiled once per
-    process into dense transition tables
-    (:func:`~repro.runtime.compiled.compile_program`); workers expand
-    whole ``array('q')`` chunks of packed states through
-    :meth:`~repro.runtime.compiled.CompiledProgram.expand_batch`, dedup
-    cross-process through one ``multiprocessing.shared_memory``
-    open-addressing visited table of 64-bit BLAKE2b digests
-    (:mod:`repro.runtime.visited`), and steal chunks from a shared
-    queue when their local stack runs dry.  Insert is CAS-free, so a
-    racing pair of workers may expand the same state twice; the
-    coordinator's canonical post-order merge dedups the records by
-    state key, which restores determinism — complete runs agree with
-    serial bit-for-bit on the verdict, state/event/stuck counters,
-    peak visited size and (under ``retain_graph=True``) the retained
-    ``StateGraph.to_bytes()``.  Runs truncated by a budget cut
-    different under-approximations and agree on the verdict reached;
-    the fixed-capacity visited table adds one honest truncation cause
-    of its own, ``truncated_by="visited_table_full"``.  Violation
-    schedules are rebuilt from the merged discovery records and
-    re-validated by a pure replay before being reported, so they
-    replay on a fresh system via
-    :func:`repro.runtime.replay.replay_schedule` exactly like serial
-    ones.  Tasks the compiler cannot enumerate fall back to
-    :class:`SerialBackend` wholesale (``result.kernel`` stays
-    ``"interpreted"`` and records the fallback honestly).
+:class:`~repro.runtime.compiled.CompiledBackend`
+    The same walk over table-compiled transitions
+    (:mod:`repro.runtime.compiled`), bit-identical to
+    :class:`SerialBackend` and falling back to it wholesale on tasks
+    the table compiler cannot enumerate.
 
 The executor pair (:class:`SerialExecutor` / :class:`ProcessExecutor`)
 is the same idea one level up — a deterministic ``map`` used by the
@@ -120,7 +99,7 @@ class ExplorationBackend(Protocol):
 
     #: Short name recorded in results and benchmark records.
     name: str
-    #: Degree of parallelism (1 for serial backends).
+    #: Worker processes the walk uses (1: every backend is serial).
     workers: int
 
     def run(
@@ -395,116 +374,7 @@ class SerialBackend:
 
 
 # ---------------------------------------------------------------------------
-# Parallel backend — work-stealing over the batched packed-state engine
-# ---------------------------------------------------------------------------
-
-
-class ParallelBackend:
-    """Work-stealing exploration across ``multiprocessing`` workers.
-
-    A thin front over :func:`repro.runtime.batched.run_work_stealing`
-    (see the module docstring above and docs/EXPLORATION.md for the
-    design).  Tasks the table compiler cannot enumerate fall back to
-    :class:`SerialBackend` wholesale, exactly like
-    :class:`~repro.runtime.compiled.CompiledBackend`; ``result.kernel``
-    records which engine actually ran.
-
-    Parameters
-    ----------
-    workers:
-        Worker process count (>= 1).
-    chunk_size:
-        Packed states per work chunk — the work-distribution granule.
-        Smaller chunks spread narrow state spaces across workers
-        sooner; larger chunks amortise per-chunk overhead.  Any value
-        yields identical merged results.
-    table_capacity:
-        Slot count of the shared visited table (power of two).  Default
-        ``None`` sizes it from ``task.max_states`` via
-        :func:`repro.runtime.visited.table_capacity`.  Runs that
-        outgrow the table truncate honestly with
-        ``truncated_by="visited_table_full"``.
-    mp_context:
-        ``multiprocessing`` start-method context; default is the
-        platform default (``fork`` on Linux).
-    """
-
-    name = "parallel"
-
-    def __init__(
-        self,
-        workers: int = 2,
-        chunk_size: int = 512,
-        table_capacity: Optional[int] = None,
-        mp_context: Optional[Any] = None,
-    ) -> None:
-        if workers < 1:
-            raise ConfigurationError(
-                f"workers must be a positive int, got {workers!r}"
-            )
-        if chunk_size < 1:
-            raise ConfigurationError(
-                f"chunk_size must be a positive int, got {chunk_size!r}"
-            )
-        self.workers = workers
-        self.chunk_size = chunk_size
-        self.table_capacity = table_capacity
-        self._mp_context = mp_context
-
-    def run(
-        self,
-        task: ExplorationTask,
-        telemetry: TelemetrySink = NULL_TELEMETRY,
-    ) -> ExplorationResult:
-        # Imported lazily: batched -> compiled -> this module.
-        from repro.runtime.batched import NotCompilable, run_work_stealing
-        from repro.runtime.canonical import TrivialCanonicalizer
-
-        if task.retain_graph and not isinstance(
-            task.canonicalizer, TrivialCanonicalizer
-        ):
-            # explore() rejects this combination; a hand-built task
-            # gets the serial behaviour verbatim.
-            return SerialBackend().run(task, telemetry=telemetry)
-        try:
-            result = run_work_stealing(
-                task,
-                self.workers,
-                telemetry=telemetry,
-                chunk_size=self.chunk_size,
-                mp_context=self._mp_context,
-                capacity=self.table_capacity,
-            )
-        except NotCompilable:
-            return SerialBackend().run(task, telemetry=telemetry)
-        if result.violation is not None and result.violation_schedule is not None:
-            _validate_schedule(task, result.violation_schedule, result.violation)
-        return result
-
-
-def _validate_schedule(
-    task: ExplorationTask, schedule: Tuple[ProcessId, ...], message: str
-) -> None:
-    """Pure replay of a reconstructed schedule; guards the merge logic.
-
-    O(schedule length), run once per reported violation.  A mismatch
-    means the parent links were assembled wrong — an internal error, not
-    a property of the algorithm under test — so it raises instead of
-    returning a corrupt counterexample.
-    """
-    state = task.initial
-    for pid in schedule:
-        state = step_value(task.instance, state, pid)
-    replayed = task.invariant(StateView(task.instance, state))
-    if replayed != message:
-        raise RuntimeError(
-            "parallel backend produced a schedule that does not replay its "
-            f"violation: expected {message!r}, replay gave {replayed!r}"
-        )
-
-
-# ---------------------------------------------------------------------------
-# Executors — the same serial/parallel choice for independent sweep cells
+# Executors — a serial or multi-process map over independent sweep cells
 # ---------------------------------------------------------------------------
 
 _T = TypeVar("_T")
@@ -575,15 +445,10 @@ class ProcessExecutor:
             return pool.map(fn, items)
 
 
-def resolve_backend(
-    spec: str, workers: Optional[int] = None
-) -> ExplorationBackend:
-    """Build a backend from a CLI-style spec
-    (``"serial"``/``"parallel"``/``"compiled"``)."""
+def resolve_backend(spec: str) -> ExplorationBackend:
+    """Build a backend from a CLI-style spec (``"serial"``/``"compiled"``)."""
     if spec == "serial":
         return SerialBackend()
-    if spec == "parallel":
-        return ParallelBackend(workers=workers or 2)
     if spec == "compiled":
         # Imported here: compiled.py imports this module at the top.
         from repro.runtime.compiled import CompiledBackend
@@ -591,7 +456,7 @@ def resolve_backend(
         return CompiledBackend()
     raise ConfigurationError(
         f"unknown exploration backend {spec!r}; "
-        "expected 'serial', 'parallel' or 'compiled'"
+        "expected 'serial' or 'compiled'"
     )
 
 

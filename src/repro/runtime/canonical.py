@@ -14,9 +14,9 @@ BLAKE2b, memoised per value) and packs one global state into a flat
 per process.  Because the digest depends only on the value's content —
 not on interning order, process identity or ``PYTHONHASHSEED`` — two
 canonicalizers built from the same instance in *different OS processes*
-produce identical keys, which is what lets the parallel exploration
-backend (:mod:`repro.runtime.backends`) canonicalize in workers and
-deduplicate at the coordinator.  Key equality coincides with the
+produce identical keys, so a graph serialised in one process
+(``StateGraph.to_bytes()``, the farm's disk store) compares byte for
+byte with one serialised in another.  Key equality coincides with the
 equality the seed explorer used up to BLAKE2b collisions on 64-bit
 digests (probability ≈ ``n²/2⁶⁵`` for ``n`` distinct values — about
 ``10⁻⁸`` even for a billion-value walk, and a collision could only
@@ -65,9 +65,8 @@ of joining a bytes key per element.  Bytes keys remain the format
 everywhere else.  :meth:`Canonicalizer._key`, the interpreter's
 reference, digests values as the walk meets them, so it has no finished
 set of digests to rank.  :meth:`PackedDigestTables.batch_keys` and
-:meth:`PackedDigestTables.batch_raw` feed the parallel backend, whose
-shared visited table stores a BLAKE2b digest of each bytes key, and the
-benchmark's layer replay (``perfbench/layers.py``).
+:meth:`PackedDigestTables.batch_raw` serve the benchmark's layer
+replay (``perfbench/layers.py``).
 
 When an instance offers no usable structure the builder degrades to a
 :class:`TrivialCanonicalizer` — compact encoding only, bit-for-bit the
@@ -156,7 +155,7 @@ def stable_encode(value: Any) -> bytes:
 
     The encoding depends only on the value's *content*: it is identical
     across OS processes, interpreter runs and ``PYTHONHASHSEED`` values —
-    the property parallel workers need to produce comparable state keys.
+    the property that makes state keys comparable between processes.
     Containers are tagged and length-delimited (so ``(1, 2)``, ``[1, 2]``
     and ``"12"`` never collide); sets and dicts are serialised in sorted
     -encoding order; dataclasses (the repo's local-state idiom) encode as
@@ -385,13 +384,11 @@ class PackedDigestTables:
     key is the minimum — byte-identical to :meth:`Canonicalizer._key`
     because every digest passed through the same intern/digest path.
 
-    The ``batch_*`` methods serve the batched exploration core: they
-    walk a *flat* integer batch (``m + nslots`` ints per state, the
-    packed layout, concatenated — an ``array('q')`` or any integer
-    sequence) and digest every state in one pass, so per-batch dedup
-    pays the Python dispatch cost once per batch instead of once per
-    state.  They build bytes keys: the parallel backend's shared
-    visited table stores a digest of each one.
+    The ``batch_*`` methods walk a *flat* integer batch (``m + nslots``
+    ints per state, the packed layout, concatenated — an
+    ``array('q')`` or any integer sequence) and digest every state in
+    one pass, building bytes keys; the benchmark's layer replay
+    (``perfbench/layers.py``) calls them.
 
     :meth:`orbit_weights` turns the same tables into integer keys with
     the bytes keys' order, for the compiled serial walk, which keys
@@ -579,7 +576,7 @@ class Canonicalizer:
       path.
     * :meth:`key_of_state` encodes a :data:`~repro.runtime.kernel.GlobalState`
       *value* without touching any live object — the path the pure
-      kernel and the parallel workers use.
+      kernel's walks use.
 
     Both return ``(canonical_key, raw_key)``: the minimum of the orbit
     under the configured group, and the identity encoding.  With an
@@ -588,7 +585,7 @@ class Canonicalizer:
     so they agree between the two entry points and across OS processes.
 
     Canonicalizers are picklable: the per-value digest memo travels with
-    them (warm caches for the worker) while the live scheduler binding is
+    them (warm caches for the copy) while the live scheduler binding is
     dropped — an unpickled copy supports :meth:`key_of_state` only.
 
     Build instances with :func:`build_canonicalizer` (or
@@ -638,11 +635,11 @@ class Canonicalizer:
         """Distinct register values / footprints digested so far."""
         return len(self._intern)
 
-    # -- pickling (parallel workers canonicalize locally) ------------------
+    # -- pickling (a copy keys value states only) --------------------------
 
     def __getstate__(self) -> Dict[str, Any]:
         state = self.__dict__.copy()
-        # The live scheduler bindings stay behind: a worker receives the
+        # The live scheduler bindings stay behind: a copy receives the
         # group structure, hooks and warm digest memo, and runs purely on
         # value states via key_of_state().
         state["_memory"] = None

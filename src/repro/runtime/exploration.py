@@ -65,9 +65,7 @@ class ExplorationResult:
     * ``complete`` / ``truncated_by`` — whether the walk reached a
       fixpoint.  **Invariant:** ``complete ⟺ truncated_by is None``,
       always.  A search stopped early — by a budget (``"max_states"``,
-      ``"max_depth"``), by the parallel backend's fixed-capacity
-      visited table (``"visited_table_full"``), or by a found
-      violation (``"violation"``) — has
+      ``"max_depth"``) or by a found violation (``"violation"``) — has
       explored a strict under-approximation of the reachable space, so
       its ``complete`` is False even though its verdict may already be
       final.
@@ -99,10 +97,8 @@ class ExplorationResult:
     #: waiting) cannot be silently under-explored.
     stuck_states: int = 0
     #: What stopped the search before it exhausted the reachable states:
-    #: ``"max_states"``, ``"max_depth"``, ``"visited_table_full"`` (the
-    #: parallel backend's fixed-capacity shared-memory visited table
-    #: overflowed — see repro.runtime.visited), ``"violation"``, or
-    #: ``None`` (fixpoint reached — the search is complete).
+    #: ``"max_states"``, ``"max_depth"``, ``"violation"``, or ``None``
+    #: (fixpoint reached — the search is complete).
     truncated_by: Optional[str] = None
     #: Successor encounters whose state was new but whose symmetry orbit
     #: was already visited — the work the quotient saved.  Always 0 under
@@ -116,10 +112,10 @@ class ExplorationResult:
     #: Final size of the visited table (canonical keys), the walk's
     #: peak memory driver.
     peak_visited: int = 0
-    #: Name of the backend that ran the walk
-    #: (``"serial"``/``"parallel"``/``"compiled"``).
+    #: Name of the backend that ran the walk (``"serial"``/``"compiled"``).
     backend: str = "serial"
-    #: Worker processes the backend used (1 for serial).
+    #: Worker processes the backend used (always 1: every backend is
+    #: serial).
     workers: int = 1
     #: Which step kernel actually executed the walk: ``"interpreted"``
     #: (the ``step_value`` interpreter) or ``"compiled"`` (the
@@ -234,27 +230,19 @@ def explore(
     backend:
         The :class:`~repro.runtime.backends.ExplorationBackend` that
         runs the walk — an instance, or the string ``"serial"`` /
-        ``"parallel"`` (resolved via
+        ``"compiled"`` (resolved via
         :func:`~repro.runtime.backends.resolve_backend`).  Defaults to
         :class:`~repro.runtime.backends.SerialBackend` — the historical
-        depth-first semantics, bit-identical counters included.  A
-        :class:`~repro.runtime.backends.ParallelBackend` runs the
-        batched packed-state core instead: worker processes steal
-        chunks of packed states from a shared deque and dedup through
-        one shared-memory visited table, and a canonical post-order
-        merge keeps complete-run results (retained
-        ``StateGraph.to_bytes()`` included) bit-identical to the
-        serial walk (see docs/EXPLORATION.md for exactly which
-        counters may differ on budget-truncated walks).
+        depth-first semantics, bit-identical counters included.
     kernel:
         Step-kernel selector: ``"interpreted"`` (the default — the
         ``step_value`` interpreter) or ``"compiled"`` (the
         table-compiled packed-state kernel,
         :class:`~repro.runtime.compiled.CompiledBackend` — bit-identical
         results at ~10× the serial throughput on the shipped automata).
-        ``"compiled"`` requires the serial backend (the default); it is
-        a drop-in replacement for it, so combining it with
-        ``backend="parallel"`` raises
+        ``"compiled"`` is a drop-in replacement for the serial backend
+        (the default); combining it with a backend other than the
+        serial or compiled one raises
         :class:`~repro.errors.ConfigurationError`.  Instances whose
         local-state space or register value domain cannot be enumerated
         fall back to the interpreter automatically —
@@ -272,8 +260,8 @@ def explore(
         ``reduction="symmetry"``; ignored (and unvalidated) otherwise.
     request:
         A :class:`~repro.request.RunRequest` carrying the execution
-        fields (``kernel``, ``backend``, ``workers``, ``max_states``,
-        ``telemetry``) as one value — the unified spelling shared with
+        fields (``kernel``, ``backend``, ``max_states``, ``telemetry``)
+        as one value — the unified spelling shared with
         ``verify_instance``/``sweep_problem``/``run_farm``/``run_fuzz``.
         Request fields win over the keyword defaults; a keyword
         explicitly contradicting a set request field raises
@@ -307,8 +295,6 @@ def explore(
         backend = request.merged("backend", backend)
         max_states = request.merged("max_states", max_states, default=500_000)
         telemetry = request.merged("telemetry", telemetry)
-        if isinstance(backend, str) and request.workers is not None:
-            backend = resolve_backend(backend, workers=request.workers)
     if telemetry is None:
         telemetry = NULL_TELEMETRY
     scheduler = system.scheduler
@@ -394,9 +380,7 @@ def explore(
             events=result.events_executed,
             truncated_by=result.truncated_by,
         )
-    if raise_on_truncation and result.truncated_by in (
-        "max_states", "max_depth", "visited_table_full"
-    ):
+    if raise_on_truncation and result.truncated_by in ("max_states", "max_depth"):
         raise ExplorationLimitExceeded(
             f"exploration truncated by {result.truncated_by}; "
             f"{result.states_explored} states visited"
@@ -464,9 +448,8 @@ def unique_names_invariant(system: System) -> Optional[str]:
 class _ConjoinedInvariant:
     """Conjunction of invariants; reports the first violation among them.
 
-    A class, not a closure, so conjoined invariants are picklable and
-    survive the trip to parallel-backend workers under any
-    ``multiprocessing`` start method.
+    A class, not a closure, so conjoined invariants are picklable, as
+    an :class:`~repro.runtime.backends.ExplorationTask` is.
     """
 
     __slots__ = ("invariants",)

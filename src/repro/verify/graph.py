@@ -40,24 +40,23 @@ with one lookup: a table per run of neighbouring fields, at most 16 bits
 wide, holds the sum of the fields' entries for every value of those
 bits.
 
-Every producer feeds one :class:`GraphBuilder` ints: the compiled
+Both producers feed one :class:`GraphBuilder` ints: the compiled
 kernel the int states it already walks (its dedup dict *is* the
-builder's), in the program's layout; the parallel backend its
-re-expanded packed children, encoded in the same layout; and the
-interpreted serial walk its value states, packed by interning register
-values and slot entries into fixed-width fields.
+builder's), in the program's layout; and the interpreted serial walk
+its value states, packed by interning register values and slot entries
+into fixed-width fields.
 
 Soundness constraints (enforced at the ``explore()`` entrance):
 
 * **Trivial canonicalizer only.**  Under a symmetry quotient the graph's
   nodes are orbit *representatives*, and which representative claims an
-  orbit depends on visit order — DFS and BFS legitimately pick different
-  ones, so quotient graphs are not byte-comparable across backends.
-  Worse, quotient edges carry pid labels that are only correct up to the
-  group element mapping the concrete successor onto its representative,
-  which breaks the per-pid fairness bookkeeping the liveness analyses
-  rely on.  With the trivial canonicalizer a node is a concrete state
-  and an edge ``(p, dst)`` from ``src`` means exactly
+  orbit depends on visit order, so a quotient graph describes one walk
+  rather than the state space.  Worse, quotient edges carry pid labels
+  that are only correct up to the group element mapping the concrete
+  successor onto its representative, which breaks the per-pid fairness
+  bookkeeping the liveness analyses rely on.  With the trivial
+  canonicalizer a node is a concrete state and an edge ``(p, dst)``
+  from ``src`` means exactly
   ``step_value(instance, nodes[src], p) == nodes[dst]`` — including
   self-loops, which the liveness checkers need (an inert self-loop *is*
   a solo livelock).
@@ -65,15 +64,14 @@ Soundness constraints (enforced at the ``explore()`` entrance):
   strict under-approximation, so :class:`StateGraph` records
   ``complete`` and the checkers refuse incomplete graphs.
 
-Determinism: on complete runs the serial DFS, the compiled DFS and the
-parallel work-stealing walk visit the same states and expand each
-exactly once, recording the same edges in the same per-node order (the
-instance's scheduler pid order).  Ordinals may differ between producers
-(the parallel merge numbers nodes in its own order), but
+Determinism: on complete runs the serial DFS and the compiled DFS
+visit the same states and expand each exactly once, recording the same
+edges in the same per-node order (the instance's scheduler pid order).
+Ordinals are each producer's own numbering, but
 :meth:`StateGraph.to_bytes` — nodes sorted by raw key, edges naming
 their destinations by raw key — produces byte-identical serialisations
-from all of them.  The differential tests in ``tests/verify/test_graph.py``
-pin this.
+from both, and from the farm's disk store.  The differential tests in
+``tests/verify/test_graph.py`` pin this.
 """
 
 from __future__ import annotations

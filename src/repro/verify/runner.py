@@ -7,8 +7,8 @@ One :func:`verify_instance` call is the whole pipeline for a single
    (the spec's pinned naming included — mutants pin the adversarial
    naming their counterexample needs);
 2. exhaustively explore with the safety invariant and
-   ``retain_graph=True`` (trivial canonicalizer; serial, compiled or
-   parallel — the retained graph is byte-identical either way);
+   ``retain_graph=True`` (trivial canonicalizer; interpreted or
+   compiled kernel — the retained graph is byte-identical either way);
 3. run every declared liveness property's checker
    (:data:`~repro.verify.liveness.LIVENESS_CHECKERS`) over the graph,
    each timed as its own ``verify.liveness.<kind>`` telemetry phase
@@ -43,11 +43,7 @@ from repro.verify.liveness import LIVENESS_CHECKERS, LivenessVerdict
 
 
 def _no_invariant(system: Any) -> Optional[str]:
-    """Stand-in safety invariant for specs that declare none.
-
-    A module-level function (not a lambda) so the parallel backend can
-    pickle it to worker processes.
-    """
+    """Stand-in safety invariant for specs that declare none."""
     return None
 
 
@@ -147,13 +143,11 @@ def verify_instance(
     kernel: Optional[str] = None
     max_states: Optional[int] = None
     telemetry: Optional[TelemetrySink] = None
-    workers: Optional[int] = None
     if request is not None:
         backend = request.backend
         kernel = request.kernel
         max_states = request.max_states
         telemetry = request.telemetry
-        workers = request.workers
         if spec is None:
             spec, instance = request.resolve()
         elif instance is None and (
@@ -182,10 +176,6 @@ def verify_instance(
         )
         backend = CompiledBackend(domain_hint=domain)
         kernel = None  # already resolved into the backend
-    if isinstance(backend, str):
-        from repro.runtime.backends import resolve_backend
-
-        backend = resolve_backend(backend, workers=workers)
     result = explore(
         system,
         invariant,

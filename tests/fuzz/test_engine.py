@@ -127,7 +127,7 @@ class TestConfiguration:
                 RunRequest(
                     problem="figure-1-mutex",
                     instance="figure-1-mutex(m=3)",
-                    backend="parallel",
+                    backend="process",
                 )
             )
 

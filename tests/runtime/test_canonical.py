@@ -2,7 +2,10 @@
 
 import pickle
 import random
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 from repro.core.consensus import AnonymousConsensus
 from repro.core.mutex import AnonymousMutex
@@ -19,6 +22,8 @@ from repro.runtime.system import System
 
 from tests.conftest import pids
 from tests.lint.mutants import MutantAlgorithm, PidArithmeticProcess
+
+REPO = Path(__file__).resolve().parents[2]
 
 
 def mutex_system(m=3, naming=None, **kwargs):
@@ -282,8 +287,24 @@ class TestStableEncode:
         assert stable_encode(nested) == stable_encode(rebuilt)
 
 
+def keyed_walk(steps=60):
+    """Hex ``(canonical, raw)`` keys of each state on a seeded mutex walk."""
+    system = mutex_system()
+    canonicalizer = build_canonicalizer(system)
+    scheduler = system.scheduler
+    rng = random.Random(23)
+    keys = []
+    for _ in range(steps):
+        keys.append(tuple(key.hex() for key in canonicalizer.key_of()))
+        enabled = scheduler.enabled_pids()
+        if not enabled:
+            break
+        scheduler.step(rng.choice(enabled))
+    return keys
+
+
 class TestCanonicalizerPickling:
-    """Workers receive canonicalizers by pickle and key value states."""
+    """Canonicalizers pickle, and their keys do not depend on the process."""
 
     def test_round_trip_keys_match_on_a_walk(self):
         system = mutex_system()
@@ -330,3 +351,19 @@ class TestCanonicalizerPickling:
             [canon_b.key_of_state(state) for state in reversed(states)]
         ))
         assert keys_a == keys_b
+
+    def test_keys_do_not_depend_on_the_hash_seed(self):
+        # Content addressing across processes: fresh interpreters under
+        # two hash seeds key the same walk's states as this one does.
+        expected = str(keyed_walk())
+        for seed in ("1", "2"):
+            result = subprocess.run(
+                [sys.executable, "-c",
+                 "from tests.runtime.test_canonical import keyed_walk; "
+                 "print(keyed_walk())"],
+                capture_output=True, text=True, cwd=REPO,
+                env={"PYTHONPATH": f"{REPO / 'src'}:{REPO}",
+                     "PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin"},
+            )
+            assert result.returncode == 0, result.stderr
+            assert result.stdout.strip() == expected, seed

@@ -265,6 +265,34 @@ class TestRetainedGraph:
         assert serial.graph is not None and compiled.graph is not None
         assert serial.graph.to_bytes() == compiled.graph.to_bytes()
 
+    @pytest.mark.parametrize(
+        "factory, invariant", SHIPPED_INSTANCES + VIOLATING_INSTANCES
+    )
+    def test_shipped_and_violating_graph_bytes_identical(
+        self, factory, invariant
+    ):
+        # Beyond the verify-role rows: a ring naming, equal consensus
+        # inputs, and retaining walks a violation stops, three-slot ones
+        # among them.
+        serial, compiled = (
+            explore(factory(), invariant, backend=backend, retain_graph=True)
+            for backend in (SerialBackend(), CompiledBackend())
+        )
+        assert compiled.kernel == "compiled"
+        assert fingerprint(serial) == fingerprint(compiled)
+        assert serial.graph.complete is serial.complete
+        assert compiled.graph.complete is compiled.complete
+        frontiers = [
+            {
+                result.graph.key(node)
+                for node in range(len(result.graph))
+                if not result.graph.expanded(node)
+            }
+            for result in (serial, compiled)
+        ]
+        assert frontiers[0] == frontiers[1]
+        assert serial.graph.to_bytes() == compiled.graph.to_bytes()
+
     @pytest.mark.parametrize("problem, label, budgets, sizes", RETAINED_CUTS)
     def test_truncated_graph_bytes_identical(self, problem, label, budgets, sizes):
         spec = get_problem(problem)
@@ -380,6 +408,132 @@ class TestPackedStateProperties:
             assert program.step_packed(packed, slot) == program.pack(
                 step_value(instance, state, pid)
             )
+
+
+def compiled_program(system):
+    return compile_program(
+        StepInstance.from_system(system), system.scheduler.capture_state()
+    )
+
+
+def bfs_states(program, limit=200):
+    """A deterministic sample of reachable packed states."""
+    stride = len(program.initial_packed)
+    seen = {program.initial_packed}
+    frontier = [program.initial_packed]
+    while frontier and len(seen) < limit:
+        batch = []
+        for state in frontier:
+            batch.extend(state)
+        children, edges = program.expand_batch(batch)
+        frontier = []
+        for base in range(0, len(children), stride):
+            child = tuple(children[base : base + stride])
+            if child not in seen:
+                seen.add(child)
+                frontier.append(child)
+        del edges
+    return sorted(seen)
+
+
+#: The batch primitives perfbench's layer replay calls, on every
+#: verify-role instance: mutex at three register counts and both
+#: parities, consensus, renaming and election.
+BATCH_SYSTEMS = [
+    pytest.param(partial(spec.system, inst), id=inst.label)
+    for spec, inst in VERIFY_INSTANCES
+]
+
+
+class TestExpandBatch:
+    @pytest.mark.parametrize("build", BATCH_SYSTEMS)
+    def test_matches_step_packed_edge_for_edge(self, build):
+        program = compiled_program(build())
+        states = bfs_states(program)
+        stride = len(program.initial_packed)
+        flat = []
+        for state in states:
+            flat.extend(state)
+        children, edges = program.expand_batch(flat)
+        live = program.live_tables()
+        ci = 0
+        expected_edges = []
+        for src, state in enumerate(states):
+            for _pid, s, off in program.step_order:
+                if not live[s][state[off]]:
+                    continue
+                child = program.step_packed(state, s)
+                inert = 1 if child == state else 0
+                expected_edges.extend((src, s, inert))
+                if not inert:
+                    got = tuple(children[ci * stride : (ci + 1) * stride])
+                    assert got == child, (src, s)
+                    ci += 1
+        assert expected_edges
+        assert list(edges) == expected_edges
+        assert ci * stride == len(children)
+
+    @pytest.mark.parametrize("build", BATCH_SYSTEMS)
+    def test_batch_of_one_equals_batch_of_many(self, build):
+        program = compiled_program(build())
+        states = bfs_states(program, limit=40)
+        flat = []
+        for state in states:
+            flat.extend(state)
+        children, edges = program.expand_batch(flat)
+        singly_children = []
+        singly_edges = []
+        for src, state in enumerate(states):
+            one_children, one_edges = program.expand_batch(list(state))
+            singly_children.extend(one_children)
+            for base in range(0, len(one_edges), 3):
+                assert one_edges[base] == 0  # src index within its batch
+                singly_edges.extend((src, one_edges[base + 1],
+                                     one_edges[base + 2]))
+        assert list(children) == singly_children
+        assert list(edges) == singly_edges
+
+
+class TestBatchDigests:
+    @pytest.mark.parametrize("build", BATCH_SYSTEMS)
+    @pytest.mark.parametrize("builder", [
+        lambda system: TrivialCanonicalizer(system.scheduler),
+        build_canonicalizer,
+    ], ids=["trivial", "symmetry"])
+    def test_batch_equals_singles(self, builder, build):
+        system = build()
+        program = compiled_program(system)
+        # Digest tables over the whole closure, as the quotient walk
+        # builds them.
+        program.close()
+        canonicalizer = builder(system)
+        tables = canonicalizer.packed_digest_tables(
+            program.values, program.states, program.halted, program.crashed
+        )
+        states = bfs_states(program, limit=60)
+        m = program.m
+        flat = []
+        for state in states:
+            flat.extend(state)
+        batched = tables.batch_keys(flat, m)
+        singles = [tables.batch_keys(state, m)[0] for state in states]
+        assert batched == singles
+        raw_batched = tables.batch_raw(flat, m)
+        raw_singles = [tables.batch_raw(state, m)[0] for state in states]
+        assert raw_batched == raw_singles
+        # Both are the canonicalizer's own keys of the unpacked states.
+        assert batched == [
+            canonicalizer.key_of_state(program.unpack(state))
+            for state in states
+        ]
+        assert raw_batched == [raw for _, raw in batched]
+        # The trivial raw key is injective; a footprint may merge local
+        # states (it does on consensus, renaming and election), and the
+        # canonical key quotients the raw one.
+        raw_keys = set(raw_batched)
+        if isinstance(canonicalizer, TrivialCanonicalizer):
+            assert len(raw_keys) == len(states)
+        assert len({c for c, _ in batched}) <= len(raw_keys) <= len(states)
 
 
 def _check_int_state(program, deltas, at, packed):
@@ -1137,8 +1291,10 @@ class TestKernelWiring:
                 mutex_system(), mutual_exclusion_invariant, kernel="quantum"
             )
 
-    def test_explore_kernel_compiled_rejects_parallel(self):
-        with pytest.raises(ConfigurationError, match="drop-in replacement"):
+    def test_explore_backend_parallel_is_unknown(self):
+        with pytest.raises(
+            ConfigurationError, match="unknown exploration backend 'parallel'"
+        ):
             explore(
                 mutex_system(),
                 mutual_exclusion_invariant,
@@ -1252,18 +1408,3 @@ class TestVerifyKernel:
         out = capsys.readouterr().out
         assert code == 0
         assert "[OK ]" in out
-
-    def test_cli_kernel_compiled_rejects_parallel_backend(self, capsys):
-        from repro.__main__ import cmd_verify
-
-        with pytest.raises(SystemExit):
-            cmd_verify(
-                [
-                    "--instance",
-                    "figure-1-mutex(m=3)",
-                    "--kernel",
-                    "compiled",
-                    "--backend",
-                    "parallel",
-                ]
-            )

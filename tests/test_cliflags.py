@@ -43,22 +43,63 @@ class TestRejectionMessage:
         )
 
 
-class TestVerifyRow:
-    def test_accepts_kernel_backend_workers_max_states(self, capsys):
-        text = help_text("verify", capsys)
-        for flag in ("--kernel", "--backend", "--workers", "--max-states"):
-            assert flag in text
-        assert "--seed" not in text  # rejected flags are suppressed
+VERIFY_REJECTIONS = [
+    ("--seed", "3",
+     "exhaustive verification quantifies over every schedule; "
+     "there is nothing to seed (randomised search is `repro fuzz`)"),
+    ("--backend", "parallel",
+     "the graph-retaining walk is serial; choose its step kernel "
+     "with --kernel"),
+    ("--workers", "2",
+     "each instance's graph-retaining walk runs in one process; "
+     "the fast path is --kernel compiled"),
+]
 
-    def test_rejects_seed_with_pinned_text(self, capsys):
+
+class TestVerifyRow:
+    def test_accepts_kernel_max_states(self, capsys):
+        text = help_text("verify", capsys)
+        for flag in ("--kernel", "--max-states"):
+            assert flag in text
+        for flag, _operand, _reason in VERIFY_REJECTIONS:
+            assert flag not in text  # rejected flags are suppressed
+
+    @pytest.mark.parametrize(
+        "flag, operand, reason", VERIFY_REJECTIONS,
+        ids=[flag for flag, _operand, _reason in VERIFY_REJECTIONS],
+    )
+    def test_rejects_with_pinned_text(self, flag, operand, reason, capsys):
         err = run_expecting_usage_error(
-            ["verify", "--problem", "figure-1-mutex", "--seed", "3"], capsys
+            ["verify", "--problem", "figure-1-mutex", flag, operand], capsys
         )
-        assert rejection_message(
-            "--seed", "verify",
-            "exhaustive verification quantifies over every schedule; "
-            "there is nothing to seed (randomised search is `repro fuzz`)",
-        ) in err
+        assert rejection_message(flag, "verify", reason) in err
+
+    def test_empty_selection_is_a_usage_error(self, capsys):
+        # ladder-consensus declares no verify-role instance: a run that
+        # checked nothing must not report success.
+        err = run_expecting_usage_error(
+            ["verify", "--problem", "ladder-consensus"], capsys
+        )
+        assert (
+            "problem(s) ['ladder-consensus'] declare no verify-role instance"
+            in err
+        )
+
+    def test_unknown_label_lists_only_the_selected_problems(self, capsys):
+        from repro.problems import get_problem
+
+        err = run_expecting_usage_error(
+            ["verify", "--problem", "election",
+             "--instance", "figure-1-mutex(m=3)"], capsys
+        )
+        known = [
+            inst.label
+            for inst in get_problem("election").instances_with_role("verify")
+        ]
+        assert (
+            f"unknown instance label(s) ['figure-1-mutex(m=3)']; "
+            f"known: {known}" in err
+        )
 
 
 class TestSweepRow:
@@ -109,14 +150,13 @@ class TestFuzzRow:
 class TestWorkersValidation:
     """``--workers 0`` (or negative, or junk) dies at the parser with
     the same one-line message in every command that accepts the flag —
-    the text mirrors the backends' ConfigurationError for the same
+    the text mirrors the executors' ConfigurationError for the same
     mistake, so the CLI and API layers never disagree."""
 
     @pytest.mark.parametrize("argv", [
-        ["verify", "--problem", "figure-1-mutex"],
         ["sweep", "--problem", "figure-1-mutex"],
         ["fuzz", "--problem", "figure-1-mutex"],
-    ], ids=["verify", "sweep", "fuzz"])
+    ], ids=["sweep", "fuzz"])
     @pytest.mark.parametrize("value, shown", [
         ("0", "0"), ("-2", "-2"), ("many", "'many'"),
     ])
@@ -127,31 +167,32 @@ class TestWorkersValidation:
             f"got {shown}" in err
         )
 
-    @pytest.mark.parametrize("value, shown", [("0", "0"), ("-3", "-3")])
-    def test_rejected_by_bench(self, value, shown):
-        result = subprocess.run(
-            [sys.executable, str(REPO / "benchmarks" / "run_experiments.py"),
-             "--bench", "--quick", "--backend", "parallel",
-             "--workers", value],
-            capture_output=True, text=True,
-            env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
-        )
-        assert result.returncode == 2
-        assert (
-            f"argument --workers: workers must be a positive int, "
-            f"got {shown}" in result.stderr
-        )
+
+def run_bench(*argv):
+    return subprocess.run(
+        [sys.executable, str(REPO / "benchmarks" / "run_experiments.py"),
+         *argv],
+        capture_output=True, text=True,
+        env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
+    )
 
 
 class TestBenchRow:
-    def test_accepts_all_five(self):
-        result = subprocess.run(
-            [sys.executable, str(REPO / "benchmarks" / "run_experiments.py"),
-             "--help"],
-            capture_output=True, text=True,
-            env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
-        )
+    def test_accepts_kernel_seed_max_states(self):
+        result = run_bench("--help")
         assert result.returncode == 0
-        for flag in ("--kernel", "--backend", "--workers", "--seed",
-                     "--max-states"):
+        for flag in ("--kernel", "--seed", "--max-states"):
             assert flag in result.stdout
+        for flag in ("--backend", "--workers"):
+            assert flag not in result.stdout
+
+    @pytest.mark.parametrize("flag, operand, reason", [
+        ("--backend", "parallel",
+         "every benchmarked walk is serial; add the table-compiled "
+         "kernel with --kernel compiled"),
+        ("--workers", "2", "every benchmarked walk runs in one process"),
+    ], ids=["--backend", "--workers"])
+    def test_rejects_with_pinned_text(self, flag, operand, reason):
+        result = run_bench("--bench", "--quick", flag, operand)
+        assert result.returncode == 2
+        assert rejection_message(flag, "experiments", reason) in result.stderr

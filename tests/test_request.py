@@ -33,15 +33,22 @@ class TestRunRequestValidation:
             RunRequest(backend="cluster")
         assert str(err.value) == (
             "unknown backend 'cluster'; "
-            "expected 'serial', 'parallel' or 'process'"
+            "expected 'serial' or 'process'"
         )
 
-    def test_compiled_kernel_rejects_parallel_backend(self):
+    def test_parallel_backend_is_unknown(self):
         with pytest.raises(ConfigurationError) as err:
-            RunRequest(kernel="compiled", backend="parallel")
+            RunRequest(backend="parallel")
+        assert str(err.value) == (
+            "unknown backend 'parallel'; expected 'serial' or 'process'"
+        )
+
+    def test_compiled_kernel_rejects_process_backend(self):
+        with pytest.raises(ConfigurationError) as err:
+            RunRequest(kernel="compiled", backend="process")
         assert str(err.value) == (
             "kernel='compiled' is a drop-in replacement for the serial "
-            "backend; got backend 'parallel'"
+            "backend; got backend 'process'"
         )
 
     def test_compiled_kernel_accepts_serial_backend(self):
@@ -68,7 +75,7 @@ class TestRunRequestValidation:
     def test_replace_revalidates(self):
         request = RunRequest(kernel="compiled")
         with pytest.raises(ConfigurationError):
-            request.replace(backend="parallel")
+            request.replace(backend="process")
 
 
 # -- keyword merging ---------------------------------------------------

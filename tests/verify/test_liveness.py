@@ -17,7 +17,7 @@ from repro.errors import VerificationError
 from repro.problems import get_problem, instances_with_role
 from repro.request import RunRequest
 from repro.runtime.automaton import Algorithm, ProcessAutomaton
-from repro.runtime.backends import ParallelBackend, SerialBackend
+from repro.runtime.backends import SerialBackend
 from repro.runtime.compiled import CompiledBackend
 from repro.runtime.exploration import explore
 from repro.runtime.kernel import StepInstance, solo_run_value, step_value
@@ -299,7 +299,6 @@ class TestSoloLivelockCounterexample:
         for name, backend in (
             ("serial", SerialBackend()),
             ("compiled", CompiledBackend()),
-            ("parallel", ParallelBackend(workers=2)),
         ):
             system = System(_WaitForGoAlgorithm(), pids(2), record_trace=False)
             result = explore(
@@ -328,14 +327,13 @@ class TestSoloLivelockCounterexample:
 
     def test_every_engine_reports_the_same_lasso(self, verdicts):
         _, serial_graph, reference = verdicts["serial"]
-        for name in ("compiled", "parallel"):
-            _, graph, verdict = verdicts[name]
-            assert (verdict.holds, verdict.detail) == (
-                reference.holds, reference.detail
-            ), name
-            assert (verdict.lasso.prefix, verdict.lasso.cycle) == (
-                reference.lasso.prefix, reference.lasso.cycle
-            ), name
-            assert graph.nodes[verdict.lasso.entry] == serial_graph.nodes[
-                reference.lasso.entry
-            ]
+        _, graph, verdict = verdicts["compiled"]
+        assert (verdict.holds, verdict.detail) == (
+            reference.holds, reference.detail
+        )
+        assert (verdict.lasso.prefix, verdict.lasso.cycle) == (
+            reference.lasso.prefix, reference.lasso.cycle
+        )
+        assert graph.nodes[verdict.lasso.entry] == serial_graph.nodes[
+            reference.lasso.entry
+        ]
