@@ -451,8 +451,9 @@ def cmd_experiments() -> int:
     spec = importlib.util.spec_from_file_location("run_experiments", script)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    module.main()
-    return 0
+    # An empty argv: the script's parser would otherwise read this
+    # process's own ["experiments"] as a name filter that selects none.
+    return module.main([])
 
 
 #: The subcommand registry: name → handler.  Every key must appear in

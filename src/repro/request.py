@@ -11,7 +11,10 @@ they all consume instead:
 
 * *what*: ``problem`` / ``instance`` / ``params`` — resolved through
   the problem registry by :func:`resolve_target`;
-* *how*: ``kernel``, ``backend``, ``workers`` — the execution engine;
+* *how*: ``kernel``, ``backend``, ``workers`` — the execution engine
+  (``workers`` fans out sweep, farm and fuzz runs; the exhaustive walks
+  of ``explore`` and ``verify_instance`` run in one process and refuse
+  more than one worker);
 * *budgets*: ``max_steps`` (schedule length), ``max_states`` (distinct
   states);
 * *determinism*: ``seed`` — the single RNG root for stochastic
@@ -119,6 +122,16 @@ class RunRequest:
     def replace(self, **changes: Any) -> "RunRequest":
         """A copy with ``changes`` applied (re-validated)."""
         return dataclasses.replace(self, **changes)
+
+    def require_one_process(self, entry: str) -> None:
+        """Refuse ``workers`` above 1 at ``entry``, an entry point whose
+        work runs in one process, instead of ignoring it."""
+        if self.workers is not None and self.workers > 1:
+            raise ConfigurationError(
+                f"{entry} runs its exhaustive walk in one process; "
+                f"RunRequest.workers={self.workers} applies to sweep, farm "
+                "and fuzz runs"
+            )
 
     def resolve(self) -> Tuple["ProblemSpec", "ProblemInstance"]:
         """Resolve ``problem``/``instance``/``params`` via the registry."""

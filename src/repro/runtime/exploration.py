@@ -265,7 +265,8 @@ def explore(
         ``verify_instance``/``sweep_problem``/``run_farm``/``run_fuzz``.
         Request fields win over the keyword defaults; a keyword
         explicitly contradicting a set request field raises
-        :class:`~repro.errors.ConfigurationError`.
+        :class:`~repro.errors.ConfigurationError`, and so does
+        ``workers`` above 1: the walk runs in one process.
     retain_graph:
         Record the full labelled successor relation during the walk and
         attach it to the result as
@@ -291,6 +292,7 @@ def explore(
     from repro.runtime.kernel import StepInstance
 
     if request is not None:
+        request.require_one_process("explore()")
         kernel = request.merged("kernel", kernel)
         backend = request.merged("backend", backend)
         max_states = request.merged("max_states", max_states, default=500_000)

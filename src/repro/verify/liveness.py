@@ -34,13 +34,18 @@ bit per (predicate, slot) that holds.  Tarjan's stacks, the
 SCC routing, the chain walks and every ``visited`` set are lists and
 byte arrays indexed by ordinal.
 
-Which SCC, which cycle entry and which lasso a checker reports depend
-only on visit order, and that order is the one a bytes-keyed graph had:
-roots and chain origins are taken in raw-key order
-(:meth:`~repro.verify.graph.StateGraph.iter_nodes`), and a node's edges
-in recorded (scheduler pid) order.  Ordinals themselves never decide
-anything, so verdicts, details and lassos are the same from every
-producer of the same graph.
+Both checkers decide in one pass with roots and chain origins in
+ordinal order, the order the nodes are stored in: whether a fair
+non-progress SCC or a solo cycle exists, and how many SCCs there are,
+does not depend on that order.  Which SCC, which cycle entry and which
+lasso a checker reports do.  So only when the ordinal pass finds a
+violation does the checker run the same pass again with roots and
+chain origins in raw-key order
+(:meth:`~repro.verify.graph.StateGraph.iter_nodes`), a node's edges in
+recorded (scheduler pid) order, and report what that pass meets first.
+That is the order a bytes-keyed graph had, so verdicts, details and
+lassos are the same from every producer of the same graph, and a
+verdict that holds never pays for the raw-key sort.
 
 Counterexamples come back as a :class:`Lasso` — a finite prefix
 schedule from the initial state plus a repeatable cycle schedule — and
@@ -60,7 +65,17 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.errors import VerificationError
 from repro.runtime.kernel import (
@@ -205,84 +220,168 @@ def _deadlock_flags(
     return flags
 
 
-def _nonprogress_sccs(
-    graph: StateGraph, order: List[int], cs: List[int]
-) -> List[Tuple[List[int], int]]:
-    """Iterative Tarjan over the non-progress edges.
+class _SccPass(NamedTuple):
+    """What one :func:`_nonprogress_sccs` pass found."""
 
-    An edge is a progress edge when its stepping slot's bit is clear in
-    the source's critical-section mask ``cs`` and set in the
-    destination's; those are skipped.  Roots are taken in ``order`` and
-    edges in recorded order.  SCCs come out in completion order, each as
-    ``(members in stack-pop order, stepped)``: ``stepped`` is the
-    bitmask of slots that step on an edge inside the SCC, 0 when no
-    cycle runs through it.  An edge lies inside an SCC exactly when its
-    destination is still on Tarjan's stack once the edge is done with,
-    so the mask costs no extra pass.
+    #: SCCs completed: all of them when ``violation`` is ``None``.
+    count: int
+    #: The members of the first fair non-progress SCC completed, in the
+    #: order classic Tarjan pops them (DFS numbers falling, the SCC's
+    #: root last), or ``None`` when there is none.
+    violation: Optional[List[int]]
+    #: Per node, ``~k`` once it is placed in the ``k``-th SCC completed
+    #: (0 for a node the pass never reached, its DFS number for one not
+    #: yet placed when a violation stopped the pass).
+    component: List[int]
+    #: Per node, the slot bits of its non-progress edges that lie inside
+    #: its SCC.
+    inner: List[int]
+
+
+def _nonprogress_sccs(
+    graph: StateGraph, roots: Iterable[int], masks: List[int]
+) -> _SccPass:
+    """Iterative Tarjan over the non-progress edges, testing each SCC for
+    a fair non-progress cycle as it is completed.
+
+    ``masks`` are :func:`check_deadlock_freedom`'s per-node masks: for
+    ``k`` slots, bits ``0..k-1`` in the critical section, ``k..2k-1``
+    trying, ``2k..3k-1`` live.  An edge is a progress edge when its
+    stepping slot's bit is clear in the source's critical-section bits
+    and set in the destination's; those are skipped.  Roots are taken in
+    ``roots`` order and edges in recorded order.
+
+    The state is flat: per-node int lists ``index`` (0 before the
+    visit, then the DFS number until the node is placed in the ``k``-th
+    SCC completed, then ``~k``), ``inner``, and ``low`` and ``resume`` (a
+    node's low link and the tree edge it follows, stored while it waits
+    on that child), plus two stacks of node ints: the DFS call stack and
+    Tarjan's stack.  A node joins Tarjan's stack only when it finishes
+    without rooting an SCC, so a single-node SCC never touches it; when
+    a root finishes, its SCC is the root and the stack entries whose DFS
+    numbers are above the root's, all on top.  ``inner[node]`` collects
+    the slots of node's edges that lie inside its SCC: an edge does
+    exactly when its destination is visited but not yet placed once the
+    edge is done with, so the mask costs no extra pass.
+
+    As an SCC is completed its members' ``inner`` bits (the slots that
+    step inside it) and masks are OR-ed, and the masks AND-ed as well:
+    the live set of an SCC with a cycle must not vary, since halted and
+    crashed flags are monotone.  The SCC is a fair non-progress SCC when
+    it has a cycle, its live slots are not empty and all step inside it,
+    and some member has a live slot trying; the pass stops at the first
+    one.  A holding pass keeps no member list: its result is the SCC
+    count, which no root order changes.
     """
     start, count = graph.start, graph.count
     edge_slot, edge_dst = graph.edge_slot, graph.edge_dst
     n = len(graph)
-    # DFS numbers are 1..n; 0 = not yet visited, ``done`` = already
-    # placed in an SCC (so "on Tarjan's stack" is 0 < index < done).
-    done = n + 1
+    nslots = len(graph.entries)
+    cs_bits = (1 << nslots) - 1
+    live_shift = 2 * nslots
     index = [0] * n
     low = [0] * n
-    inner = [0] * n  # per node: slots of its edges found inside its SCC
+    inner = [0] * n
+    resume = [0] * n
     stack: List[int] = []
-    sccs: List[Tuple[List[int], int]] = []
+    call: List[int] = []
     counter = 0
-    for root in order:
+    sccs = 0
+    for root in roots:
         if index[root]:
             continue
         counter += 1
-        index[root] = low[root] = counter
-        stack.append(root)
-        first = start[root]
-        # Frame: (node, ~cs[node], its edge iterator, the slot bit of
-        # the tree edge that reached it).
-        work = [(root, ~cs[root], iter(range(first, first + count[root])), 0)]
-        while work:
-            node, not_cs, edges, _ = work[-1]
-            for e in edges:
+        index[root] = lo = counter
+        node, e, inn = root, start[root], 0
+        while True:
+            # Scan node's edges from e on; lo and inn are its low link
+            # and inner bits so far, stored only while a child is open.
+            end = start[node] + count[node]
+            # The critical sections node is out of: an edge by one of
+            # those slots into a state where it is in is a progress edge.
+            outside = ~masks[node] & cs_bits
+            while e < end:
                 dst = edge_dst[e]
-                bit = 1 << edge_slot[e]
-                if cs[dst] & not_cs & bit:
-                    continue  # progress edge
                 dst_index = index[dst]
-                if not dst_index:
-                    counter += 1
-                    index[dst] = low[dst] = counter
-                    stack.append(dst)
-                    first = start[dst]
-                    work.append(
-                        (dst, ~cs[dst], iter(range(first, first + count[dst])), bit)
-                    )
-                    break
-                if dst_index != done:
-                    inner[node] |= bit
-                    if dst_index < low[node]:
-                        low[node] = dst_index
+                # An edge into a placed SCC is passed over, progress or
+                # not; any other non-progress edge is a tree edge (dst
+                # not yet visited) or lies inside node's SCC.
+                if dst_index >= 0:
+                    entered = masks[dst] & outside
+                    if not (entered and entered >> edge_slot[e] & 1):
+                        if not dst_index:
+                            break  # descend below
+                        inn |= 1 << edge_slot[e]
+                        if dst_index < lo:
+                            lo = dst_index
+                e += 1
             else:
-                via = work.pop()[3]
-                if low[node] == index[node]:
-                    members: List[int] = []
-                    stepped = 0
-                    while True:
-                        top = stack.pop()
-                        index[top] = done
-                        members.append(top)
-                        stepped |= inner[top]
-                        if top == node:
-                            break
-                    sccs.append((members, stepped))
-                if work:
-                    parent = work[-1][0]
-                    if low[node] < low[parent]:
-                        low[parent] = low[node]
-                    if index[node] != done:
-                        inner[parent] |= via
-    return sccs
+                inner[node] = inn
+                if lo < index[node]:
+                    # Not a root: node waits on the stack, in its
+                    # parent's SCC, and so does the tree edge to it.
+                    stack.append(node)
+                    child_lo = lo
+                    node = call.pop()
+                    e = resume[node]
+                    inn = inner[node] | 1 << edge_slot[e]
+                    lo = low[node]
+                    if child_lo < lo:
+                        lo = child_lo
+                    e += 1
+                    continue
+                # node roots an SCC: itself and the stack entries whose
+                # DFS numbers are above its own (lo), all on top.
+                stepped = inn
+                seen = common = masks[node]
+                i = height = len(stack)
+                while i and index[stack[i - 1]] > lo:
+                    i -= 1
+                    member = stack[i]
+                    stepped |= inner[member]
+                    mask = masks[member]
+                    seen |= mask
+                    common &= mask
+                if stepped:
+                    live = seen >> live_shift
+                    if common >> live_shift != live:
+                        raise RuntimeError(
+                            "internal error: live set varies within an "
+                            "SCC — halted/crashed flags are supposed to be "
+                            "monotone"
+                        )
+                    if live and not live & ~stepped and seen >> nslots & live:
+                        # Members in the order a stack that every node
+                        # joins when visited pops them: DFS numbers
+                        # falling, node last.
+                        members = sorted(
+                            stack[i:], key=index.__getitem__, reverse=True
+                        )
+                        members.append(node)
+                        return _SccPass(sccs + 1, members, index, inner)
+                label = ~sccs
+                sccs += 1
+                index[node] = label
+                if i < height:
+                    for member in stack[i:]:
+                        index[member] = label
+                    del stack[i:]
+                if not call:
+                    break
+                node = call.pop()
+                e = resume[node] + 1
+                inn = inner[node]
+                lo = low[node]
+                continue
+            # Descend along the tree edge e to dst.
+            resume[node] = e
+            low[node] = lo
+            inner[node] = inn
+            call.append(node)
+            counter += 1
+            index[dst] = lo = counter
+            node, e, inn = dst, start[dst], 0
+    return _SccPass(sccs, None, index, inner)
 
 
 def _route(
@@ -351,60 +450,48 @@ def check_deadlock_freedom(
     # Bits 0..k-1: in the critical section; k..2k-1: trying; 2k..3k-1:
     # live.  Only the low bits matter to the progress-edge test.
     masks = _node_masks(graph, _deadlock_flags(instance))
-    nslots = len(graph.entries)
-    all_slots = (1 << nslots) - 1
-    sccs = _nonprogress_sccs(graph, list(graph.iter_nodes()), masks)
-    for members, stepped in sccs:
-        if not stepped:
-            continue  # trivial SCC: no cycle through it
-        live = masks[members[0]] >> 2 * nslots
-        for node in members[1:]:
-            if masks[node] >> 2 * nslots != live:
-                raise RuntimeError(
-                    "internal error: live set varies within an SCC — "
-                    "halted/crashed flags are supposed to be monotone"
-                )
-        if not live or live & ~stepped:
-            continue  # no fair scheduler can loop here forever
-        entry = next(
-            (
-                node
-                for node in members
-                if masks[node] >> nslots & all_slots & live
-            ),
-            None,
-        )
-        if entry is None:
-            continue  # nobody trying: starving no one
-        live_pids = _slot_pids(instance, live)
-        cycle = _fair_cycle(_internal_edges(graph, members, masks), entry, live_pids)
-        prefix = graph.path_to(entry)
-        _validate_df_lasso(
-            instance, graph.nodes[graph.initial], prefix, cycle,
-            graph.nodes[entry], live_pids,
-        )
+    found = _nonprogress_sccs(graph, range(len(graph)), masks)
+    if found.violation is None:
         return LivenessVerdict(
             kind="deadlock-freedom",
-            holds=False,
+            holds=True,
             states=len(graph),
             detail=(
-                f"fair non-progress cycle of length {len(cycle)} through "
-                f"an SCC of {len(members)} states (live pids "
-                f"{list(live_pids)} all step, no critical-section entry, a "
-                f"live process stays in its entry section); prefix length "
-                f"{len(prefix)}"
+                f"no fair non-progress cycle in {len(graph)} states / "
+                f"{found.count} SCCs: every fair infinite execution enters "
+                "the critical section infinitely often"
             ),
-            lasso=Lasso(prefix=prefix, cycle=cycle, entry=entry),
         )
+    # Report the SCC a pass with roots in raw-key order meets first, so
+    # the lasso does not depend on how the producer numbered the nodes.
+    members = _nonprogress_sccs(graph, graph.iter_nodes(), masks).violation
+    if members is None:
+        raise RuntimeError(
+            "internal error: the raw-key-ordered SCC pass found no fair "
+            "non-progress SCC where the ordinal-ordered pass found one"
+        )
+    nslots = len(graph.entries)
+    live = masks[members[0]] >> 2 * nslots
+    entry = next(node for node in members if masks[node] >> nslots & live)
+    live_pids = _slot_pids(instance, live)
+    cycle = _fair_cycle(_internal_edges(graph, members, masks), entry, live_pids)
+    prefix = graph.path_to(entry)
+    _validate_df_lasso(
+        instance, graph.nodes[graph.initial], prefix, cycle,
+        graph.nodes[entry], live_pids,
+    )
     return LivenessVerdict(
         kind="deadlock-freedom",
-        holds=True,
+        holds=False,
         states=len(graph),
         detail=(
-            f"no fair non-progress cycle in {len(graph)} states / "
-            f"{len(sccs)} SCCs: every fair infinite execution enters "
-            "the critical section infinitely often"
+            f"fair non-progress cycle of length {len(cycle)} through "
+            f"an SCC of {len(members)} states (live pids "
+            f"{list(live_pids)} all step, no critical-section entry, a "
+            f"live process stays in its entry section); prefix length "
+            f"{len(prefix)}"
         ),
+        lasso=Lasso(prefix=prefix, cycle=cycle, entry=entry),
     )
 
 
@@ -490,6 +577,37 @@ def _solo_successors(graph: StateGraph, slot: int) -> List[int]:
     return solo
 
 
+def _solo_cycle(
+    solo: List[int], origins: Iterable[int]
+) -> Optional[Tuple[int, int]]:
+    """The first solo cycle the chain walks from ``origins`` close, as
+    ``(entry, length)``, or ``None`` when every chain settles.
+
+    ``solo`` is :func:`_solo_successors`' functional subgraph.  A chain
+    stops at a node already known to settle or without an edge (the
+    process halted or crashed there: its solo run has settled), or
+    closes a cycle when it meets a node on its own path.  Whether a
+    cycle exists does not depend on the order of ``origins``; which one
+    is met first does.
+    """
+    # Per node: 0 not yet walked, 1 on the current chain, 2 settles.
+    mark = bytearray(len(solo))
+    for origin in origins:
+        if mark[origin]:
+            continue
+        path: List[int] = []
+        cur = origin
+        while cur >= 0 and not mark[cur]:
+            mark[cur] = 1
+            path.append(cur)
+            cur = solo[cur]
+        if cur >= 0 and mark[cur] == 1:
+            return cur, len(path) - path.index(cur)
+        for node in path:
+            mark[node] = 2
+    return None
+
+
 def check_obstruction_freedom(
     instance: StepInstance, graph: StateGraph
 ) -> LivenessVerdict:
@@ -503,28 +621,19 @@ def check_obstruction_freedom(
     cycle is just ``p`` repeated.
     """
     _require_complete(graph, "obstruction-freedom")
-    order = list(graph.iter_nodes())
     for pid in instance.pid_order:
         solo = _solo_successors(graph, instance.slot_of[pid])
-        terminates = bytearray(len(graph))
-        for origin in order:
-            if terminates[origin]:
-                continue
-            path: List[int] = []
-            position: Dict[int, int] = {}
-            cur = origin
-            # Walk until the chain meets a known-terminating node or
-            # one without a p-edge (p halted or crashed there: the solo
-            # run has settled) — or closes a cycle.
-            while cur >= 0 and not terminates[cur]:
-                if cur in position:
-                    cycle_len = len(path) - position[cur]
-                    return _of_violation(instance, graph, pid, cur, cycle_len)
-                position[cur] = len(path)
-                path.append(cur)
-                cur = solo[cur]
-            for node in path:
-                terminates[node] = 1
+        if _solo_cycle(solo, range(len(graph))) is None:
+            continue
+        # Report the cycle the chains from raw-key-ordered origins meet
+        # first, so the lasso does not depend on the node numbering.
+        found = _solo_cycle(solo, graph.iter_nodes())
+        if found is None:
+            raise RuntimeError(
+                "internal error: the raw-key-ordered chain walks found no "
+                "solo cycle where the ordinal-ordered walks found one"
+            )
+        return _of_violation(instance, graph, pid, *found)
     live_counts = sorted(
         {bin(mask).count("1") for mask in _node_masks(graph, _live)}
     )

@@ -134,6 +134,10 @@ def verify_instance(
     graph is byte-identical to the interpreted walk's, so every liveness
     verdict is too.
 
+    A request with ``workers`` above 1 raises
+    :class:`~repro.errors.ConfigurationError`: the walk runs in one
+    process.
+
     Raises :class:`~repro.errors.VerificationError` when the instance
     declares liveness properties but the exploration could not retain a
     complete graph (state budget truncation) — an incomplete graph
@@ -144,6 +148,7 @@ def verify_instance(
     max_states: Optional[int] = None
     telemetry: Optional[TelemetrySink] = None
     if request is not None:
+        request.require_one_process("verify_instance()")
         backend = request.backend
         kernel = request.kernel
         max_states = request.max_states

@@ -1,5 +1,9 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import importlib.abc
+import importlib.util
+import sys
+
 import pytest
 
 from repro.__main__ import main
@@ -95,3 +99,37 @@ class TestCli:
         out = capsys.readouterr().out
         assert "E1-E14" in out and "E1-E17" in out
         assert "report" in out
+
+
+class TestExperimentsCommand:
+    """``repro experiments`` runs benchmarks/run_experiments.py; the
+    script is stubbed here, so only the hand-over is under test."""
+
+    def test_runs_every_experiment_and_returns_its_exit_code(
+        self, monkeypatch
+    ):
+        calls = []
+
+        class _StubScript(importlib.abc.Loader):
+            def create_module(self, spec):
+                return None
+
+            def exec_module(self, module):
+                def stub_main(argv=None):
+                    calls.append(argv)
+                    return 3
+
+                module.main = stub_main
+
+        monkeypatch.setattr(
+            importlib.util,
+            "spec_from_file_location",
+            lambda name, path: importlib.util.spec_from_loader(
+                name, _StubScript()
+            ),
+        )
+        monkeypatch.setattr(sys, "argv", ["repro", "experiments"])
+        assert main(["experiments"]) == 3
+        # An empty argv, not this process's: no name filter, so every
+        # experiment runs.
+        assert calls == [[]]

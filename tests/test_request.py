@@ -9,6 +9,7 @@ from repro.analysis.experiments import sweep_problem
 from repro.errors import ConfigurationError
 from repro.problems import get_problem
 from repro.request import RunRequest, resolve_target
+from repro.runtime.exploration import explore
 from repro.verify.runner import verify_instance
 
 
@@ -179,6 +180,22 @@ class TestRequestOnlyEntryPoints:
             )
         )
         assert report.ok
+
+    def test_verify_instance_runs_in_one_process(self):
+        request = RunRequest(
+            problem="figure-1-mutex", instance="figure-1-mutex(m=3)"
+        )
+        with pytest.raises(ConfigurationError, match="one process"):
+            verify_instance(request=request.replace(workers=8))
+        assert verify_instance(request=request.replace(workers=1)).ok
+
+    def test_explore_runs_in_one_process(self):
+        spec = get_problem("figure-1-mutex")
+        system = spec.system(spec.instance("figure-1-mutex(m=3)"))
+        with pytest.raises(ConfigurationError, match="one process"):
+            explore(system, spec.invariant, request=RunRequest(workers=8))
+        result = explore(system, spec.invariant, request=RunRequest(workers=1))
+        assert result.ok and result.complete and result.workers == 1
 
     def test_verify_instance_without_target_raises(self):
         with pytest.raises(ConfigurationError):

@@ -75,6 +75,51 @@ class TestTheoremsHold:
         assert check_obstruction_freedom(step, result.graph).holds
 
 
+class TestHoldingDetailsArePinned:
+    """A holding verdict reports the SCC count of the non-progress
+    subgraph; a pass that lost or split an SCC would still hold, so the
+    counts are pinned to the values the raw-key-ordered pass recorded."""
+
+    @pytest.mark.parametrize(
+        "m, states, sccs",
+        [(3, 1747, 1219), (5, 14673, 8405), (7, 108715, 57563)],
+    )
+    def test_deadlock_freedom_detail(self, m, states, sccs):
+        _, _, result, step = _graph_and_step(
+            "figure-1-mutex", f"figure-1-mutex(m={m})",
+            backend=CompiledBackend(),
+        )
+        verdict = check_deadlock_freedom(step, result.graph)
+        assert verdict.holds
+        assert verdict.detail == (
+            f"no fair non-progress cycle in {states} states / {sccs} "
+            "SCCs: every fair infinite execution enters the critical "
+            "section infinitely often"
+        )
+
+    def test_solo_livelock_of_the_mutex_is_pinned(self):
+        # Figure 1 is not obstruction-free: running alone, a process in
+        # its entry section can spin forever on a register the other
+        # holds.  Which of its many solo cycles is reported depends on
+        # the chain origins' order, so this pins the raw-key-ordered
+        # rerun.
+        _, _, result, step = _graph_and_step(
+            "figure-1-mutex", "figure-1-mutex(m=3)",
+            backend=CompiledBackend(),
+        )
+        verdict = check_obstruction_freedom(step, result.graph)
+        assert not verdict.holds
+        assert verdict.lasso.prefix == (
+            101, 101, 101, 101, 103, 103, 103, 103, 101, 101, 101, 103,
+            103,
+        )
+        assert verdict.lasso.cycle == (101,) * 6
+        assert verdict.detail == (
+            "solo livelock: process 101 running alone repeats a 6-step "
+            "cycle forever (prefix length 13)"
+        )
+
+
 VERIFY_INSTANCES = list(instances_with_role("verify", include_mutants=True))
 
 
