@@ -44,7 +44,7 @@ from repro.analysis.tables import print_table
 from repro.baselines.named_consensus import NamedConsensus, PaddedAlgorithm
 from repro.baselines.named_mutex import PetersonMutex, TournamentMutex
 from repro.baselines.named_renaming import ElectionChainRenaming
-from repro.cliflags import reject_flag
+from repro.cliflags import add_kernel_flag, reject_flag
 from repro.core.consensus import AnonymousConsensus
 from repro.core.election import AnonymousElection
 from repro.core.mutex import AnonymousMutex
@@ -913,12 +913,11 @@ def main(argv=None):
         parser, "--workers", "experiments",
         "every benchmarked walk runs in one process",
     )
-    parser.add_argument(
-        "--kernel", choices=("interpreted", "compiled"),
-        default="interpreted",
-        help="with --bench: also run the table-compiled step kernel on "
-             "every instance and record its speedup over the seed engine "
-             "(default: interpreted only)",
+    add_kernel_flag(
+        parser,
+        "with --bench: also run the table-compiled step kernel on "
+        "every instance and record its speedup over the seed engine "
+        "(default: interpreted only)",
     )
     parser.add_argument(
         "--max-states", type=int, default=None, metavar="N",

@@ -32,8 +32,8 @@ Subcommands (every key of ``COMMANDS`` below appears here; pinned by
                     violations and livelock lassos; hits are shrunk to
                     minimal schedules and certified by replay
                     (``--problem``, ``--instance``, ``--seed``,
-                    ``--episodes``, ``--kernel``; ``--out/--resume/
-                    --workers`` shard episodes over a farm);
+                    ``--episodes``; ``--out/--resume/--workers`` shard
+                    episodes over a farm);
 * ``experiments`` — regenerate the paper-claim experiment tables (E1-E14
                     of the E1-E17 index in DESIGN.md; the E15-E17
                     extension tables run via ``pytest benchmarks/
@@ -81,7 +81,7 @@ def cmd_demo() -> int:
 
 def cmd_verify(rest=()) -> int:
     """Exhaustive safety + liveness verification of registry instances."""
-    from repro.cliflags import reject_flag
+    from repro.cliflags import add_kernel_flag, reject_flag
     from repro.errors import VerificationError
     from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
     from repro.problems import get_problem, instances_with_role
@@ -123,11 +123,9 @@ def cmd_verify(rest=()) -> int:
         metavar="N",
         help="override each instance's verification state budget",
     )
-    parser.add_argument(
-        "--kernel",
-        choices=["interpreted", "compiled"],
-        default="interpreted",
-        help="step kernel for the walk: 'compiled' runs the "
+    add_kernel_flag(
+        parser,
+        "step kernel for the walk: 'compiled' runs the "
         "table-compiled kernel (bit-identical graph, ~10x the "
         "throughput)",
     )
@@ -158,7 +156,10 @@ def cmd_verify(rest=()) -> int:
     selected = []
     if args.problem:
         for key in args.problem:
-            spec = get_problem(key)  # raises with known keys on typo
+            try:
+                spec = get_problem(key)
+            except KeyError as exc:  # its text lists the known keys
+                parser.error(exc.args[0])
             selected.extend(
                 (spec, inst) for inst in spec.instances_with_role("verify")
             )
@@ -270,6 +271,7 @@ def cmd_sweep(rest=()) -> int:
         resume_farm,
         run_farm,
     )
+    from repro.request import resolve_target
 
     parser = argparse.ArgumentParser(
         prog="python -m repro sweep",
@@ -375,6 +377,7 @@ def cmd_sweep(rest=()) -> int:
                 except ValueError:
                     params[key] = value
         try:
+            resolve_target(args.problem, args.instance, params)
             config = {
                 "problem": args.problem,
                 "instance": args.instance,

@@ -17,7 +17,7 @@ command        --kernel  --backend  --workers  --seed  --max-states
 =============  ========  =========  =========  ======  ============
 verify         accept    reject     reject     reject  accept
 sweep          reject    reject     accept     reject  reject
-fuzz           accept    accept*    accept     accept  accept
+fuzz           reject    reject     accept     accept  accept
 bench          accept    reject     reject     accept  accept
 =============  ========  =========  =========  ======  ============
 
@@ -25,10 +25,8 @@ bench          accept    reject     reject     accept  accept
 ``repro experiments`` runs; its rejections name ``repro experiments``.
 Every exhaustive walk is serial, so the commands that run one
 (``verify``, ``bench``) take neither a backend nor a worker count.
-
-``*`` — fuzz accepts only ``--backend serial`` (episodes are serial by
-construction; parallelism is ``--workers`` over farm cells) and rejects
-``parallel`` with the same uniform message shape.
+Fuzz episodes are serial too, and step the interpreted kernel through
+the run's step memo; parallelism is ``--workers`` over farm cells.
 """
 
 from __future__ import annotations
@@ -36,12 +34,13 @@ from __future__ import annotations
 import argparse
 from typing import Any, Optional, Sequence
 
+from repro.request import KERNELS
+
 __all__ = [
     "rejection_message",
     "reject_flag",
     "positive_workers",
     "add_kernel_flag",
-    "add_backend_flag",
     "add_workers_flag",
     "add_seed_flag",
     "add_max_states_flag",
@@ -116,29 +115,9 @@ def reject_flag(
     parser.add_argument(flag, action=_RejectFlag, command=command, reason=reason)
 
 
-def add_kernel_flag(
-    parser: argparse.ArgumentParser, help_text: Optional[str] = None
-) -> None:
+def add_kernel_flag(parser: argparse.ArgumentParser, help_text: str) -> None:
     parser.add_argument(
-        "--kernel",
-        choices=["interpreted", "compiled"],
-        default="interpreted",
-        help=help_text
-        or "step kernel: 'compiled' runs the table-compiled kernel "
-        "(serial only; bit-identical results, ~10x the throughput)",
-    )
-
-
-def add_backend_flag(
-    parser: argparse.ArgumentParser,
-    choices: Sequence[str] = ("serial", "parallel"),
-    help_text: Optional[str] = None,
-) -> None:
-    parser.add_argument(
-        "--backend",
-        choices=list(choices),
-        default="serial",
-        help=help_text or "execution backend",
+        "--kernel", choices=KERNELS, default="interpreted", help=help_text
     )
 
 

@@ -29,7 +29,9 @@ Three cell kinds execute here:
   budget, and each cell executes a contiguous range of globally
   numbered episodes.  Episode RNGs derive from the global episode
   index, so the union of all cells is exactly the one-shot run and a
-  resumed farm is byte-identical to an uninterrupted one.
+  resumed farm is byte-identical to an uninterrupted one.  A
+  ``"kernel"`` key, which older fuzz grids stored, is ignored: every
+  fuzz search steps through its run's step memo.
 """
 
 from __future__ import annotations
@@ -333,11 +335,6 @@ def _fuzz_cell_result(config: Dict[str, Any], cell: Cell) -> Dict[str, Any]:
             problem=config["problem"],
             instance=config.get("instance"),
             params=config.get("params"),
-            kernel=(
-                fuzz.get("kernel")
-                if fuzz.get("kernel") == "compiled"
-                else None
-            ),
             seed=int(fuzz.get("seed") or 0),
             max_steps=fuzz.get("max_steps"),
             max_states=fuzz.get("max_states"),

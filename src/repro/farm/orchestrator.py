@@ -146,8 +146,13 @@ def create_farm(directory: Union[str, Path], config: Dict[str, Any]) -> int:
 
     Returns the cell count.  Refuses an existing run table — resuming
     is :func:`resume_farm`'s job, and silently re-gridding over
-    finished cells is the failure mode the farm exists to prevent.
+    finished cells is the failure mode the farm exists to prevent.  A
+    grid whose target does not resolve raises
+    :class:`~repro.errors.ConfigurationError` before the table exists.
     """
+    from repro.request import resolve_target
+
+    resolve_target(config["problem"], config.get("instance"), config.get("params"))
     cells = grid_cells(config)
     if not cells:
         raise FarmError("grid config materialises zero cells")

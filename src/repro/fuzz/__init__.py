@@ -13,12 +13,13 @@ schedule) while a clean run proves nothing.
 
 Everything is driven by one root seed: episode ``i`` of family ``f``
 derives its own :class:`random.Random` from ``(seed, i, f)``, so runs
-are reproducible step-for-step, shard cleanly across farm cells
-(:mod:`repro.farm`), and produce byte-identical schedules under the
-interpreted and table-compiled step kernels.
+are reproducible step-for-step and shard cleanly across farm cells
+(:mod:`repro.farm`).
 
-The public shrinkers (:func:`shrink_lasso`, :func:`shrink_safety`)
-step through a :class:`StepMemo` the caller builds for one instance.
+The search steps through one :class:`StepMemo` per run, the interpreted
+kernel memoised over interned states.  The public shrinkers
+(:func:`shrink_lasso`, :func:`shrink_safety`) step through a
+:class:`StepMemo` the caller builds for one instance.
 See ``docs/FUZZING.md`` for the strategy families, the seed/replay
 contract and shrink semantics.
 """

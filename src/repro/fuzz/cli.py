@@ -9,9 +9,20 @@ killed run restarts with ``--resume DIR`` exactly where it stopped —
 episodes are globally numbered, so a resumed farm's results are
 byte-identical to an uninterrupted one's.
 
-Exit status: ``0`` when the run matches expectation (no violations
-found, or — with ``--expect-violation``, the mutant-hunting mode CI
-uses — at least one found), ``1`` otherwise, ``2`` for usage errors.
+Exit status:
+
+* ``0`` — the run matches expectation: no violation found, or, with
+  ``--expect-violation`` (the mutant-hunting mode CI uses), at least
+  one found;
+* ``1`` — it does not; or the run raised a typed error, printed as
+  ``[error] <instance label>: <Class>: <message>`` on stderr (one-shot)
+  or ``[error] cell N: <Class>: <message>`` per failed cell (farm),
+  also under ``--expect-violation``;
+* ``2`` — a usage error: an argparse error, a negative ``--episodes``,
+  an unknown ``--families`` name, or any
+  :class:`~repro.errors.ConfigurationError` (an unknown ``--problem``
+  or ``--instance`` among them).  Nothing runs and no farm directory is
+  created.
 """
 
 from __future__ import annotations
@@ -21,12 +32,10 @@ import sys
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.cliflags import (
-    add_backend_flag,
-    add_kernel_flag,
     add_max_states_flag,
     add_seed_flag,
     add_workers_flag,
-    rejection_message,
+    reject_flag,
 )
 
 __all__ = ["fuzz_main", "aggregate_fuzz_rows"]
@@ -113,7 +122,7 @@ def _write_fuzz_manifest(
             "episodes": report.episodes,
             "episode_base": report.episode_base,
             "max_steps": report.max_steps,
-            "kernel": report.effective_kernel,
+            "kernel": report.kernel,
             "families": list(report.families),
         },
         adversary=f"fuzz:{'+'.join(report.families)}",
@@ -127,7 +136,7 @@ def _write_fuzz_manifest(
 
 
 def fuzz_main(argv: Sequence[str]) -> int:
-    from repro.errors import ReproError
+    from repro.errors import ConfigurationError, ReproError
     from repro.fuzz.strategies import STRATEGY_FAMILIES
 
     parser = argparse.ArgumentParser(
@@ -149,16 +158,16 @@ def fuzz_main(argv: Sequence[str]) -> int:
                         help="explicit builder parameter (repeatable; "
                         "mutually exclusive with --instance)")
     add_seed_flag(parser)
-    add_kernel_flag(
-        parser,
-        help_text="step kernel of the search: 'compiled' steps packed "
-        "states through the table-compiled kernel (serial only; "
-        "byte-identical reports)",
+    reject_flag(
+        parser, "--kernel", "fuzz",
+        "the search steps the interpreted kernel through the run's step "
+        "memo; the compiled kernel serves the exhaustive walk "
+        "(`repro verify --kernel compiled`)",
     )
-    add_backend_flag(
-        parser,
-        help_text="execution backend (fuzz episodes are serial; "
-        "'parallel' is rejected — shard episodes with --workers)",
+    reject_flag(
+        parser, "--backend", "fuzz",
+        "episodes are serial by construction; shard them across farm "
+        "cells with --workers",
     )
     add_workers_flag(parser, default=1,
                      help_text="claiming worker processes draining fuzz "
@@ -196,17 +205,17 @@ def fuzz_main(argv: Sequence[str]) -> int:
                         "failures (default: 1 — errors stay terminal)")
     args = parser.parse_args(list(argv))
 
-    if args.backend != "serial":
-        parser.error(
-            rejection_message(
-                f"--backend {args.backend}", "fuzz",
-                "episodes are serial by construction; shard them across "
-                "farm cells with --workers",
-            )
-        )
+    if args.episodes < 0:
+        parser.error(f"--episodes must be >= 0, got {args.episodes}")
     families = None
     if args.families is not None:
         families = [f.strip() for f in args.families.split(",") if f.strip()]
+        for family in families:
+            if family not in STRATEGY_FAMILIES:
+                parser.error(
+                    f"unknown strategy family {family!r}; expected one of "
+                    f"{list(STRATEGY_FAMILIES)}"
+                )
 
     if args.out is not None or args.resume is not None:
         # Cells run independently — a global early-stop cannot be
@@ -226,40 +235,50 @@ def fuzz_main(argv: Sequence[str]) -> int:
         parser.error("pass either --param or --instance, not both")
     params = _parse_params(parser, args.param)
 
+    from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
+    from repro.request import RunRequest
+
+    telemetry = Telemetry() if args.telemetry else NULL_TELEMETRY
+    try:  # both modes check the target and budgets before any work
+        request = RunRequest(
+            problem=args.problem,
+            instance=args.instance,
+            params=params,
+            seed=args.seed,
+            max_steps=args.max_steps,
+            max_states=args.max_states,
+            telemetry=telemetry,
+        )
+        _, record = request.resolve()
+    except ConfigurationError as exc:
+        parser.error(str(exc))
+
     if args.out is not None:
         return _farm_create(parser, args, params, families)
 
     if args.workers not in (None, 1):
         parser.error("--workers needs a shared run table; add --out DIR")
 
-    from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
-    from repro.request import RunRequest
+    from repro.fuzz.engine import run_fuzz
 
-    telemetry = Telemetry() if args.telemetry else NULL_TELEMETRY
     try:
-        from repro.fuzz.engine import run_fuzz
-
         report = run_fuzz(
-            RunRequest(
-                problem=args.problem,
-                instance=args.instance,
-                params=params,
-                kernel=args.kernel if args.kernel == "compiled" else None,
-                seed=args.seed,
-                max_steps=args.max_steps,
-                max_states=args.max_states,
-                telemetry=telemetry,
-            ),
+            request,
             episodes=args.episodes,
             families=families,
             max_violations=args.max_violations,
         )
-    except ReproError as exc:
+    except ConfigurationError as exc:
         parser.error(str(exc))
+    except ReproError as exc:
+        # The run failed, not the command line: end as a farm cell does.
+        print(f"[error] {record.label}: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 1
     print(
         f"{report.instance}: {report.episodes_run} episode(s), "
         f"{report.steps} steps, {report.distinct_states} distinct "
-        f"state(s), kernel={report.effective_kernel}, seed={report.seed}"
+        f"state(s), kernel={report.kernel}, seed={report.seed}"
     )
     if report.truncated_by:
         print(f"stopped early: {report.truncated_by} budget exhausted")
@@ -289,7 +308,6 @@ def _farm_config(
             "seed": args.seed,
             "episodes": args.episodes,
             "max_steps": args.max_steps,
-            "kernel": args.kernel,
             "max_states": args.max_states,
             "families": families,
             "episodes_per_cell": args.episodes_per_cell,

@@ -1,4 +1,4 @@
-"""The fuzz engine: seeded episodes, two kernels, certified hits.
+"""The fuzz engine: seeded episodes over the run's step memo, certified hits.
 
 One *episode* = one strategy instance driving one schedule from the
 initial state, up to ``max_steps`` steps.  The engine watches every
@@ -17,23 +17,21 @@ Every hit is shrunk (:mod:`repro.fuzz.shrink`) and then *certified*:
 replayed through :func:`repro.runtime.replay.replay_schedule` on a
 freshly built system, re-exhibiting the claimed violation.  A hit that
 fails certification raises :class:`~repro.errors.FuzzError` — it is a
-fuzzer bug, never a result.  The revisit oracles and the shrinkers
-step through one :class:`~repro.fuzz.shrink.StepMemo` per run;
-certification judges through a fresh one.
+fuzzer bug, never a result.
 
-The interpreted kernel searches through that memo too: its states are
-the memo's ids, so a step, a strategy's context or an invariant message
-the run has met before is a table lookup.  The compiled kernel steps
-packed states (:mod:`repro.runtime.compiled`) and interns a state in the
-memo only when a revisit hands it to the oracles.
+The search, the revisit oracles and the shrinkers step through one
+:class:`~repro.fuzz.shrink.StepMemo` per run; certification judges
+through a fresh one.  The search's states are the memo's ids, so a
+step, a strategy's context or an invariant message the run has met
+before is a table lookup, and a revisit hands the oracles the id
+itself.
 
 Determinism: episode ``i`` of family ``f`` seeds its own
 ``random.Random`` from ``blake2b(f"{seed}:{i}:{f}")`` — independent of
-``PYTHONHASHSEED``, stable across shards (farm cells pass
-``episode_base``), and kernel-independent.  Memo ids and packed states
-are both bijections on the states a run reaches, so revisit positions —
-and therefore schedules, hits and shrunk witnesses — are byte-identical
-under either kernel (pinned by ``tests/fuzz/test_differential.py``).
+``PYTHONHASHSEED`` and stable across shards (farm cells pass
+``episode_base``).  Schedules, hits and shrunk witnesses are therefore
+a pure function of the request; ``tests/fuzz/test_differential.py``
+pins whole reports by digest.
 """
 
 from __future__ import annotations
@@ -41,12 +39,11 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, ClassVar, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigurationError, FuzzError
 from repro.fuzz.shrink import (
     LASSO_ORACLES,
-    Context,
     StepMemo,
     cycle_is_df_violation,
     cycle_is_of_violation,
@@ -131,10 +128,13 @@ class FuzzViolation:
 class FuzzReport:
     """The outcome of one fuzz run (JSON-able via :meth:`to_dict`)."""
 
+    #: The search always steps the interpreted kernel, through the run's
+    #: step memo; :meth:`to_dict` reports it under both ``kernel`` and
+    #: ``effective_kernel``, the keys farm rows and manifests carry.
+    kernel: ClassVar[str] = "interpreted"
+
     problem: str
     instance: str
-    kernel: str
-    effective_kernel: str
     seed: int
     episode_base: int
     episodes: int
@@ -163,7 +163,7 @@ class FuzzReport:
             "problem": self.problem,
             "instance": self.instance,
             "kernel": self.kernel,
-            "effective_kernel": self.effective_kernel,
+            "effective_kernel": self.kernel,
             "seed": self.seed,
             "episode_base": self.episode_base,
             "episodes": self.episodes,
@@ -178,123 +178,7 @@ class FuzzReport:
         }
 
 
-# -- steppers ----------------------------------------------------------
-#
-# Both kernels expose ``initial``, ``context``, ``step`` and ``check``,
-# plus ``entry``, which hands a revisited state to the oracles as a memo
-# id; their states differ (memo ids vs packed index tuples) but are
-# bijective over the states a run reaches, so revisit bookkeeping is
-# kernel-independent.
-
-class _InterpretedStepper:
-    """The search over the run's :class:`StepMemo`: its states are memo
-    ids, and each step, context and message comes from the id's row."""
-
-    kernel = "interpreted"
-    #: No step here can overflow a table (catches nothing).
-    overflow: Tuple[type, ...] = ()
-
-    def __init__(self, memo: StepMemo, initial: GlobalState) -> None:
-        self.initial = memo.intern(initial)
-        self.context: Callable[[int], Context] = memo.context
-        self.step: Callable[[int, ProcessId], int] = memo.advance
-        self.check: Callable[[int], Optional[str]] = memo.message
-
-    @staticmethod
-    def entry(sid: int) -> int:
-        return sid
-
-
-class _CompiledStepper:
-    kernel = "compiled"
-
-    def __init__(
-        self,
-        program: Any,
-        invariant: Optional[Callable[..., Optional[str]]],
-        memo: StepMemo,
-    ) -> None:
-        from repro.runtime.compiled import CompileOverflow, compile_checker
-
-        #: Raised when a step fills the tables past their caps.
-        self.overflow = CompileOverflow
-        self.instance = program.instance
-        self.program = program
-        self.initial = program.initial_packed
-        self._memo = memo
-        self._checker = (
-            compile_checker(invariant, program)
-            if invariant is not None
-            else None
-        )
-
-    def step(self, packed: Tuple[int, ...], pid: ProcessId) -> Tuple[int, ...]:
-        return self.program.step_packed(
-            packed, self.instance.slot_of[pid]
-        )
-
-    def context(self, packed: Tuple[int, ...]) -> Context:
-        program = self.program
-        enabled = tuple(
-            pid
-            for pid, slot, offset in program.step_order
-            if not (
-                program.halted[slot][packed[offset]] or program.crashed[slot]
-            )
-        )
-        return enabled, {
-            pid: self._pending_physical(packed, pid) for pid in enabled
-        }
-
-    def check(self, packed: Tuple[int, ...]) -> Optional[str]:
-        if self._checker is None:
-            return None
-        return self._checker(packed)
-
-    def _pending_physical(
-        self, packed: Tuple[int, ...], pid: ProcessId
-    ) -> Optional[int]:
-        from repro.runtime.compiled import OP_READ, OP_WRITE
-
-        program = self.program
-        slot = self.instance.slot_of[pid]
-        si = packed[program.m + slot]
-        # The tables fill on demand: classify a pending state first.
-        if program.classify(slot, si) in (OP_READ, OP_WRITE):
-            return program.arg[slot][si]
-        return None
-
-    def entry(self, packed: Tuple[int, ...]) -> int:
-        return self._memo.intern(self.program.unpack(packed))
-
-
 # -- the engine --------------------------------------------------------
-
-def _build_stepper(
-    spec: Any,
-    memo: StepMemo,
-    initial: GlobalState,
-    kernel: str,
-    params: Dict[str, Any],
-) -> Any:
-    if kernel == "interpreted":
-        return _InterpretedStepper(memo, initial)
-    from repro.runtime.compiled import CompileOverflow, compile_program
-
-    domain_hint: Sequence[Any] = ()
-    if spec.value_domain is not None:
-        domain_hint = spec.value_domain(params)
-    try:
-        program = compile_program(
-            memo.instance, initial, domain_hint=domain_hint
-        )
-    except CompileOverflow:
-        # Same fallback contract as CompiledBackend: outside the
-        # enumerable envelope the interpreted kernel takes over; the
-        # report records the effective kernel.
-        return _InterpretedStepper(memo, initial)
-    return _CompiledStepper(program, spec.invariant, memo)
-
 
 def run_fuzz(
     request: RunRequest,
@@ -309,10 +193,11 @@ def run_fuzz(
     """Fuzz one registry instance per ``request``; see module docstring.
 
     ``request`` carries the target (``problem``/``instance``/``params``),
-    the root ``seed`` (default 0), the per-episode ``max_steps`` budget,
-    the step ``kernel`` and an optional ``max_states`` cap on distinct
-    states visited across the whole run (the run stops early with
-    ``truncated_by="max_states"`` when it trips).  ``episode_base``
+    the root ``seed`` (default 0), the per-episode ``max_steps`` budget
+    and an optional ``max_states`` cap on distinct states visited across
+    the whole run (the run stops early with ``truncated_by="max_states"``
+    when it trips).  Its ``kernel`` may be unset or ``"interpreted"``:
+    the search steps through the run's step memo.  ``episode_base``
     offsets the global episode numbering so farm cells sharding one run
     reproduce exactly the episodes a one-shot run would execute.
     """
@@ -324,10 +209,14 @@ def run_fuzz(
             f"{request.backend!r} (use workers= to shard episodes "
             "across farm cells)"
         )
+    if request.kernel == "compiled":
+        raise ConfigurationError(
+            "fuzzing steps the interpreted kernel through the run's step "
+            "memo; got kernel='compiled' (leave kernel unset)"
+        )
     if episodes < 0:
         raise FuzzError(f"episodes must be >= 0, got {episodes}")
     spec, instance_record = request.resolve()
-    kernel = request.kernel or "interpreted"
     seed = request.seed if request.seed is not None else 0
     max_steps = request.max_steps or DEFAULT_MAX_STEPS
     telemetry = request.telemetry or NULL_TELEMETRY
@@ -339,133 +228,120 @@ def run_fuzz(
     system = spec.system(instance_record)
     instance = StepInstance.from_system(system)
     initial = system.scheduler.capture_state()
-    params = instance_record.params_dict()
-    # One step memo per run: the interpreted search, the lasso oracles
-    # and both shrinkers step through it, so a step the run has met
-    # before costs a table lookup, not a kernel step.
+    # One step memo per run: the search, the lasso oracles and both
+    # shrinkers step through it, so a step the run has met before costs
+    # a table lookup, not a kernel step.
     memo = StepMemo(instance, spec.invariant)
-    stepper = _build_stepper(spec, memo, initial, kernel, params)
+    start = memo.intern(initial)
     liveness_kinds = {prop.kind for prop in spec.liveness}
     theorem_of = {prop.kind: prop.theorem for prop in spec.liveness}
     check_df = "deadlock-freedom" in liveness_kinds and memo.supported
     check_of = "obstruction-freedom" in liveness_kinds
 
-    def fuzz_with(stepper: Any) -> FuzzReport:
-        report = FuzzReport(
+    report = FuzzReport(
+        problem=spec.key,
+        instance=instance_record.label,
+        seed=seed,
+        episode_base=episode_base,
+        episodes=episodes,
+        max_steps=max_steps,
+        families=families,
+    )
+    if telemetry.enabled:
+        telemetry.event(
+            "fuzz.start",
             problem=spec.key,
             instance=instance_record.label,
-            kernel=kernel,
-            effective_kernel=stepper.kernel,
+            kernel=report.kernel,
             seed=seed,
-            episode_base=episode_base,
             episodes=episodes,
-            max_steps=max_steps,
-            families=families,
         )
-        if telemetry.enabled:
-            telemetry.event(
-                "fuzz.start",
-                problem=spec.key,
-                instance=instance_record.label,
-                kernel=stepper.kernel,
-                seed=seed,
-                episodes=episodes,
-            )
 
-        context, step, check = stepper.context, stepper.step, stepper.check
-        coverage: Set[Any] = set()
-        pid_count = len(instance.pid_order)
-        for episode in range(episode_base, episode_base + episodes):
-            if request.max_states is not None and len(coverage) >= request.max_states:
-                report.truncated_by = "max_states"
-                break
-            if max_violations is not None and len(report.violations) >= max_violations:
-                break
-            family = families[episode % len(families)]
-            rng = random.Random(episode_seed(seed, episode, family))
-            strategy = build_strategy(family, rng)
-            report.episodes_run += 1
+    context, advance, message_of = memo.context, memo.advance, memo.message
+    coverage: Set[int] = set()
+    pid_count = len(instance.pid_order)
+    for episode in range(episode_base, episode_base + episodes):
+        if request.max_states is not None and len(coverage) >= request.max_states:
+            report.truncated_by = "max_states"
+            break
+        if max_violations is not None and len(report.violations) >= max_violations:
+            break
+        family = families[episode % len(families)]
+        rng = random.Random(episode_seed(seed, episode, family))
+        strategy = build_strategy(family, rng)
+        report.episodes_run += 1
 
-            state = stepper.initial
-            coverage.add(state)
-            seen: Dict[Any, int] = {state: 0}
-            schedule: List[ProcessId] = []
-            contention: Dict[ProcessId, int] = {}
-            last_accessor: Dict[int, ProcessId] = {}
+        state = start
+        coverage.add(state)
+        seen: Dict[int, int] = {state: 0}
+        schedule: List[ProcessId] = []
+        contention: Dict[ProcessId, int] = {}
+        last_accessor: Dict[int, ProcessId] = {}
 
-            for step_index in range(max_steps):
-                enabled, pending = context(state)
-                if not enabled:
-                    break  # everyone settled: nothing left to schedule
-                pid = strategy.choose(
-                    FuzzContext(
-                        enabled=enabled,
-                        step_index=step_index,
-                        pending=pending,
-                        contention=contention,
-                        halted=pid_count - len(enabled),
-                    )
+        for step_index in range(max_steps):
+            enabled, pending = context(state)
+            if not enabled:
+                break  # everyone settled: nothing left to schedule
+            pid = strategy.choose(
+                FuzzContext(
+                    enabled=enabled,
+                    step_index=step_index,
+                    pending=pending,
+                    contention=contention,
+                    halted=pid_count - len(enabled),
                 )
-                if pid is None:
-                    break  # strategy surrendered (e.g. broken lockstep)
-                physical = pending[pid]
-                state = step(state, pid)
-                schedule.append(pid)
-                report.steps += 1
-                if physical is not None:
-                    previous = last_accessor.get(physical)
-                    if previous is not None and previous != pid:
-                        contention[pid] = contention.get(pid, 0) + 1
-                    last_accessor[physical] = pid
+            )
+            if pid is None:
+                break  # strategy surrendered (e.g. broken lockstep)
+            physical = pending[pid]
+            state = advance(state, pid)
+            schedule.append(pid)
+            report.steps += 1
+            if physical is not None:
+                previous = last_accessor.get(physical)
+                if previous is not None and previous != pid:
+                    contention[pid] = contention.get(pid, 0) + 1
+                last_accessor[physical] = pid
 
-                message = check(state)
-                if message is not None:
-                    report.violations.append(
-                        _certify_safety(
-                            spec, instance_record, memo, initial,
-                            family, episode, tuple(schedule), message,
-                            shrink=shrink, validate=validate,
-                        )
-                    )
-                    break
-
-                position = seen.get(state)
-                if position is None:
-                    seen[state] = len(schedule)
-                    coverage.add(state)
-                    continue
-                # Revisit: candidate lasso (prefix=schedule[:j], cycle=rest).
-                cycle = tuple(schedule[position:])
-                entry = stepper.entry(state)
-                hit_kind: Optional[str] = None
-                if check_df and cycle_is_df_violation(memo, entry, cycle):
-                    hit_kind = "deadlock-freedom"
-                elif check_of and cycle_is_of_violation(memo, entry, cycle):
-                    hit_kind = "obstruction-freedom"
-                if hit_kind is None:
-                    # Benign cycle; slide the window so the next revisit
-                    # yields the shortest (most recent) candidate.
-                    seen[state] = len(schedule)
-                    continue
+            message = message_of(state)
+            if message is not None:
                 report.violations.append(
-                    _certify_lasso(
+                    _certify_safety(
                         spec, instance_record, memo, initial,
-                        family, episode, tuple(schedule[:position]), cycle,
-                        hit_kind, theorem_of[hit_kind],
+                        family, episode, tuple(schedule), message,
                         shrink=shrink, validate=validate,
                     )
                 )
                 break
 
-        report.distinct_states = len(coverage)
-        return report
+            position = seen.get(state)
+            if position is None:
+                seen[state] = len(schedule)
+                coverage.add(state)
+                continue
+            # Revisit: candidate lasso (prefix=schedule[:j], cycle=rest).
+            cycle = tuple(schedule[position:])
+            hit_kind: Optional[str] = None
+            if check_df and cycle_is_df_violation(memo, state, cycle):
+                hit_kind = "deadlock-freedom"
+            elif check_of and cycle_is_of_violation(memo, state, cycle):
+                hit_kind = "obstruction-freedom"
+            if hit_kind is None:
+                # Benign cycle; slide the window so the next revisit
+                # yields the shortest (most recent) candidate.
+                seen[state] = len(schedule)
+                continue
+            report.violations.append(
+                _certify_lasso(
+                    spec, instance_record, memo, initial,
+                    family, episode, tuple(schedule[:position]), cycle,
+                    hit_kind, theorem_of[hit_kind],
+                    shrink=shrink, validate=validate,
+                )
+            )
+            break
 
-    try:
-        report = fuzz_with(stepper)
-    except stepper.overflow:
-        # The run reached past the compiled tables' caps: as with
-        # CompiledBackend, the interpreted kernel runs it again whole.
-        report = fuzz_with(_InterpretedStepper(memo, initial))
+    report.distinct_states = len(coverage)
     if telemetry.enabled:
         telemetry.gauge("fuzz.episodes", report.episodes_run)
         telemetry.gauge("fuzz.steps", report.steps)

@@ -11,7 +11,7 @@ holds both halves of that contract:
   integer ids, and each id's row holds its successor per slot (computed
   by :func:`~repro.runtime.kernel.step_value` once), its scheduling
   context, its critical-section mask and the run invariant's message.
-  The interpreted search walks these ids, and ddmin replays
+  The fuzz search walks these ids, and ddmin replays
   near-identical schedules from the same few states over and over, so
   almost every step either asks for is already in the table;
 * the **oracles** — walks over the memo that decide whether a schedule

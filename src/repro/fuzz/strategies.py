@@ -23,9 +23,9 @@ theorem about where coordination algorithms break:
 
 Determinism contract: a strategy's entire decision sequence is a pure
 function of its constructor ``rng`` and the sequence of contexts it is
-shown.  Both fuzz kernels present identical contexts (same enabled
-order, same pending physical registers, same contention counters), so
-fixed ``(seed, episode, family)`` yields the same schedule under either.
+shown.  The engine builds each context from the run's step memo, which
+is a pure function of the state, so fixed ``(seed, episode, family)``
+yields the same schedule in every run.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ class FuzzContext:
 
     ``enabled`` preserves the instance's scheduler order;
     ``pending`` maps each enabled pid to the *physical* register its
-    next operation touches (``None`` for local/halt steps) — both
-    computed identically by the interpreted and compiled steppers.
+    next operation touches (``None`` for local/halt steps) — both read
+    from the state's row of the run's step memo.
     ``contention`` counts, per pid, how many of its past accesses hit a
     register last touched by a different process.
     """

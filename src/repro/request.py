@@ -179,6 +179,9 @@ def resolve_target(
       spec replaces ``problem`` and its first instance is used, or
     * ``None`` — ``params`` (synthesizing an unregistered instance) or
       the spec's first declared instance.
+
+    Every failure is a :class:`~repro.errors.ConfigurationError`; an
+    unknown ``problem`` carries the registry's "unknown problem" text.
     """
     from repro.errors import ReproError
     from repro.problems import get_problem
@@ -189,7 +192,10 @@ def resolve_target(
             "a problem key is required to resolve a registry instance "
             "(RunRequest.problem / --problem)"
         )
-    spec = get_problem(problem)
+    try:
+        spec = get_problem(problem)
+    except KeyError as error:
+        raise ConfigurationError(error.args[0]) from None
     if instance is not None:
         try:
             return spec, spec.instance(instance)

@@ -1,7 +1,7 @@
 """Engine acceptance tests: the mutant is found, clean instances stay
 clean, every reported witness replays on a live system, the run is a
 pure function of its seed, and a search step or hook that fails fails
-the run alike under both kernels."""
+the run."""
 
 import dataclasses
 
@@ -131,6 +131,34 @@ class TestConfiguration:
                 )
             )
 
+    def test_compiled_kernel_rejected(self):
+        with pytest.raises(ConfigurationError) as error:
+            run_fuzz(
+                RunRequest(
+                    problem="figure-1-mutex",
+                    instance="figure-1-mutex(m=3)",
+                    kernel="compiled",
+                )
+            )
+        assert str(error.value) == (
+            "fuzzing steps the interpreted kernel through the run's step "
+            "memo; got kernel='compiled' (leave kernel unset)"
+        )
+
+    def test_interpreted_kernel_runs(self, mutant_report):
+        report = run_fuzz(
+            RunRequest(
+                problem="figure-1-mutex",
+                instance="figure-1-mutex-even-m",
+                seed=7,
+                kernel="interpreted",
+            ),
+            episodes=EPISODES,
+        )
+        assert report.to_dict() == mutant_report.to_dict()
+        assert report.to_dict()["kernel"] == "interpreted"
+        assert report.to_dict()["effective_kernel"] == "interpreted"
+
     def test_unknown_family_rejected_before_any_episode(self):
         with pytest.raises(FuzzError, match="unknown strategy family"):
             fuzz("figure-1-mutex(m=3)", families=["random", "zigzag"])
@@ -200,13 +228,12 @@ class TestCoverage:
         assert cut[0].distinct_states == cut[1].distinct_states
 
 
-def fuzz_m3(kernel, episodes=8):
+def fuzz_m3(episodes=8):
     return run_fuzz(
         RunRequest(
             problem="figure-1-mutex",
             instance="figure-1-mutex(m=3)",
             seed=7,
-            kernel=kernel,
         ),
         episodes=episodes,
     )
@@ -236,25 +263,24 @@ def raising_invariant(system):
     return None
 
 
-@pytest.mark.parametrize("kernel", [None, "compiled"])
 class TestSearchFailures:
-    def test_a_rejected_step_raises_the_kernels_error(self, collect_op, kernel):
+    def test_a_rejected_step_raises_the_kernels_error(self, collect_op):
         collect_op(lambda automaton: ReadOp(99))
         with pytest.raises(ProtocolError) as error:
-            fuzz_m3(kernel)
+            fuzz_m3()
         assert str(error.value) == "process 101: register index 99 out of range 0..2"
 
-    def test_a_raising_next_op_fails_on_the_step(self, collect_op, kernel):
+    def test_a_raising_next_op_fails_on_the_step(self, collect_op):
         def raising(automaton):
             raise RuntimeError(f"next_op raised on process {automaton.pid}")
 
         collect_op(raising)
         with pytest.raises(RuntimeError, match="^next_op raised on process 101$"):
-            fuzz_m3(kernel)
+            fuzz_m3()
 
-    def test_a_raising_invariant_propagates(self, monkeypatch, kernel):
+    def test_a_raising_invariant_propagates(self, monkeypatch):
         spec, record = resolve_target("figure-1-mutex", "figure-1-mutex(m=3)")
         patched = dataclasses.replace(spec, invariant=raising_invariant)
         monkeypatch.setattr(RunRequest, "resolve", lambda request: (patched, record))
         with pytest.raises(RuntimeError, match="^the invariant raised"):
-            fuzz_m3(kernel)
+            fuzz_m3()

@@ -30,7 +30,7 @@ EPISODES = 16
 PER_CELL = 4
 
 
-def fuzz_config(episodes=EPISODES, per_cell=PER_CELL, max_attempts=1):
+def fuzz_config(episodes=EPISODES, per_cell=PER_CELL, max_attempts=1, **fuzz):
     return {
         "problem": "figure-1-mutex",
         "instance": "figure-1-mutex-even-m",
@@ -39,10 +39,10 @@ def fuzz_config(episodes=EPISODES, per_cell=PER_CELL, max_attempts=1):
             "seed": 7,
             "episodes": episodes,
             "max_steps": 64,
-            "kernel": "interpreted",
             "max_states": None,
             "families": None,
             "episodes_per_cell": per_cell,
+            **fuzz,
         },
         "max_attempts": max_attempts,
     }
@@ -96,6 +96,30 @@ class TestFuzzFarmEquivalence:
             v.to_dict() for v in reference.violations
         ]
         assert summary["violations_by_family"] == dict(reference.by_family())
+
+    @pytest.mark.parametrize("kernel", ["interpreted", "compiled"])
+    def test_a_stored_kernel_resumes_on_the_memo_search(
+        self, tmp_path, capsys, kernel
+    ):
+        # Older fuzz grids stored the search's kernel; either value
+        # resumes and drains on the one memo search.
+        farm = tmp_path / "farm"
+        create_farm(farm, fuzz_config(kernel=kernel))
+        drain_farm(farm, max_cells=2)
+        assert main(["fuzz", "--resume", str(farm), "--expect-violation"]) == 0
+        assert "2 cell(s) to run" in capsys.readouterr().out
+
+        result = farm_result(farm)
+        assert result.complete
+        summary = aggregate_fuzz_rows(result.rows)
+        reference = one_shot_report()
+        assert summary["steps"] == reference.steps
+        assert summary["violations"] == [
+            v.to_dict() for v in reference.violations
+        ]
+        assert {row.result["effective_kernel"] for row in result.rows} == {
+            "interpreted"
+        }
 
     def test_fuzz_cell_manifests_have_fuzz_kind(self, tmp_path):
         farm = tmp_path / "farm"

@@ -250,9 +250,11 @@ class _Pair:
 class TestStableEncode:
     """The content-addressed encoding under the digest layer.
 
-    Key equality across OS processes (what the parallel backend relies
-    on) needs the encoding to be a pure function of value *content* and
-    injective across the value shapes the model traffics in.
+    Key equality across OS processes (farm workers digest the graphs
+    of their verify cells; ``TestCanonicalizerPickling`` pins keys under
+    two hash seeds) needs the encoding to be a pure function of value
+    *content* and injective across the value shapes the model traffics
+    in.
     """
 
     def test_container_shapes_never_collide(self):

@@ -101,6 +101,36 @@ class TestCli:
         assert "report" in out
 
 
+class TestUnknownProblem:
+    """An unknown ``--problem`` is a usage error on every command that
+    runs one: exit 2, the key named, and no run table left behind."""
+
+    @pytest.mark.parametrize("command, farm", [
+        ("fuzz", False), ("fuzz", True), ("verify", False),
+        ("sweep", False), ("sweep", True),
+    ], ids=["fuzz", "fuzz-out", "verify", "sweep", "sweep-out"])
+    def test_exits_2_naming_the_key(self, command, farm, tmp_path, capsys):
+        out = tmp_path / "farm"
+        argv = [command, "--problem", "nope"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + (["--out", str(out)] if farm else []))
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: unknown problem 'nope'; known: [" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_create_farm_resolves_before_the_table(self, tmp_path):
+        from repro.errors import ConfigurationError
+        from repro.farm import create_farm
+
+        config = {"problem": "nope", "namings": [{"type": "identity"}],
+                  "adversaries": [{"type": "round-robin"}], "max_steps": 10}
+        with pytest.raises(ConfigurationError, match="unknown problem 'nope'"):
+            create_farm(tmp_path / "farm", config)
+        assert not (tmp_path / "farm").exists()
+
+
 class TestExperimentsCommand:
     """``repro experiments`` runs benchmarks/run_experiments.py; the
     script is stubbed here, so only the hand-over is under test."""

@@ -128,23 +128,36 @@ class TestSweepRow:
         assert rejection_message(flag, "sweep", reason) in err
 
 
-class TestFuzzRow:
-    def test_accepts_all_five(self, capsys):
-        text = help_text("fuzz", capsys)
-        for flag in ("--kernel", "--backend", "--workers", "--seed",
-                     "--max-states"):
-            assert flag in text
+FUZZ_REJECTIONS = {
+    "--kernel":
+        "the search steps the interpreted kernel through the run's step "
+        "memo; the compiled kernel serves the exhaustive walk "
+        "(`repro verify --kernel compiled`)",
+    "--backend":
+        "episodes are serial by construction; shard them across farm "
+        "cells with --workers",
+}
 
-    def test_backend_parallel_rejected_with_pinned_text(self, capsys):
+
+class TestFuzzRow:
+    def test_accepts_workers_seed_max_states(self, capsys):
+        text = help_text("fuzz", capsys)
+        for flag in ("--workers", "--seed", "--max-states"):
+            assert flag in text
+        for flag in FUZZ_REJECTIONS:
+            assert flag not in text  # rejected flags are suppressed
+
+    @pytest.mark.parametrize("flag, operand", [
+        ("--kernel", "compiled"),
+        ("--kernel", "interpreted"),
+        ("--backend", "serial"),
+        ("--backend", "parallel"),
+    ])
+    def test_rejects_with_pinned_text(self, flag, operand, capsys):
         err = run_expecting_usage_error(
-            ["fuzz", "--problem", "figure-1-mutex",
-             "--backend", "parallel"], capsys
+            ["fuzz", "--problem", "figure-1-mutex", flag, operand], capsys
         )
-        assert rejection_message(
-            "--backend parallel", "fuzz",
-            "episodes are serial by construction; shard them across "
-            "farm cells with --workers",
-        ) in err
+        assert rejection_message(flag, "fuzz", FUZZ_REJECTIONS[flag]) in err
 
 
 class TestWorkersValidation:

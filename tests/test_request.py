@@ -129,6 +129,14 @@ class TestResolveTarget:
             resolve_target("figure-1-mutex", "nope")
         assert "figure-1-mutex(m=3)" in str(err.value)
 
+    def test_unknown_problem_is_a_configuration_error(self):
+        with pytest.raises(KeyError) as missing:
+            get_problem("nope")
+        with pytest.raises(ConfigurationError) as err:
+            resolve_target("nope")
+        assert str(err.value) == missing.value.args[0]
+        assert str(err.value).startswith("unknown problem 'nope'; known: [")
+
     def test_params_synthesise_adhoc_instance(self):
         spec, inst = resolve_target("figure-1-mutex", params={"m": 7})
         assert inst.label == "figure-1-mutex(m=7)"
