@@ -427,15 +427,13 @@ def cmd_sweep(rest=()) -> int:
 
 
 def _sweep_in_memory(config) -> "object":
-    """One-shot sweep over a MemoryRunTable (no farm directory)."""
-    from repro.farm import FarmResult, MemoryRunTable, execute_cell, grid_cells
+    """One-shot sweep over a MemoryRunTable (no farm directory).  It
+    drains through the farm's claim loop, so a cell that raises becomes
+    an error row here too."""
+    from repro.farm import FarmResult, MemoryRunTable, drain_table, grid_cells
 
     table = MemoryRunTable(grid_cells(config))
-    while True:
-        cell = table.claim("cli")
-        if cell is None:
-            break
-        table.finish(cell.index, execute_cell(config, cell, graphs_dir=None))
+    drain_table(table, config, "cli", max_attempts=config["max_attempts"])
     return FarmResult(problem=config["problem"], rows=table.rows())
 
 

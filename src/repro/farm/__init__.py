@@ -25,7 +25,7 @@ from repro.farm.cells import (
     grid_cells,
     parse_adversary_spec,
     parse_naming_spec,
-    resolve_grid_params,
+    resolve_grid_target,
 )
 from repro.farm.orchestrator import (
     GRAPHS_DIRNAME,
@@ -33,6 +33,7 @@ from repro.farm.orchestrator import (
     FarmResult,
     create_farm,
     drain_farm,
+    drain_table,
     farm_result,
     is_farm_dir,
     open_farm,
@@ -73,6 +74,7 @@ __all__ = [
     "create_farm",
     "open_farm",
     "resume_farm",
+    "drain_table",
     "drain_farm",
     "run_farm",
     "farm_result",
@@ -80,7 +82,7 @@ __all__ = [
     "grid_cells",
     "execute_cell",
     "default_checkers",
-    "resolve_grid_params",
+    "resolve_grid_target",
     "parse_naming_spec",
     "parse_adversary_spec",
     "describe_descriptor",

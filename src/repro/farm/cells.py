@@ -31,14 +31,15 @@ Three cell kinds execute here:
   index, so the union of all cells is exactly the one-shot run and a
   resumed farm is byte-identical to an uninterrupted one.  A
   ``"kernel"`` key, which older fuzz grids stored, is ignored: every
-  fuzz search steps through its run's step memo.
+  fuzz search steps through a step memo, one per target for all the
+  fuzz cells a worker claims.
 """
 
 from __future__ import annotations
 
 import hashlib
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.errors import FarmError
 from repro.farm.runtable import Cell
@@ -50,7 +51,7 @@ __all__ = [
     "build_adversary",
     "describe_descriptor",
     "grid_cells",
-    "resolve_grid_params",
+    "resolve_grid_target",
     "default_checkers",
     "execute_cell",
 ]
@@ -146,17 +147,27 @@ def describe_descriptor(descriptor: Dict[str, Any]) -> str:
 
 # -- the grid ----------------------------------------------------------
 
-def resolve_grid_params(spec, config: Dict[str, Any]) -> Dict[str, Any]:
-    """The builder params a grid config names (same precedence as
-    :func:`~repro.analysis.experiments.sweep_problem`: explicit params,
-    then the named instance, then the spec's first declared instance)."""
-    if config.get("params") is not None:
-        return dict(config["params"])
-    if config.get("instance") is not None:
-        return spec.instance(config["instance"]).params_dict()
-    if spec.instances:
-        return spec.instances[0].params_dict()
-    return {}
+def resolve_grid_target(config: Dict[str, Any]):
+    """The ``(spec, instance record)`` a grid config's run and verify
+    cells execute.
+
+    Same precedence as :func:`~repro.analysis.experiments.sweep_problem`:
+    explicit params, then the named instance, then the spec's first
+    declared instance's params.  A named instance resolves through
+    :func:`~repro.request.resolve_target`, so it may be a mutant's
+    problem key (``figure-1-mutex-even-m``) as in ``repro fuzz``; params
+    get an unregistered record labelled ``<key>(<k>=<v>,...)``.
+    """
+    from repro.problems import get_problem
+    from repro.request import resolve_target
+
+    params = config.get("params")
+    if params is None:
+        if config.get("instance") is not None:
+            return resolve_target(config["problem"], config["instance"])
+        spec = get_problem(config["problem"])
+        params = spec.instances[0].params_dict() if spec.instances else {}
+    return resolve_target(config["problem"], None, params)
 
 
 def grid_cells(config: Dict[str, Any]) -> List[Cell]:
@@ -278,23 +289,11 @@ def _run_cell_result(spec, params: Dict[str, Any], cell: Cell,
     }
 
 
-def _verify_cell_result(spec, params: Dict[str, Any], config: Dict[str, Any],
+def _verify_cell_result(spec, instance, config: Dict[str, Any],
                         graph_dir: Optional[Path]) -> Dict[str, Any]:
-    from repro.problems.spec import ProblemInstance
     from repro.request import RunRequest
     from repro.verify.runner import verify_instance
 
-    if config.get("instance") is not None:
-        instance = spec.instance(config["instance"])
-    else:
-        # Explicit params (or spec defaults): synthesize an unregistered
-        # instance record so verify_instance can budget the walk.
-        rendered = ",".join(f"{k}={v}" for k, v in sorted(params.items()))
-        instance = ProblemInstance(
-            label=f"{spec.key}({rendered})",
-            params=tuple(sorted(params.items())),
-            roles=("verify",),
-        )
     report = verify_instance(
         spec,
         instance,
@@ -325,7 +324,11 @@ def _verify_cell_result(spec, params: Dict[str, Any], config: Dict[str, Any],
     return result
 
 
-def _fuzz_cell_result(config: Dict[str, Any], cell: Cell) -> Dict[str, Any]:
+def _fuzz_cell_result(
+    config: Dict[str, Any],
+    cell: Cell,
+    memos: Optional[Dict[Tuple[str, str], Any]],
+) -> Dict[str, Any]:
     from repro.fuzz.engine import run_fuzz
     from repro.request import RunRequest
 
@@ -342,6 +345,7 @@ def _fuzz_cell_result(config: Dict[str, Any], cell: Cell) -> Dict[str, Any]:
         episodes=int(cell.payload["episodes"]),
         episode_base=int(cell.payload["episode_base"]),
         families=fuzz.get("families"),
+        memos=memos,
     )
     # FuzzReport.to_dict is wall-clock-free, so resume reproduces the
     # exact bytes an uninterrupted farm writes.
@@ -352,27 +356,31 @@ def execute_cell(
     config: Dict[str, Any],
     cell: Cell,
     graphs_dir: Optional[Union[str, Path]] = None,
+    memos: Optional[Dict[Tuple[str, str], Any]] = None,
 ) -> Dict[str, Any]:
     """Execute one claimed cell of a grid; returns its JSON result.
 
     ``graphs_dir`` is the farm's graph-store root; verify cells persist
     their retained StateGraph under ``<graphs_dir>/cell-<index>`` when
     it is given (disk farms) and skip persistence when it is ``None``
-    (in-memory one-shot sweeps).
+    (in-memory one-shot sweeps).  ``memos`` is the caller's step-memo
+    dict, handed to fuzz cells as :func:`~repro.fuzz.engine.run_fuzz`'s
+    ``memos``: a worker passes one dict to every cell it claims, so its
+    fuzz cells share one memo per target.  Run and verify cells ignore
+    it.
     """
-    from repro.problems import get_problem
-
-    spec = get_problem(config["problem"])
     if cell.kind == "fuzz":
-        return _fuzz_cell_result(config, cell)
-    params = resolve_grid_params(spec, config)
+        return _fuzz_cell_result(config, cell, memos)
+    spec, instance = resolve_grid_target(config)
     if cell.kind == "run":
-        return _run_cell_result(spec, params, cell, int(config["max_steps"]))
+        return _run_cell_result(
+            spec, instance.params_dict(), cell, int(config["max_steps"])
+        )
     if cell.kind == "verify":
         graph_dir = (
             Path(graphs_dir) / f"cell-{cell.index:05d}"
             if graphs_dir is not None
             else None
         )
-        return _verify_cell_result(spec, params, config, graph_dir)
+        return _verify_cell_result(spec, instance, config, graph_dir)
     raise FarmError(f"unknown cell kind {cell.kind!r} at index {cell.index}")

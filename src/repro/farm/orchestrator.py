@@ -47,13 +47,14 @@ from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.errors import FarmError
 from repro.farm.cells import grid_cells
-from repro.farm.runtable import CellRow, SqliteRunTable
+from repro.farm.runtable import Cell, CellRow, MemoryRunTable, SqliteRunTable
 
 __all__ = [
     "FarmResult",
     "create_farm",
     "open_farm",
     "resume_farm",
+    "drain_table",
     "drain_farm",
     "run_farm",
     "farm_result",
@@ -237,6 +238,58 @@ def _append_manifest(
         stream.write(line + "\n")
 
 
+def drain_table(
+    table: Union[MemoryRunTable, SqliteRunTable],
+    config: Dict[str, Any],
+    worker: str,
+    *,
+    max_attempts: int = 1,
+    graphs_dir: Optional[Path] = None,
+    fault_injector: Optional[FaultInjector] = None,
+    max_cells: Optional[int] = None,
+    on_finish: Optional[Callable[[Cell, Dict[str, Any]], None]] = None,
+) -> None:
+    """The claim loop over any run table: claim, execute, settle.
+
+    A cell that raises is marked ``error`` with its exception's class
+    and text, and the loop moves on (a failed cell with attempts to
+    spare under ``max_attempts`` goes straight back to ``pending``); a
+    :class:`~repro.errors.FarmError` propagates.  ``on_finish`` is
+    called with each cell and its result after ``finish`` commits.
+
+    The loop keeps one step-memo dict for all the cells it claims (see
+    :func:`~repro.farm.cells.execute_cell`), so its fuzz cells share one
+    memo per target.  A cell that raises drops every memo: no later
+    cell reads a table the failure may have left half-written.
+    """
+    from repro.farm.cells import execute_cell
+
+    memos: Dict[Any, Any] = {}
+    executed = 0
+    while max_cells is None or executed < max_cells:
+        cell = table.claim(worker)
+        if cell is None:
+            break
+        if fault_injector is not None:
+            fault_injector(cell)
+        executed += 1
+        try:
+            result = execute_cell(
+                config, cell, graphs_dir=graphs_dir, memos=memos
+            )
+        except FarmError:
+            raise  # protocol bugs must surface, not soak into rows
+        except Exception as exc:  # noqa: BLE001 — cell isolation
+            memos.clear()
+            table.fail(cell.index, f"{type(exc).__name__}: {exc}")
+            if max_attempts > 1:
+                table.retry_errors(max_attempts)
+            continue
+        table.finish(cell.index, result)
+        if on_finish is not None:
+            on_finish(cell, result)
+
+
 def drain_farm(
     directory: Union[str, Path],
     worker: str = "w0",
@@ -246,46 +299,37 @@ def drain_farm(
 ) -> FarmResult:
     """Claim-and-execute cells until the table drains (one worker).
 
-    ``max_cells`` bounds how many cells this call may claim (for tests
-    and incremental draining); ``fault_injector`` fires between claim
-    and execution — see :data:`FaultInjector`.  ``max_attempts``
-    (default: the grid config's, default 1) is the per-cell retry
-    budget: a failed cell with attempts to spare goes straight back to
-    ``pending`` instead of settling in ``error``.
+    The loop is :func:`drain_table`'s, so the worker's fuzz cells share
+    one step memo per target.  ``max_cells`` bounds how many cells this
+    call may claim (for tests and incremental draining);
+    ``fault_injector`` fires between claim and execution — see
+    :data:`FaultInjector`.  ``max_attempts`` (default: the grid
+    config's, default 1) is the per-cell retry budget: a failed cell
+    with attempts to spare goes straight back to ``pending`` instead of
+    settling in ``error``.
     """
-    from repro.farm.cells import execute_cell
-
     root = Path(directory)
-    graphs_dir = root / GRAPHS_DIRNAME
-    executed = 0
     with open_farm(root) as table:
         config = table.meta().get("grid")
         if config is None:
             raise FarmError(f"{root}: run table has no grid config in meta")
         if max_attempts is None:
             max_attempts = int(config.get("max_attempts", 1))
-        while max_cells is None or executed < max_cells:
-            cell = table.claim(worker)
-            if cell is None:
-                break
-            if fault_injector is not None:
-                fault_injector(cell)
-            try:
-                result = execute_cell(config, cell, graphs_dir=graphs_dir)
-            except FarmError:
-                raise  # protocol bugs must surface, not soak into rows
-            except Exception as exc:  # noqa: BLE001 — cell isolation
-                table.fail(cell.index, f"{type(exc).__name__}: {exc}")
-                if max_attempts > 1:
-                    table.retry_errors(max_attempts)
-                executed += 1
-                continue
-            table.finish(cell.index, result)
+
+        def record(cell: Cell, result: Dict[str, Any]) -> None:
             _append_manifest(
                 root, worker, config, cell, result,
                 attempts=table.attempts_of(cell.index),
             )
-            executed += 1
+
+        drain_table(
+            table, config, worker,
+            max_attempts=max_attempts,
+            graphs_dir=root / GRAPHS_DIRNAME,
+            fault_injector=fault_injector,
+            max_cells=max_cells,
+            on_finish=record,
+        )
     return farm_result(root)
 
 

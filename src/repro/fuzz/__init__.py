@@ -16,8 +16,9 @@ derives its own :class:`random.Random` from ``(seed, i, f)``, so runs
 are reproducible step-for-step and shard cleanly across farm cells
 (:mod:`repro.farm`).
 
-The search steps through one :class:`StepMemo` per run, the interpreted
-kernel memoised over interned states.  The public shrinkers
+The search steps through a :class:`StepMemo`, the interpreted kernel
+memoised over interned states: one per one-shot run, or one per target
+for every cell a farm worker drains.  The public shrinkers
 (:func:`shrink_lasso`, :func:`shrink_safety`) step through a
 :class:`StepMemo` the caller builds for one instance.
 See ``docs/FUZZING.md`` for the strategy families, the seed/replay

@@ -20,11 +20,13 @@ fails certification raises :class:`~repro.errors.FuzzError` — it is a
 fuzzer bug, never a result.
 
 The search, the revisit oracles and the shrinkers step through one
-:class:`~repro.fuzz.shrink.StepMemo` per run; certification judges
-through a fresh one.  The search's states are the memo's ids, so a
-step, a strategy's context or an invariant message the run has met
-before is a table lookup, and a revisit hands the oracles the id
-itself.
+:class:`~repro.fuzz.shrink.StepMemo`; certification judges through a
+fresh one.  A one-shot run builds its memo and drops it on return; a
+caller that runs many shards of one target (a farm worker) passes
+``memos=`` and every shard steps through the same memo.  The search's
+states are the memo's ids, so a step, a strategy's context or an
+invariant message met before is a table lookup, and a revisit hands
+the oracles the id itself.
 
 Determinism: episode ``i`` of family ``f`` seeds its own
 ``random.Random`` from ``blake2b(f"{seed}:{i}:{f}")`` — independent of
@@ -189,6 +191,7 @@ def run_fuzz(
     max_violations: Optional[int] = None,
     shrink: bool = True,
     validate: bool = True,
+    memos: Optional[Dict[Tuple[str, str], StepMemo]] = None,
 ) -> FuzzReport:
     """Fuzz one registry instance per ``request``; see module docstring.
 
@@ -200,6 +203,14 @@ def run_fuzz(
     the search steps through the run's step memo.  ``episode_base``
     offsets the global episode numbering so farm cells sharding one run
     reproduce exactly the episodes a one-shot run would execute.
+
+    ``memos`` is a dict the caller owns, keyed by the resolved target
+    ``(problem key, instance label)``: the run steps through the memo
+    stored under its target, or builds one and stores it there.  A
+    farm worker passes one dict to every fuzz cell it runs, so a state
+    an earlier cell met costs later cells a lookup.  Without it the run
+    builds its own memo and drops it on return.  The report is the same
+    either way.
     """
     from repro.obs.telemetry import NULL_TELEMETRY
 
@@ -226,12 +237,15 @@ def run_fuzz(
         build_strategy(family, random.Random(0))  # validate names early
 
     system = spec.system(instance_record)
-    instance = StepInstance.from_system(system)
     initial = system.scheduler.capture_state()
-    # One step memo per run: the search, the lasso oracles and both
-    # shrinkers step through it, so a step the run has met before costs
-    # a table lookup, not a kernel step.
-    memo = StepMemo(instance, spec.invariant)
+    # The search, the lasso oracles and both shrinkers step through one
+    # memo, so a step met before costs a table lookup, not a kernel step.
+    target = (spec.key, instance_record.label)
+    memo = None if memos is None else memos.get(target)
+    if memo is None:
+        memo = StepMemo(StepInstance.from_system(system), spec.invariant)
+        if memos is not None:
+            memos[target] = memo
     start = memo.intern(initial)
     liveness_kinds = {prop.kind for prop in spec.liveness}
     theorem_of = {prop.kind: prop.theorem for prop in spec.liveness}
@@ -259,7 +273,7 @@ def run_fuzz(
 
     context, advance, message_of = memo.context, memo.advance, memo.message
     coverage: Set[int] = set()
-    pid_count = len(instance.pid_order)
+    pid_count = len(memo.instance.pid_order)
     for episode in range(episode_base, episode_base + episodes):
         if request.max_states is not None and len(coverage) >= request.max_states:
             report.truncated_by = "max_states"

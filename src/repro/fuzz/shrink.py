@@ -1,4 +1,4 @@
-"""Schedule shrinking and the violation oracles, over a per-run step memo.
+"""Schedule shrinking and the violation oracles, over a step memo.
 
 A fuzz hit arrives as a raw schedule (hundreds of steps of whatever the
 strategy happened to do); what ships in a report must be the *minimal*
@@ -7,13 +7,15 @@ are what humans read and what regression tests replay.  This module
 holds both halves of that contract:
 
 * the **step memo** (:class:`StepMemo`) — the pure kernel's transition
-  function, memoised for one fuzz run: value states are interned as
-  integer ids, and each id's row holds its successor per slot (computed
-  by :func:`~repro.runtime.kernel.step_value` once), its scheduling
-  context, its critical-section mask and the run invariant's message.
-  The fuzz search walks these ids, and ddmin replays
-  near-identical schedules from the same few states over and over, so
-  almost every step either asks for is already in the table;
+  function, memoised for one instance: value states are interned as
+  integer ids, and the table holds, by column, each id's successor per
+  slot (computed by :func:`~repro.runtime.kernel.step_value` once) and
+  the invariant's message, and each distinct locals part's scheduling
+  context and critical-section mask.  The fuzz search walks these ids,
+  and ddmin replays near-identical schedules from the same few states
+  over and over, so almost every step either asks for is already in
+  the table; a farm worker keeps one memo for all its cells of a
+  target, so later cells find the earlier cells' states there too;
 * the **oracles** — walks over the memo that decide whether a schedule
   (or a prefix+cycle lasso) exhibits a safety violation, a fair
   non-progress cycle (deadlock-freedom, the conditions of
@@ -65,24 +67,23 @@ REJECTED = -1
 
 #: A state's live pids and, for each, the physical register its pending
 #: operation touches (``None`` for a local step): what the search builds
-#: each :class:`~repro.fuzz.strategies.FuzzContext` from.  Every visit
-#: of the state shares one, so readers must not mutate it.
+#: each :class:`~repro.fuzz.strategies.FuzzContext` from.  Equal contexts
+#: are one object, shared by every state that has it, so readers must
+#: not mutate it.
 Context = Tuple[Tuple[ProcessId, ...], Dict[ProcessId, Optional[int]]]
 
-# The fields of a state's row; the successor ids follow, one per slot.
-_CONTEXT, _CS_MASK, _MESSAGE, _NEXT = range(4)
-
-#: A message field not yet evaluated (``None`` is a clean state's).
+#: A message not yet evaluated (``None`` is a clean state's).
 _UNSET: Any = object()
 
 
 # -- the step memo -----------------------------------------------------
 
 class StepMemo:
-    """The kernel's transition function over interned states, for one run.
+    """The kernel's transition function over interned states, for one
+    instance.
 
-    ``states[i]`` is the value state with id ``i``.  Each id has one row,
-    whose fields are filled the first time they are asked for:
+    ``states[i]`` is (a value equal to) the value state with id ``i``.
+    Per state id, these are filled the first time they are asked for:
 
     * the successor id per slot (:meth:`step`), computed by
       :func:`~repro.runtime.kernel.step_value` on a miss.  A step the
@@ -90,21 +91,33 @@ class StepMemo:
       as :data:`REJECTED` with its error's class and arguments
       (:meth:`advance` and :meth:`solo_run` raise it again); any other
       exception propagates and is not stored;
+    * the message of ``invariant``, the memo's invariant
+      (:meth:`message`).  An invariant that raises propagates and is not
+      stored.
+
+    Two fields depend on the locals part alone, so they are filled once
+    per distinct locals part, for every state that shares it:
+
     * the :data:`Context` (:meth:`context`): the live pids and their
       pending physical registers.  A ``next_op`` that raises leaves the
       register ``None``; the step itself then raises;
     * the bit mask of the slots in their critical section
-      (:meth:`cs_mask`);
-    * the message of ``invariant``, the run's invariant (:meth:`message`).
-      An invariant that raises propagates and is not stored.
+      (:meth:`cs_mask`).
 
-    The automata are pure, so a memoised field equals a recomputed one.
+    The automata are pure, so a memoised field equals a recomputed one,
+    and a caller may keep one memo across runs of the same instance
+    (a farm worker does, across its fuzz cells): ids are handed out in
+    first-visit order and only ever compared for equality.
     ``phase`` memoises the automata's ``phase`` hook per
     ``(state id, pid)``; ``supported`` reports whether every automaton
     exposes it and ``in_critical_section`` (mutex-style automata only).
 
-    A memo grows with every state its caller touches and is never
-    evicted, so the engine builds one per run and drops it with the run.
+    The table is stored by column: each per-state field, the state's
+    register tuple and its locals id among them, is one slot of a flat
+    list indexed by state id.  Register tuples, slot entries and
+    locals parts are interned, so equal parts are one object however
+    many states hold them.  A memo grows with every state its callers
+    touch and is never evicted.
     """
 
     def __init__(
@@ -118,15 +131,25 @@ class StepMemo:
             hasattr(a, "in_critical_section") and hasattr(a, "phase")
             for a in instance.automata.values()
         )
-        self.states: List[GlobalState] = []
-        self._ids: Dict[GlobalState, int] = {}
-        self._rows: List[List[Any]] = []
-        self._blank: List[Any] = [None] * (_NEXT + len(instance.slot_of))
-        self._blank[_MESSAGE] = _UNSET
-        #: pid -> the row field of its successor.
-        self._next_of = {
-            pid: _NEXT + slot for pid, slot in instance.slot_of.items()
+        #: Register tuples and slot entries, each interned by value.
+        self._parts: Dict[Any, Any] = {}
+        # Per locals part (indexed by locals id).
+        self._locals_ids: Dict[Tuple[Any, ...], int] = {}
+        self._locals: List[Tuple[Any, ...]] = []
+        self._contexts: List[Optional[Context]] = []
+        self._cs_masks: List[Optional[int]] = []
+        #: Contexts, interned by value.
+        self._context_of: Dict[Any, Context] = {}
+        # Per state (indexed by state id).
+        self._ids: Dict[Tuple[Tuple[Any, ...], int], int] = {}
+        self._registers: List[Tuple[Any, ...]] = []
+        self._lids: List[int] = []
+        self._messages: List[Any] = []
+        #: pid -> the successor column of its slot.
+        self._next_of: Dict[ProcessId, List[Optional[int]]] = {
+            pid: [] for pid in instance.slot_of
         }
+        self.states = _States(self._registers, self._lids, self._locals)
         self._rejections: Dict[
             Tuple[int, ProcessId], Tuple[Type[Exception], Tuple[Any, ...]]
         ] = {}
@@ -134,38 +157,54 @@ class StepMemo:
 
     def intern(self, state: GlobalState) -> int:
         """The id of ``state``, assigning the next one if it is new."""
-        sid = self._ids.get(state)
+        registers, locals_part = state
+        lid = self._locals_ids.get(locals_part)
+        if lid is None:
+            parts = self._parts
+            locals_part = tuple(parts.setdefault(e, e) for e in locals_part)
+            lid = self._locals_ids[locals_part] = len(self._locals)
+            self._locals.append(locals_part)
+            self._contexts.append(None)
+            self._cs_masks.append(None)
+        sid = self._ids.get((registers, lid))
         if sid is None:
-            sid = self._ids[state] = len(self.states)
-            self.states.append(state)
-            self._rows.append(self._blank[:])
+            registers = self._parts.setdefault(registers, registers)
+            sid = self._ids[registers, lid] = len(self._lids)
+            self._registers.append(registers)
+            self._lids.append(lid)
+            self._messages.append(_UNSET)
+            for column in self._next_of.values():
+                column.append(None)
         return sid
 
     def step(self, sid: int, pid: ProcessId) -> int:
         """The id of ``pid``'s successor of state ``sid``, or
         :data:`REJECTED`."""
-        field = self._next_of.get(pid)
-        if field is not None:
-            successor: Optional[int] = self._rows[sid][field]
+        column = self._next_of.get(pid)
+        if column is not None:
+            successor = column[sid]
             if successor is not None:
                 return successor
-        return self._miss(sid, pid, field)
+        return self._miss(sid, pid, column)
 
     def advance(self, sid: int, pid: ProcessId) -> int:
         """:meth:`step`, raising the kernel's error on a rejected step
         (the search's step)."""
-        field = self._next_of[pid]
-        successor: Optional[int] = self._rows[sid][field]
+        column = self._next_of[pid]
+        successor = column[sid]
         if successor is None:
-            successor = self._miss(sid, pid, field)
+            successor = self._miss(sid, pid, column)
         if successor == REJECTED:
             error_type, args = self._rejections[(sid, pid)]
             raise error_type(*args)
         return successor
 
-    def _miss(self, sid: int, pid: ProcessId, field: Optional[int]) -> int:
+    def _miss(
+        self, sid: int, pid: ProcessId, column: Optional[List[Optional[int]]]
+    ) -> int:
+        parent = self._registers[sid], self._locals[self._lids[sid]]
         try:
-            state = step_value(self.instance, self.states[sid], pid)
+            state = step_value(self.instance, parent, pid)
         except (SchedulingError, ProtocolError) as error:
             # Not the error itself: its traceback would pin every frame
             # above the step for as long as the memo lives.
@@ -173,19 +212,19 @@ class StepMemo:
             successor = REJECTED
         else:
             successor = self.intern(state)
-        if field is not None:  # an unknown pid has no field
-            self._rows[sid][field] = successor
+        if column is not None:  # an unknown pid has no column
+            column[sid] = successor
         return successor
 
     def replay(self, sid: int, schedule: Sequence[ProcessId]) -> Optional[int]:
         """Walk ``schedule`` from ``sid``; ``None`` if a step is rejected
         (the memoised :func:`replay_values`)."""
-        rows, next_of = self._rows, self._next_of
+        next_of = self._next_of
         for pid in schedule:  # :meth:`step`, inlined: ddmin's hot loop
-            field = next_of.get(pid)
-            successor = None if field is None else rows[sid][field]
+            column = next_of.get(pid)
+            successor = None if column is None else column[sid]
             if successor is None:
-                successor = self._miss(sid, pid, field)
+                successor = self._miss(sid, pid, column)
             if successor == REJECTED:
                 return None
             sid = successor
@@ -206,22 +245,25 @@ class StepMemo:
         return sid, max_steps, self._settled(sid, slot)
 
     def _settled(self, sid: int, slot: int) -> bool:
-        _, _, halted, crashed = self.states[sid][1][slot]
+        _, _, halted, crashed = self._locals[self._lids[sid]][slot]
         return halted or crashed
 
     def context(self, sid: int) -> Context:
         """The live pids at ``sid``, in scheduler order, and the physical
         register each one's pending operation touches."""
-        row = self._rows[sid]
-        context: Optional[Context] = row[_CONTEXT]
+        lid = self._lids[sid]
+        context = self._contexts[lid]
         if context is None:
             instance = self.instance
             state = self.states[sid]
             live = enabled_pids(instance, state)
-            context = row[_CONTEXT] = (
-                live,
-                {pid: _pending_register(instance, state, pid) for pid in live},
+            pending = tuple(
+                (pid, _pending_register(instance, state, pid)) for pid in live
             )
+            context = self._context_of.get((live, pending))
+            if context is None:
+                context = self._context_of[live, pending] = (live, dict(pending))
+            self._contexts[lid] = context
         return context
 
     def live_pids(self, sid: int) -> Tuple[ProcessId, ...]:
@@ -232,15 +274,15 @@ class StepMemo:
     def cs_mask(self, sid: int) -> int:
         """The slots in their critical section at ``sid``, one bit each
         (bit ``slot_of[pid]``)."""
-        row = self._rows[sid]
-        mask: Optional[int] = row[_CS_MASK]
+        lid = self._lids[sid]
+        mask = self._cs_masks[lid]
         if mask is None:
             automata = self.instance.automata
             mask = 0
-            for slot, (pid, local, _, _) in enumerate(self.states[sid][1]):
+            for slot, (pid, local, _, _) in enumerate(self._locals[lid]):
                 if automata[pid].in_critical_section(local):
                     mask |= 1 << slot
-            row[_CS_MASK] = mask
+            self._cs_masks[lid] = mask
         return mask
 
     def in_cs(self, sid: int, pid: ProcessId) -> bool:
@@ -248,13 +290,12 @@ class StepMemo:
         return bool(self.cs_mask(sid) >> self.instance.slot_of[pid] & 1)
 
     def message(self, sid: int) -> Optional[str]:
-        """The run invariant's violation message at ``sid`` (``None``
+        """The memo invariant's violation message at ``sid`` (``None``
         when the state is clean or the memo has no invariant)."""
-        row = self._rows[sid]
-        message: Optional[str] = row[_MESSAGE]
+        message = self._messages[sid]
         if message is _UNSET:
             invariant = self.invariant
-            message = row[_MESSAGE] = (
+            message = self._messages[sid] = (
                 None
                 if invariant is None
                 else invariant(StateView(self.instance, self.states[sid]))
@@ -269,6 +310,29 @@ class StepMemo:
             name = self.instance.automata[pid].phase(local)
             self._phase[(sid, pid)] = name
         return name
+
+
+class _States:
+    """:attr:`StepMemo.states`: state id -> its value state, rebuilt
+    from its register tuple and its locals part."""
+
+    __slots__ = ("_registers", "_lids", "_locals")
+
+    def __init__(
+        self,
+        registers: List[Tuple[Any, ...]],
+        lids: List[int],
+        locals_parts: List[Tuple[Any, ...]],
+    ) -> None:
+        self._registers = registers
+        self._lids = lids
+        self._locals = locals_parts
+
+    def __len__(self) -> int:
+        return len(self._lids)
+
+    def __getitem__(self, sid: int) -> GlobalState:
+        return self._registers[sid], self._locals[self._lids[sid]]
 
 
 def _pending_register(
@@ -330,14 +394,21 @@ def cycle_is_df_violation(
         return False
     if not any(memo.phase(entry, pid) == "entry" for pid in live):
         return False
-    step, cs_mask = memo.step, memo.cs_mask
+    next_of, lids, masks = memo._next_of, memo._lids, memo._cs_masks
     slot_of = memo.instance.slot_of
-    sid, inside = entry, cs_mask(entry)
+    sid, inside = entry, memo.cs_mask(entry)
+    # :meth:`StepMemo.step` and :meth:`StepMemo.cs_mask`, inlined: every
+    # search revisit and every shrink candidate walks this loop.
     for pid in cycle:
-        successor = step(sid, pid)
+        column = next_of.get(pid)
+        successor = None if column is None else column[sid]
+        if successor is None:
+            successor = memo._miss(sid, pid, column)
         if successor == REJECTED:
             return False
-        after = cs_mask(successor)
+        after = masks[lids[successor]]
+        if after is None:
+            after = memo.cs_mask(successor)
         if (after & ~inside) >> slot_of[pid] & 1:
             return False  # progress edge: someone got in
         sid, inside = successor, after

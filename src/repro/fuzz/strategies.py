@@ -23,9 +23,9 @@ theorem about where coordination algorithms break:
 
 Determinism contract: a strategy's entire decision sequence is a pure
 function of its constructor ``rng`` and the sequence of contexts it is
-shown.  The engine builds each context from the run's step memo, which
-is a pure function of the state, so fixed ``(seed, episode, family)``
-yields the same schedule in every run.
+shown.  The engine builds each context from the step memo, which is a
+pure function of the state, so fixed ``(seed, episode, family)`` yields
+the same schedule in every run.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class FuzzContext:
     ``enabled`` preserves the instance's scheduler order;
     ``pending`` maps each enabled pid to the *physical* register its
     next operation touches (``None`` for local/halt steps) — both read
-    from the state's row of the run's step memo.
+    from the step memo, which keeps them per locals part.
     ``contention`` counts, per pid, how many of its past accesses hit a
     register last touched by a different process.
     """

@@ -13,9 +13,12 @@ import pytest
 from repro.__main__ import main
 from repro.errors import FarmError
 from repro.farm import (
+    Cell,
     FarmResult,
+    MemoryRunTable,
     create_farm,
     drain_farm,
+    drain_table,
     farm_result,
     grid_cells,
     is_farm_dir,
@@ -308,6 +311,68 @@ class TestSweepCli:
         ])
         assert code == 0
         assert "1 done" in capsys.readouterr().out
+
+    def test_a_raising_cell_is_an_error_row_in_both_modes(
+        self, tmp_path, capsys
+    ):
+        # ladder-consensus runs past its simulation horizon in cell 2
+        # and refuses a random naming in cells 3-5.
+        seen = []
+        for extra in ([], ["--out", str(tmp_path / "farm")]):
+            assert main(["sweep", "--problem", "ladder-consensus", *extra]) == 1
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.err
+            seen.append((
+                [line for line in captured.out.splitlines()
+                 if line.startswith("ladder-consensus: ")],
+                [line for line in captured.err.splitlines()
+                 if line.startswith("[error] cell ")],
+            ))
+        assert seen[0] == seen[1]
+        summary, errors = seen[0]
+        assert summary == [
+            "ladder-consensus: 6 cells — 2 done, 0 pending, 0 claimed, 4 error"
+        ]
+        assert [line.split(":")[0] for line in errors] == [
+            f"[error] cell {index}" for index in (2, 3, 4, 5)
+        ]
+        assert errors[0].startswith(
+            "[error] cell 2: ProtocolError: process 101 exceeded the "
+            "simulation horizon"
+        )
+
+    def test_in_memory_drain_lets_a_farm_error_through(self):
+        table = MemoryRunTable([Cell(index=0, kind="bogus", payload={})])
+        with pytest.raises(FarmError, match="unknown cell kind 'bogus'"):
+            drain_table(table, make_config(), "cli")
+
+    def test_a_mutant_key_as_instance_runs_the_mutant(self, tmp_path, capsys):
+        spellings = {
+            "instance": ["--problem", "figure-1-mutex",
+                         "--instance", "figure-1-mutex-even-m"],
+            "key": ["--problem", "figure-1-mutex-even-m"],
+        }
+        rows = {}
+        for name, argv in spellings.items():
+            assert main(["sweep", *argv]) == 0
+            assert "6 done" in capsys.readouterr().out
+            out = tmp_path / name
+            assert main(["sweep", *argv, "--out", str(out)]) == 0
+            assert "6 done" in capsys.readouterr().out
+            rows[name] = [row.result for row in farm_result(out).rows]
+        assert rows["instance"] == rows["key"]
+
+        config = {**make_config(), "instance": "figure-1-mutex-even-m"}
+        table = MemoryRunTable(grid_cells(config))
+        drain_table(table, config, "cli")
+        key_config = {**make_config(), "problem": "figure-1-mutex-even-m",
+                      "instance": None}
+        key_table = MemoryRunTable(grid_cells(key_config))
+        drain_table(key_table, key_config, "cli")
+        assert [row.result for row in table.rows()] == [
+            row.result for row in key_table.rows()
+        ]
+        assert all(row.status == "done" for row in table.rows())
 
     def test_out_refuses_existing_farm(self, tmp_path, capsys):
         out = tmp_path / "farm"

@@ -44,11 +44,11 @@ def flaky(monkeypatch):
     schedule = {}
     calls = {}
 
-    def execute(config, cell, graphs_dir=None):
+    def execute(config, cell, graphs_dir=None, memos=None):
         calls[cell.index] = calls.get(cell.index, 0) + 1
         if calls[cell.index] <= schedule.get(cell.index, 0):
             raise Transient(f"cell {cell.index} transient failure")
-        return real(config, cell, graphs_dir=graphs_dir)
+        return real(config, cell, graphs_dir=graphs_dir, memos=memos)
 
     monkeypatch.setattr(repro.farm.cells, "execute_cell", execute)
     return schedule, calls

@@ -9,6 +9,7 @@ an uninterrupted run.
 """
 
 import json
+import random
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.farm import (
     resume_farm,
     run_farm,
 )
+from repro.fuzz import engine, shrink
 from repro.fuzz.cli import aggregate_fuzz_rows
 from repro.fuzz.engine import run_fuzz
 from repro.obs.manifest import load_manifests
@@ -128,6 +130,154 @@ class TestFuzzFarmEquivalence:
         manifests = load_manifests(farm / "manifests-w0.ndjson")
         assert len(manifests) == 4
         assert {m.kind for m in manifests} == {"fuzz"}
+
+
+def cell_report(instance, seed, base, memos=None):
+    """One 8-episode fuzz cell's report, as the bytes a farm row holds."""
+    report = run_fuzz(
+        RunRequest(problem="figure-1-mutex", instance=instance, seed=seed),
+        episodes=8,
+        episode_base=base,
+        memos=memos,
+    )
+    return json.dumps(report.to_dict(), sort_keys=True)
+
+
+class TestSharedStepMemo:
+    """A drain runs every fuzz cell it claims on one step memo per
+    target; no cell may tell which cells ran on it before."""
+
+    @pytest.mark.parametrize("seed", [7, 11, 12345])
+    @pytest.mark.parametrize("instance", [
+        "figure-1-mutex-even-m", "figure-1-mutex(m=7)", "figure-1-mutex(m=3)",
+    ])
+    def test_cell_reports_do_not_depend_on_the_cells_before(
+        self, instance, seed
+    ):
+        bases = list(range(0, 64, 8))
+        fresh = {base: cell_report(instance, seed, base) for base in bases}
+        shuffled = list(bases)
+        random.Random(seed).shuffle(shuffled)
+        for order in (bases, bases[::-1], shuffled):
+            memos = {}
+            shared = {
+                base: cell_report(instance, seed, base, memos) for base in order
+            }
+            assert shared == fresh
+            (memo,) = memos.values()
+            assert len(memo.states) > 1
+
+    def test_one_dict_keeps_a_memo_per_target(self):
+        targets = ("figure-1-mutex(m=3)", "figure-1-mutex(m=7)")
+        memos = {}
+        for instance in targets * 2:
+            assert cell_report(instance, 7, 0, memos) == cell_report(
+                instance, 7, 0
+            )
+        assert sorted(memos) == [("figure-1-mutex", label) for label in targets]
+
+    @pytest.mark.parametrize("instance", [
+        "figure-1-mutex-even-m", "figure-1-mutex(m=7)",
+    ])
+    def test_a_drain_steps_the_kernel_as_often_as_one_shot(
+        self, instance, tmp_path, monkeypatch
+    ):
+        step_calls = []
+        real = shrink.step_value
+
+        def counting(*args):
+            step_calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(shrink, "step_value", counting)
+        one_shot = run_fuzz(
+            RunRequest(
+                problem="figure-1-mutex", instance=instance, seed=7,
+                max_steps=64,
+            ),
+            episodes=64,
+        )
+        expected = len(step_calls)
+        step_calls.clear()
+        config = fuzz_config(episodes=64, per_cell=8)
+        config["instance"] = instance
+        farm = tmp_path / "farm"
+        create_farm(farm, config)
+        result = drain_farm(farm)
+        assert result.complete
+        assert len(step_calls) == expected
+        summary = aggregate_fuzz_rows(result.rows)
+        assert summary["violations"] == [
+            v.to_dict() for v in one_shot.violations
+        ]
+
+    def test_certification_never_receives_the_drain_memo(self, monkeypatch):
+        judged = []
+
+        def recording(oracle):
+            def judge(memo, entry, cycle):
+                judged.append(memo)
+                return oracle(memo, entry, cycle)
+            return judge
+
+        monkeypatch.setattr(engine, "LASSO_ORACLES", {
+            kind: recording(oracle)
+            for kind, oracle in engine.LASSO_ORACLES.items()
+        })
+        memos = {}
+        reports = [
+            cell_report("figure-1-mutex-even-m", 7, base, memos)
+            for base in (0, 8, 16)
+        ]
+        hits = sum(len(json.loads(r)["violations"]) for r in reports)
+        assert hits and len(judged) == hits
+        (drain_memo,) = memos.values()
+        assert all(memo is not drain_memo for memo in judged)
+        assert len({id(memo) for memo in judged}) == hits  # one fresh each
+
+    def test_a_failed_cell_leaves_the_cells_after_it_alone(
+        self, tmp_path, monkeypatch
+    ):
+        config = fuzz_config(episodes=32, per_cell=4)
+        reference = tmp_path / "reference"
+        create_farm(reference, config)
+        expected = drain_farm(reference).rows
+
+        farm = tmp_path / "farm"
+        create_farm(farm, config)
+        drain_farm(farm, max_cells=1)
+
+        # The next drain fails a kernel step in the middle of cell 1:
+        # it marks the cell, drops its memos and goes on.
+        run_memos = []
+
+        class RecordingMemo(engine.StepMemo):
+            def __init__(self, instance, invariant=None):
+                super().__init__(instance, invariant)
+                if invariant is not None:  # certification's have none
+                    run_memos.append(self)
+
+        real = shrink.step_value
+        steps = []
+
+        def poisoned(*args):
+            steps.append(None)
+            if len(steps) == 10:
+                raise RuntimeError("poisoned step")
+            return real(*args)
+
+        monkeypatch.setattr(engine, "StepMemo", RecordingMemo)
+        monkeypatch.setattr(shrink, "step_value", poisoned)
+        rows = drain_farm(farm).rows
+
+        assert [(row.status, row.error) for row in rows[:2]] == [
+            ("done", None), ("error", "RuntimeError: poisoned step"),
+        ]
+        assert [row.result for row in rows[2:]] == [
+            row.result for row in expected[2:]
+        ]
+        # Cell 1's memo was dropped with it; cell 2 built a fresh one.
+        assert len(run_memos) == 2
 
 
 class TestFuzzResumeIdentity:

@@ -232,8 +232,8 @@ class TestShrinkerInput:
 
 class TestPublishedWitnesses:
     def test_mutant_witnesses_at_seed_7_are_pinned(self):
-        # The kernel differential cannot see a shrinker change (both
-        # kernels share one shrinker); these figures can.
+        # The report digests in test_differential.py pin the shrunk
+        # witnesses too; these figures say what changed when one moves.
         report = run_fuzz(
             RunRequest(
                 problem="figure-1-mutex",
@@ -413,9 +413,37 @@ class TestMemoMatchesThePlainKernel:
             assert reference_df(instance, entry, LOCKSTEP_CYCLE) is expected
 
 
+class TestInternedParts:
+    def test_equal_parts_are_one_object(self):
+        # What keeps a drain memo small: however many states hold an
+        # equal register tuple, locals part or slot entry, it is stored
+        # once.
+        memos = {}
+        for base in (0, 16):
+            run_fuzz(
+                RunRequest(
+                    problem="figure-1-mutex",
+                    instance="figure-1-mutex(m=3)",
+                    seed=7,
+                ),
+                episodes=16,
+                episode_base=base,
+                memos=memos,
+            )
+        (memo,) = memos.values()
+        states = [memo.states[sid] for sid in range(len(memo.states))]
+        assert len(set(states)) == len(states) > 100
+        for parts in (
+            [registers for registers, _ in states],
+            [locals_part for _, locals_part in states],
+            [entry for _, locals_part in states for entry in locals_part],
+        ):
+            assert len({id(part) for part in parts}) == len(set(parts))
+
+
 class TestMessageRows:
-    """A memo's message rows hold its own invariant's messages, and no
-    other invariant reads them."""
+    """A memo's message column holds its own invariant's messages, and
+    no other invariant reads it."""
 
     @pytest.fixture(scope="class")
     def in_cs_schedule(self, mutex3):
