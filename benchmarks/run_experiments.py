@@ -905,11 +905,6 @@ def main(argv=None):
              "recorded in the bench JSON",
     )
     reject_flag(
-        parser, "--backend", "experiments",
-        "every benchmarked walk is serial; add the table-compiled "
-        "kernel with --kernel compiled",
-    )
-    reject_flag(
         parser, "--workers", "experiments",
         "every benchmarked walk runs in one process",
     )

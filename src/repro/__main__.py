@@ -82,7 +82,7 @@ def cmd_demo() -> int:
 def cmd_verify(rest=()) -> int:
     """Exhaustive safety + liveness verification of registry instances."""
     from repro.cliflags import add_kernel_flag, reject_flag
-    from repro.errors import VerificationError
+    from repro.errors import ConfigurationError, VerificationError
     from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
     from repro.problems import get_problem, instances_with_role
     from repro.request import RunRequest
@@ -142,16 +142,15 @@ def cmd_verify(rest=()) -> int:
         "there is nothing to seed (randomised search is `repro fuzz`)",
     )
     reject_flag(
-        parser, "--backend", "verify",
-        "the graph-retaining walk is serial; choose its step kernel "
-        "with --kernel",
-    )
-    reject_flag(
         parser, "--workers", "verify",
         "each instance's graph-retaining walk runs in one process; "
         "the fast path is --kernel compiled",
     )
     args = parser.parse_args(list(rest))
+    try:  # the budget is checked before any instance runs
+        base_request = RunRequest(kernel=args.kernel, max_states=args.max_states)
+    except ConfigurationError as exc:
+        parser.error(str(exc))
 
     selected = []
     if args.problem:
@@ -194,11 +193,7 @@ def cmd_verify(rest=()) -> int:
     failed = 0
     for spec, inst in selected:
         telemetry = Telemetry() if args.telemetry else NULL_TELEMETRY
-        request = RunRequest(
-            kernel=args.kernel,
-            max_states=args.max_states,
-            telemetry=telemetry,
-        )
+        request = base_request.replace(telemetry=telemetry)
         try:
             report = verify_instance(spec, inst, request=request)
         except VerificationError as exc:
@@ -271,7 +266,7 @@ def cmd_sweep(rest=()) -> int:
         resume_farm,
         run_farm,
     )
-    from repro.request import resolve_target
+    from repro.request import RunRequest, resolve_target
 
     parser = argparse.ArgumentParser(
         prog="python -m repro sweep",
@@ -327,11 +322,6 @@ def cmd_sweep(rest=()) -> int:
         "(`repro verify --kernel compiled`)",
     )
     reject_flag(
-        parser, "--backend", "sweep",
-        "the farm schedules cells across claiming processes; pick "
-        "parallelism with --workers",
-    )
-    reject_flag(
         parser, "--seed", "sweep",
         "adversary seeds ride in the --adversaries specs "
         "(e.g. random:SEED)",
@@ -376,8 +366,11 @@ def cmd_sweep(rest=()) -> int:
                     params[key] = int(value)
                 except ValueError:
                     params[key] = value
-        try:
+        try:  # target and budgets are checked before any cell runs
             resolve_target(args.problem, args.instance, params)
+            RunRequest(
+                max_steps=args.max_steps, max_states=args.verify_max_states
+            )
             config = {
                 "problem": args.problem,
                 "instance": args.instance,

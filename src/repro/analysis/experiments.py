@@ -6,20 +6,18 @@ collect metrics, and aggregate over a battery of namings and adversaries.
 :func:`sweep` is that loop; :class:`SweepResult` is what the benchmark
 tables are printed from.
 
-The (naming × adversary) cells of a sweep are independent runs, so the
-loop is expressed as an ordered ``map`` over an executor
-(:class:`~repro.runtime.backends.SerialExecutor` /
-:class:`~repro.runtime.backends.ProcessExecutor`).  Every adversary's
-``reset()`` reseeds from its stored seed, so cells are independent of
-execution order and the executor choice changes wall time only, never
-the records.
+The (naming × adversary) cells of a sweep are independent runs, taken
+in naming-major order in the calling process.  Every adversary's
+``reset()`` reseeds from its stored seed, so a cell's record does not
+depend on the cells before it.  Grids that should survive a crash or
+spread over processes run as a sweep farm (:mod:`repro.farm`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Union
 
 from repro.analysis.metrics import RunMetrics, collect_metrics
 from repro.errors import ConfigurationError, SpecViolation
@@ -50,22 +48,12 @@ class RunRecord:
 
 @dataclass
 class SweepResult:
-    """All runs of one sweep, with aggregate queries.
-
-    Since the sweep-farm refactor this is a *derived* view: the sweep
-    drains a run table (:mod:`repro.farm.runtable`) and re-derives the
-    ``SweepResult`` from the resulting
-    :class:`~repro.farm.orchestrator.FarmResult` — kept as the stable
-    aggregate API the experiment scripts and benchmark tables consume.
-    The farm-level record (per-cell status/attempts/claims) rides on
-    :attr:`farm` for callers that want it.
-    """
+    """All runs of one sweep, one record per cell in naming-major
+    order, with the aggregate queries the experiment scripts and
+    benchmark tables consume."""
 
     algorithm: str
     records: List[RunRecord] = field(default_factory=list)
-    #: The run-table view this result was derived from (None only for
-    #: hand-built results in tests).
-    farm: Optional[Any] = field(default=None, repr=False, compare=False)
 
     @property
     def runs(self) -> int:
@@ -100,39 +88,15 @@ class SweepResult:
         return "\n".join(lines)
 
 
-#: Worker-process payload for parallel sweeps: (algorithm_factory,
-#: inputs, cells, checkers_factory, max_steps).  Planted once per worker
-#: via the executor's initializer hook; under the default ``fork`` start
-#: method it is inherited, not pickled, so closure-based factories (the
-#: house style in benchmarks) keep working in parallel sweeps.
-_SweepPayload = Tuple[
-    Callable[[], Algorithm],
-    Any,
-    Tuple[Tuple[NamingAssignment, Adversary], ...],
-    Callable[..., Iterable[PropertyChecker]],
-    int,
-]
-
-_SWEEP: Optional[_SweepPayload] = None
-
-
-def _init_sweep_worker(payload: _SweepPayload) -> None:
-    global _SWEEP
-    _SWEEP = payload
-
-
-def _run_sweep_cell(index: int) -> RunRecord:
-    """Run one (naming, adversary) cell of the planted sweep payload.
-
-    A module-level function of the cell *index* only, so the executor's
-    task traffic is one int per cell; everything heavy rides in the
-    per-process payload.  Depends on nothing mutable across calls —
-    adversaries reseed in ``system.run`` — so serial and parallel
-    executors produce identical records in identical order.
-    """
-    assert _SWEEP is not None, "sweep worker initializer did not run"
-    algorithm_factory, inputs, cells, checkers_factory, max_steps = _SWEEP
-    naming, adversary = cells[index]
+def _run_sweep_cell(
+    algorithm_factory: Callable[[], Algorithm],
+    inputs: Any,
+    naming: NamingAssignment,
+    adversary: Adversary,
+    checkers_factory: Callable[..., Iterable[PropertyChecker]],
+    max_steps: int,
+) -> RunRecord:
+    """Run one (naming, adversary) cell and check its trace."""
     system = System(algorithm_factory(), inputs, naming=naming)
     trace = system.run(adversary, max_steps=max_steps)
     record = RunRecord(
@@ -160,7 +124,6 @@ def sweep(
     adversaries: Sequence[Adversary],
     checkers_factory: Callable[..., Iterable[PropertyChecker]],
     max_steps: int = 200_000,
-    backend: Optional[Union[str, Any]] = None,
     telemetry: Optional[TelemetrySink] = None,
     manifest_dir: Optional[Union[str, Path]] = None,
 ) -> SweepResult:
@@ -176,13 +139,7 @@ def sweep(
     bug).  Violations are *collected*, not raised — impossibility-side
     sweeps count them.
 
-    ``backend`` fans the independent cells out, in the same vocabulary
-    the explorer uses: ``"serial"`` (the default — the historical
-    in-process loop via
-    :class:`~repro.runtime.backends.SerialExecutor`), ``"process"``
-    (worker processes via
-    :class:`~repro.runtime.backends.ProcessExecutor`, bit-identical
-    records, see module docstring), or an executor instance.
+    The cells run one after another in this process, naming-major.
 
     ``telemetry`` receives the per-sweep counters (``sweep.cells``,
     ``sweep.violations``) and the ``sweep.map`` phase timer;
@@ -190,49 +147,19 @@ def sweep(
     :class:`~repro.obs.manifest.RunManifest` per cell (NDJSON, one line
     per cell) into that directory — the after-the-fact audit record of
     what each cell ran.
-
-    The grid runs over an in-memory run table
-    (:class:`~repro.farm.runtable.MemoryRunTable`) — the same
-    claim/finish protocol the disk-backed sweep farm uses (``python -m
-    repro sweep --out DIR``), batch-claimed so the single-call
-    behaviour is unchanged.  The returned result carries the farm-level
-    view on ``result.farm``.
     """
-    from repro.farm.orchestrator import FarmResult
-    from repro.farm.runtable import Cell, MemoryRunTable
-    from repro.runtime.backends import resolve_executor
-
-    chosen = resolve_executor(backend if backend is not None else "serial")
     if telemetry is None:
         telemetry = NULL_TELEMETRY
-
-    cells = tuple(
-        (naming, adversary) for naming in namings for adversary in adversaries
-    )
-    # The in-memory run table: the whole grid is claimed up front and
-    # mapped in one ordered batch — the same claim/finish protocol the
-    # disk farm drains cell-by-cell, collapsed to the historical
-    # single-call behaviour (records bit-identical to the pre-farm
-    # sweep; the executor sees the same map over the same indices).
-    table = MemoryRunTable(
-        [Cell(index=k, kind="run", payload=pair) for k, pair in enumerate(cells)]
-    )
-    claimed = table.claim_all("sweep")
-    payload: _SweepPayload = (
-        algorithm_factory, inputs, cells, checkers_factory, max_steps,
-    )
     with telemetry.phase("sweep.map"):
-        records = chosen.map(
-            _run_sweep_cell,
-            [cell.index for cell in claimed],
-            initializer=_init_sweep_worker,
-            initargs=(payload,),
-        )
-    for cell, record in zip(claimed, records):
-        table.finish(cell.index, record)
-    farm = FarmResult(problem=algorithm_factory().name, rows=table.rows())
-    result = farm.to_sweep_result()
-    result.farm = farm
+        records = [
+            _run_sweep_cell(
+                algorithm_factory, inputs, naming, adversary,
+                checkers_factory, max_steps,
+            )
+            for naming in namings
+            for adversary in adversaries
+        ]
+    result = SweepResult(algorithm=algorithm_factory().name, records=records)
     if telemetry.enabled:
         telemetry.count("sweep.cells", len(records))
         telemetry.count(
@@ -243,16 +170,10 @@ def sweep(
             "sweep.done",
             algorithm=result.algorithm,
             cells=len(records),
-            backend=chosen.name,
-            workers=chosen.workers,
             all_ok=result.all_ok,
         )
     if manifest_dir is not None:
-        write_sweep_manifests(
-            result, Path(manifest_dir),
-            backend=chosen.name, workers=chosen.workers,
-            max_steps=max_steps,
-        )
+        write_sweep_manifests(result, Path(manifest_dir), max_steps=max_steps)
     return result
 
 
@@ -277,7 +198,7 @@ def sweep_problem(
     ``instance``, or — when both are omitted — the spec's first declared
     instance.  Everything else forwards to :func:`sweep`.
 
-    Execution choices (``max_steps``, ``backend``, ``telemetry``, plus
+    Execution choices (``max_steps``, ``telemetry``, plus
     ``instance``/``params`` defaults) ride on a
     :class:`~repro.request.RunRequest` passed as ``request=``.
     """
@@ -285,9 +206,8 @@ def sweep_problem(
 
     from repro.problems import get_problem
 
-    backend = max_steps = telemetry = None
+    max_steps = telemetry = None
     if request is not None:
-        backend = request.backend
         max_steps = request.max_steps
         telemetry = request.telemetry
         if instance is None and request.instance is not None:
@@ -317,7 +237,6 @@ def sweep_problem(
         adversaries,
         checkers_factory,
         max_steps=max_steps,
-        backend=backend,
         telemetry=telemetry,
         manifest_dir=manifest_dir,
     )
@@ -326,8 +245,6 @@ def sweep_problem(
 def write_sweep_manifests(
     result: SweepResult,
     directory: Path,
-    backend: str = "serial",
-    workers: int = 1,
     max_steps: int = 0,
 ) -> Path:
     """Write one manifest per sweep cell as NDJSON under ``directory``.
@@ -355,8 +272,6 @@ def write_sweep_manifests(
                 parameters={"cell": index, "max_steps": max_steps},
                 naming=record.naming,
                 adversary=record.adversary,
-                backend=backend,
-                workers=workers,
                 outcome={
                     "verdict": "ok" if record.ok else "violation",
                     "events": len(record.trace),

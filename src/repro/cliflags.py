@@ -1,32 +1,33 @@
 """Uniform execution-flag surface across the CLI.
 
 Every command that executes registry work shares one flag vocabulary —
-``--kernel``, ``--backend``, ``--workers``, ``--seed``,
-``--max-states`` — mirroring the fields of
-:class:`~repro.request.RunRequest`.  A command either *accepts* a flag
-(via the ``add_*_flag`` helpers below, so metavars/choices/help never
-drift between parsers) or *explicitly rejects* it with the uniform
-:func:`rejection_message` text saying why that execution axis does not
-apply — silently ignoring an execution flag is the one behaviour this
-module exists to rule out.
+``--kernel``, ``--workers``, ``--seed``, ``--max-states`` — mirroring
+the fields of :class:`~repro.request.RunRequest`.  A command either
+*accepts* a flag (via the ``add_*_flag`` helpers below, so
+metavars/choices/help never drift between parsers) or *explicitly
+rejects* it with the uniform :func:`rejection_message` text saying why
+that execution axis does not apply — silently ignoring an execution
+flag is the one behaviour this module exists to rule out.
 
 The accept/reject matrix is pinned by ``tests/test_cliflags.py``:
 
-=============  ========  =========  =========  ======  ============
-command        --kernel  --backend  --workers  --seed  --max-states
-=============  ========  =========  =========  ======  ============
-verify         accept    reject     reject     reject  accept
-sweep          reject    reject     accept     reject  reject
-fuzz           reject    reject     accept     accept  accept
-bench          accept    reject     reject     accept  accept
-=============  ========  =========  =========  ======  ============
+=============  ========  =========  ======  ============
+command        --kernel  --workers  --seed  --max-states
+=============  ========  =========  ======  ============
+verify         accept    reject     reject  accept
+sweep          reject    accept     reject  reject
+fuzz           reject    accept     accept  accept
+bench          accept    reject     accept  accept
+=============  ========  =========  ======  ============
 
 ``bench`` is ``benchmarks/run_experiments.py --bench``, the script
 ``repro experiments`` runs; its rejections name ``repro experiments``.
+``--kernel`` is the one engine selector: no command takes a
+``--backend``, and argparse ends one as an unrecognized argument.
 Every exhaustive walk is serial, so the commands that run one
-(``verify``, ``bench``) take neither a backend nor a worker count.
-Fuzz episodes are serial too, and step the interpreted kernel through
-the run's step memo; parallelism is ``--workers`` over farm cells.
+(``verify``, ``bench``) take no worker count.  Fuzz episodes are
+serial too, and step the interpreted kernel through the run's step
+memo; parallelism is ``--workers`` over farm cells.
 """
 
 from __future__ import annotations
@@ -52,10 +53,7 @@ def positive_workers(text: str) -> int:
 
     Shared by every command that accepts ``--workers`` so that
     ``--workers 0`` (or a negative count, or junk) dies with the same
-    one-line message everywhere — the text mirrors the
-    :class:`~repro.errors.ConfigurationError`
-    :class:`~repro.runtime.backends.ProcessExecutor` raises for the
-    same mistake, pinned by ``tests/test_cliflags.py``.
+    one-line message everywhere, pinned by ``tests/test_cliflags.py``.
     """
     try:
         value = int(text)

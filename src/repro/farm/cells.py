@@ -153,21 +153,18 @@ def resolve_grid_target(config: Dict[str, Any]):
 
     Same precedence as :func:`~repro.analysis.experiments.sweep_problem`:
     explicit params, then the named instance, then the spec's first
-    declared instance's params.  A named instance resolves through
-    :func:`~repro.request.resolve_target`, so it may be a mutant's
-    problem key (``figure-1-mutex-even-m``) as in ``repro fuzz``; params
-    get an unregistered record labelled ``<key>(<k>=<v>,...)``.
+    declared instance.  Everything resolves through
+    :func:`~repro.request.resolve_target`, so a named instance may be a
+    mutant's problem key (``figure-1-mutex-even-m``) as in ``repro
+    fuzz``, the default is the registered record itself, and only
+    params get an unregistered record labelled ``<key>(<k>=<v>,...)``.
     """
-    from repro.problems import get_problem
     from repro.request import resolve_target
 
     params = config.get("params")
-    if params is None:
-        if config.get("instance") is not None:
-            return resolve_target(config["problem"], config["instance"])
-        spec = get_problem(config["problem"])
-        params = spec.instances[0].params_dict() if spec.instances else {}
-    return resolve_target(config["problem"], None, params)
+    if params is not None:
+        return resolve_target(config["problem"], None, params)
+    return resolve_target(config["problem"], config.get("instance"))
 
 
 def grid_cells(config: Dict[str, Any]) -> List[Cell]:

@@ -75,10 +75,9 @@ class FarmResult:
     """Every row of one farm's run table, with aggregate queries.
 
     The farm-level analogue of
-    :class:`~repro.analysis.experiments.SweepResult` — which is
-    re-derived from it via :meth:`to_sweep_result` on the in-memory
-    path, where results are live
-    :class:`~repro.analysis.experiments.RunRecord` objects.
+    :class:`~repro.analysis.experiments.SweepResult`: its rows hold the
+    JSON results of :func:`~repro.farm.cells.execute_cell`, one per
+    cell, with each cell's status, attempts and claims.
     """
 
     problem: str
@@ -109,26 +108,6 @@ class FarmResult:
             f"{self.problem}: {len(self.rows)} cells — "
             + ", ".join(f"{counts[s]} {s}" for s in ("done", "pending", "claimed", "error"))
         )
-
-    def to_sweep_result(self):
-        """Re-derive a :class:`~repro.analysis.experiments.SweepResult`.
-
-        Requires every done row's result to be a live ``RunRecord``
-        (the in-memory sweep path); disk farms hold JSON results and
-        should be read row-wise instead.
-        """
-        from repro.analysis.experiments import RunRecord, SweepResult
-
-        records: List[RunRecord] = []
-        for row in self.done:
-            if not isinstance(row.result, RunRecord):
-                raise FarmError(
-                    f"cell {row.index} holds a {type(row.result).__name__} "
-                    "result, not a RunRecord; to_sweep_result() is the "
-                    "in-memory sweep path only"
-                )
-            records.append(row.result)
-        return SweepResult(algorithm=self.problem, records=records)
 
 
 # -- directory layout --------------------------------------------------

@@ -17,10 +17,9 @@ broken cells still settle after N tries.  Two implementations share
 the protocol:
 
 * :class:`MemoryRunTable` — a list of rows in process memory.  This is
-  what :func:`repro.analysis.experiments.sweep` drives, so the
-  single-call in-process sweep keeps today's behaviour bit-identically
-  while going through exactly the claim/finish protocol the disk farm
-  uses.  Payloads and results may be live Python objects.
+  what ``repro sweep`` without ``--out`` drains, through exactly the
+  claim/finish loop the disk farm uses.  Payloads and results may be
+  live Python objects.
 * :class:`SqliteRunTable` — the same rows in a sqlite database under a
   farm directory.  Claims are idempotent ``UPDATE ... WHERE
   status='pending'`` transactions under ``BEGIN IMMEDIATE``, so N
@@ -121,9 +120,9 @@ class MemoryRunTable:
     """The run-table protocol over an in-process list of rows.
 
     Single-threaded by design (one claimant per table instance); the
-    value is that the in-process sweep and the disk farm drain through
-    the *same* claim/finish protocol, so the orchestration layer has one
-    code path.
+    value is that the in-memory ``repro sweep`` and the disk farm drain
+    through the *same* claim/finish protocol, so the orchestration layer
+    has one code path.
     """
 
     def __init__(self, cells: Sequence[Cell], meta: Optional[Dict[str, Any]] = None):
@@ -146,20 +145,6 @@ class MemoryRunTable:
                 row.attempts += 1
                 return row.cell
         return None
-
-    def claim_all(self, worker: str) -> List[Cell]:
-        """Claim every pending cell at once (ordered batch drain).
-
-        This is the in-process sweep's path: the whole grid is claimed
-        up front and mapped over an executor, preserving the historical
-        "one ordered map over all cells" behaviour exactly.
-        """
-        claimed: List[Cell] = []
-        while True:
-            cell = self.claim(worker)
-            if cell is None:
-                return claimed
-            claimed.append(cell)
 
     def finish(self, index: int, result: Any) -> None:
         """Move a claimed cell to ``done``, recording its result."""

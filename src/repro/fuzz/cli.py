@@ -164,11 +164,6 @@ def fuzz_main(argv: Sequence[str]) -> int:
         "memo; the compiled kernel serves the exhaustive walk "
         "(`repro verify --kernel compiled`)",
     )
-    reject_flag(
-        parser, "--backend", "fuzz",
-        "episodes are serial by construction; shard them across farm "
-        "cells with --workers",
-    )
     add_workers_flag(parser, default=1,
                      help_text="claiming worker processes draining fuzz "
                      "cells (needs --out/--resume)")

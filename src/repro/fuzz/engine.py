@@ -214,12 +214,6 @@ def run_fuzz(
     """
     from repro.obs.telemetry import NULL_TELEMETRY
 
-    if isinstance(request.backend, str) and request.backend != "serial":
-        raise ConfigurationError(
-            f"fuzzing is serial per episode; got backend "
-            f"{request.backend!r} (use workers= to shard episodes "
-            "across farm cells)"
-        )
     if request.kernel == "compiled":
         raise ConfigurationError(
             "fuzzing steps the interpreted kernel through the run's step "
@@ -477,27 +471,28 @@ def _validate_lasso(
     instance: StepInstance,
     violation: FuzzViolation,
 ) -> None:
-    """Replay prefix and prefix+cycle on fresh systems; the cycle must
-    close back to the prefix's end state and the oracle must still hold
-    there, judged through a fresh step memo so that certification
-    re-executes every step it checks and shares nothing with the
-    shrinker."""
+    """Replay the prefix on a fresh system, then the cycle on the same
+    system; the cycle must close back to the prefix's end state and the
+    oracle must still hold there, judged through a fresh step memo so
+    that certification re-executes every step it checks and shares
+    nothing with the shrinker."""
     from repro.runtime.replay import replay_schedule
 
-    prefix = list(violation.shrunk_prefix)
-    cycle = list(violation.shrunk_cycle)
+    prefix = violation.shrunk_prefix
+    cycle = violation.shrunk_cycle
 
-    entry_system = spec.system(instance_record, record_trace=True)
-    entry_trace = replay_schedule(entry_system, prefix)
-    if len(entry_trace.events) != len(prefix):
+    system = spec.system(instance_record, record_trace=True)
+    trace = replay_schedule(system, prefix)
+    if len(trace.events) != len(prefix):
         raise FuzzError("lasso prefix did not replay on a fresh system")
-    entry = entry_system.scheduler.capture_state()
-
-    closed_system = spec.system(instance_record, record_trace=True)
-    closed_trace = replay_schedule(closed_system, prefix + cycle)
-    if len(closed_trace.events) != len(prefix) + len(cycle):
+    entry = system.scheduler.capture_state()
+    # The step budget counts every step the system has taken.
+    trace = replay_schedule(
+        system, cycle, max_steps=len(prefix) + len(cycle) + 1
+    )
+    if len(trace.events) != len(prefix) + len(cycle):
         raise FuzzError("lasso cycle did not replay on a fresh system")
-    if closed_system.scheduler.capture_state() != entry:
+    if system.scheduler.capture_state() != entry:
         raise FuzzError("lasso cycle does not close back to its entry state")
 
     memo = StepMemo(instance)

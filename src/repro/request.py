@@ -5,16 +5,17 @@ exploration.explore`, :func:`~repro.verify.runner.verify_instance`,
 :func:`~repro.analysis.experiments.sweep_problem`,
 :func:`~repro.farm.orchestrator.run_farm` and the fuzz engine
 (:func:`~repro.fuzz.engine.run_fuzz`) — and before this module each
-grew its own drifting keyword list (backend here, kernel there,
-max_states under two names).  A :class:`RunRequest` is the frozen value
-they all consume instead:
+grew its own drifting keyword list (kernel here, max_states under two
+names there).  A :class:`RunRequest` is the frozen value they all
+consume instead:
 
 * *what*: ``problem`` / ``instance`` / ``params`` — resolved through
   the problem registry by :func:`resolve_target`;
-* *how*: ``kernel``, ``backend``, ``workers`` — the execution engine
-  (``workers`` fans out sweep, farm and fuzz runs; the exhaustive walks
-  of ``explore`` and ``verify_instance`` run in one process and refuse
-  more than one worker);
+* *how*: ``kernel`` (the step kernel, the one engine selector) and
+  ``workers`` (farm and fuzz runs fan cells out over claiming
+  processes; the exhaustive walks of ``explore`` and
+  ``verify_instance`` run in one process and refuse more than one
+  worker);
 * *budgets*: ``max_steps`` (schedule length), ``max_states`` (distinct
   states);
 * *determinism*: ``seed`` — the single RNG root for stochastic
@@ -24,8 +25,9 @@ they all consume instead:
 
 Every field defaults to ``None`` ("entry point's default"), so a
 request only pins what the caller cares about.  Validation happens at
-construction: an invalid kernel/backend/workers combination fails
-before any work starts, with the same error text the CLI prints.
+construction: an unknown kernel or a non-positive budget or worker
+count fails before any work starts, with the same error text the CLI
+prints.
 """
 
 from __future__ import annotations
@@ -42,17 +44,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "KERNELS",
-    "BACKENDS",
     "RunRequest",
     "resolve_target",
 ]
 
 #: The step-kernel vocabulary every entry point shares.
 KERNELS: Tuple[str, ...] = ("interpreted", "compiled")
-
-#: The backend-name vocabulary (the serial exploration backend + the
-#: sweep executor's ``"process"`` spelling).
-BACKENDS: Tuple[str, ...] = ("serial", "process")
 
 
 @dataclass(frozen=True)
@@ -61,16 +58,13 @@ class RunRequest:
 
     ``params`` accepts any mapping and is stored as a sorted item tuple
     so the request stays hashable; read it back via
-    :meth:`params_dict`.  ``backend`` may be a vocabulary string or a
-    live backend/executor instance (instances pass through unvalidated
-    — they carry their own configuration).
+    :meth:`params_dict`.
     """
 
     problem: Optional[str] = None
     instance: Optional[str] = None
     params: Optional[Any] = None
     kernel: Optional[str] = None
-    backend: Optional[Any] = None
     workers: Optional[int] = None
     max_steps: Optional[int] = None
     max_states: Optional[int] = None
@@ -86,18 +80,6 @@ class RunRequest:
             raise ConfigurationError(
                 f"unknown kernel {self.kernel!r}; "
                 "expected 'interpreted' or 'compiled'"
-            )
-        if isinstance(self.backend, str) and self.backend not in BACKENDS:
-            raise ConfigurationError(
-                f"unknown backend {self.backend!r}; "
-                "expected 'serial' or 'process'"
-            )
-        if self.kernel == "compiled" and isinstance(self.backend, str) and (
-            self.backend != "serial"
-        ):
-            raise ConfigurationError(
-                "kernel='compiled' is a drop-in replacement for the "
-                f"serial backend; got backend {self.backend!r}"
             )
         for name in ("workers", "max_steps", "max_states"):
             value = getattr(self, name)

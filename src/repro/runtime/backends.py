@@ -1,53 +1,39 @@
 """Pluggable exploration backends over the value-state kernel.
 
-PR 2 made the walk symmetry-reduced; this module makes it *retargetable*.
+The canonicalizer (:mod:`repro.runtime.canonical`) decides which states
+a walk deduplicates; this module decides which step kernel walks them.
 An :class:`ExplorationBackend` receives an :class:`ExplorationTask` — the
 pure ``(instance, initial state, invariant, canonicalizer, budgets)``
 value — and returns an
 :class:`~repro.runtime.exploration.ExplorationResult`.  Nothing in a task
-is live: no scheduler, no memory, no locks.  Two backends ship:
+is live: no scheduler, no memory, no locks.  Two backends ship, one per
+step kernel (``explore(kernel=...)`` picks between them):
 
 :class:`SerialBackend`
-    The seed explorer's depth-first walk, re-expressed over
-    :func:`~repro.runtime.kernel.step_value` instead of
-    restore → step → capture on a shared scheduler.  Same visit order,
-    same dedup rule, same acceleration, same counters — bit-identical
-    results (the differential tests in
+    The interpreted kernel: the seed explorer's depth-first walk,
+    re-expressed over :func:`~repro.runtime.kernel.step_value` instead
+    of restore → step → capture on a shared scheduler.  Same visit
+    order, same dedup rule, same acceleration, same counters —
+    bit-identical results (the differential tests in
     ``tests/runtime/test_exploration_differential.py`` pin this) — but
     the system is never mutated and successor capture is free value
     passing.
 
 :class:`~repro.runtime.compiled.CompiledBackend`
-    The same walk over table-compiled transitions
+    The compiled kernel: the same walk over table-compiled transitions
     (:mod:`repro.runtime.compiled`), bit-identical to
     :class:`SerialBackend` and falling back to it wholesale on tasks
     the table compiler cannot enumerate.
 
-The executor pair (:class:`SerialExecutor` / :class:`ProcessExecutor`)
-is the same idea one level up — a deterministic ``map`` used by the
-sweep harness in :mod:`repro.analysis.experiments` to fan independent
-(naming × adversary × seed) cells across cores.
+Both walk in the calling process.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from multiprocessing import get_context
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-    TypeVar,
-    Union,
-)
+from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple
 
-from repro.errors import ConfigurationError
 from repro.obs.telemetry import NULL_TELEMETRY, TelemetrySink
 from repro.runtime.canonical import (
     Canonicalizer,
@@ -74,7 +60,7 @@ Invariant = Callable[[Any], Optional[str]]
 class ExplorationTask:
     """Everything a backend needs to run one bounded exploration.
 
-    A pure value: picklable, scheduler-free, reusable.  ``initial`` is
+    A pure value: scheduler-free and reusable.  ``initial`` is
     the state the walk starts from (usually the system's initial state);
     the canonicalizer supplies the dedup keys and must have been built
     for the same instance.
@@ -99,8 +85,6 @@ class ExplorationBackend(Protocol):
 
     #: Short name recorded in results and benchmark records.
     name: str
-    #: Worker processes the walk uses (1: every backend is serial).
-    workers: int
 
     def run(
         self,
@@ -199,7 +183,6 @@ class SerialBackend:
     """
 
     name = "serial"
-    workers = 1
 
     #: Emit one progress event per this many popped states (power of
     #: two: the hot-loop check is a single mask).  Class attribute so
@@ -371,135 +354,3 @@ class SerialBackend:
             telemetry.count("explore.events", result.events_executed)
             telemetry.count("explore.orbit_hits", result.orbits_collapsed)
         return result
-
-
-# ---------------------------------------------------------------------------
-# Executors — a serial or multi-process map over independent sweep cells
-# ---------------------------------------------------------------------------
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
-
-
-class SerialExecutor:
-    """In-process ordered ``map`` — the default sweep executor.
-
-    ``initializer`` (if given) runs once in this process before the
-    map, mirroring the pool-initializer contract of
-    :class:`ProcessExecutor` so callers plant per-process payloads the
-    same way under either executor.
-    """
-
-    name = "serial"
-    workers = 1
-
-    def map(
-        self,
-        fn: Callable[[_T], _R],
-        items: Sequence[_T],
-        initializer: Optional[Callable[..., None]] = None,
-        initargs: Tuple[Any, ...] = (),
-    ) -> List[_R]:
-        if initializer is not None:
-            initializer(*initargs)
-        return [fn(item) for item in items]
-
-
-class ProcessExecutor:
-    """Ordered ``map`` over a ``multiprocessing`` pool.
-
-    Results come back in submission order regardless of completion
-    order, so swapping this in for :class:`SerialExecutor` never changes
-    a sweep's output — only its wall time.  ``fn`` must be a module
-    -level function and items/results picklable; under the default
-    ``fork`` start method the ``initializer`` payload is inherited
-    rather than pickled, so it may close over anything.
-    """
-
-    name = "process"
-
-    def __init__(
-        self, workers: int = 2, mp_context: Optional[Any] = None
-    ) -> None:
-        if workers < 1:
-            raise ConfigurationError(
-                f"workers must be a positive int, got {workers!r}"
-            )
-        self.workers = workers
-        self._mp_context = mp_context
-
-    def map(
-        self,
-        fn: Callable[[_T], _R],
-        items: Sequence[_T],
-        initializer: Optional[Callable[..., None]] = None,
-        initargs: Tuple[Any, ...] = (),
-    ) -> List[_R]:
-        items = list(items)
-        if not items:
-            return []
-        context = self._mp_context or get_context()
-        with context.Pool(
-            self.workers, initializer=initializer, initargs=initargs
-        ) as pool:
-            return pool.map(fn, items)
-
-
-def resolve_backend(spec: str) -> ExplorationBackend:
-    """Build a backend from a CLI-style spec (``"serial"``/``"compiled"``)."""
-    if spec == "serial":
-        return SerialBackend()
-    if spec == "compiled":
-        # Imported here: compiled.py imports this module at the top.
-        from repro.runtime.compiled import CompiledBackend
-
-        return CompiledBackend()
-    raise ConfigurationError(
-        f"unknown exploration backend {spec!r}; "
-        "expected 'serial' or 'compiled'"
-    )
-
-
-class SweepExecutor(Protocol):
-    """The ordered-``map`` interface :func:`repro.analysis.experiments.sweep`
-    fans its cells out over (satisfied by :class:`SerialExecutor` and
-    :class:`ProcessExecutor`)."""
-
-    name: str
-    workers: int
-
-    def map(
-        self,
-        fn: Callable[[_T], _R],
-        items: Sequence[_T],
-        initializer: Optional[Callable[..., None]] = None,
-        initargs: Tuple[Any, ...] = (),
-    ) -> List[_R]:
-        """Apply ``fn`` to every item, preserving submission order."""
-        ...
-
-
-def resolve_executor(
-    spec: Union[str, SweepExecutor], workers: Optional[int] = None
-) -> SweepExecutor:
-    """Build a sweep executor from a spec.
-
-    Accepts the backend vocabulary as strings — ``"serial"`` →
-    :class:`SerialExecutor`, ``"process"`` → :class:`ProcessExecutor` —
-    or passes an executor instance (anything with a ``map``) through
-    unchanged, so ``sweep(backend=...)`` takes either spelling.
-    """
-    if isinstance(spec, str):
-        if spec == "serial":
-            return SerialExecutor()
-        if spec == "process":
-            return ProcessExecutor(workers=workers or 2)
-        raise ConfigurationError(
-            f"unknown sweep backend {spec!r}; expected 'serial' or 'process'"
-        )
-    if not hasattr(spec, "map"):
-        raise ConfigurationError(
-            f"sweep backend must be 'serial', 'process' or an executor "
-            f"with a map() method, got {spec!r}"
-        )
-    return spec

@@ -584,10 +584,6 @@ class Canonicalizer:
     -encoding layer.  Keys are content-addressed (see module docstring),
     so they agree between the two entry points and across OS processes.
 
-    Canonicalizers are picklable: the per-value digest memo travels with
-    them (warm caches for the copy) while the live scheduler binding is
-    dropped — an unpickled copy supports :meth:`key_of_state` only.
-
     Build instances with :func:`build_canonicalizer` (or
     :class:`TrivialCanonicalizer` directly).
     """
@@ -603,8 +599,8 @@ class Canonicalizer:
     ) -> None:
         order = sorted(scheduler.pids)
         self.pid_order: Tuple[ProcessId, ...] = tuple(order)
-        self._memory: Optional[AnonymousMemory] = scheduler.memory
-        self._runtimes: Optional[List[ProcessRuntime]] = [
+        self._memory: AnonymousMemory = scheduler.memory
+        self._runtimes: List[ProcessRuntime] = [
             scheduler.runtime(pid) for pid in order
         ]
         self._footprint_fns = footprint_fns
@@ -635,29 +631,10 @@ class Canonicalizer:
         """Distinct register values / footprints digested so far."""
         return len(self._intern)
 
-    # -- pickling (a copy keys value states only) --------------------------
-
-    def __getstate__(self) -> Dict[str, Any]:
-        state = self.__dict__.copy()
-        # The live scheduler bindings stay behind: a copy receives the
-        # group structure, hooks and warm digest memo, and runs purely on
-        # value states via key_of_state().
-        state["_memory"] = None
-        state["_runtimes"] = None
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-
     # -- encoding ----------------------------------------------------------
 
     def key_of(self) -> Tuple[CanonicalKey, CanonicalKey]:
         """``(canonical_key, raw_key)`` of the scheduler's current state."""
-        if self._memory is None or self._runtimes is None:
-            raise RuntimeError(
-                "this canonicalizer was unpickled and has no live scheduler; "
-                "use key_of_state(global_state) instead"
-            )
         values = self._memory.snapshot()
         slots = [
             (runtime.state, runtime.halted, runtime.crashed)
@@ -671,8 +648,7 @@ class Canonicalizer:
         """``(canonical_key, raw_key)`` of a captured global-state value.
 
         Pure: reads only the tuple (whose per-process part is sorted by
-        pid, matching :attr:`pid_order`), never a live object — safe in
-        any OS process holding an unpickled canonicalizer.
+        pid, matching :attr:`pid_order`), never a live object.
         """
         registers, locals_part = global_state
         slots = [

@@ -373,8 +373,8 @@ class CompiledProgram:
         value) entry filled once.  Invariant: every read site before
         ``site_at`` has its entries below ``value_at`` filled.  Needed
         where a consumer sees the whole tables at once: the quotient
-        walk's orbit weights rank every digest, and the parallel
-        backend's processes must number local states identically.
+        walk's orbit weights rank every digest, and :meth:`pack` encodes
+        a state the tables have not met yet.
         """
         sites = self._read_sites
         values = self.values
@@ -1247,7 +1247,6 @@ class CompiledBackend:
     """
 
     name = "compiled"
-    workers = 1
     progress_interval = 8192  # power of two, matches SerialBackend
 
     def __init__(

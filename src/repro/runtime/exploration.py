@@ -28,7 +28,7 @@ directly on a fresh system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError, ExplorationLimitExceeded
 from repro.obs.telemetry import NULL_TELEMETRY, TelemetrySink
@@ -114,9 +114,6 @@ class ExplorationResult:
     peak_visited: int = 0
     #: Name of the backend that ran the walk (``"serial"``/``"compiled"``).
     backend: str = "serial"
-    #: Worker processes the backend used (always 1: every backend is
-    #: serial).
-    workers: int = 1
     #: Which step kernel actually executed the walk: ``"interpreted"``
     #: (the ``step_value`` interpreter) or ``"compiled"`` (the
     #: table-compiled packed-state kernel).  A ``CompiledBackend`` that
@@ -165,6 +162,13 @@ class ExplorationResult:
         return line
 
 
+#: The step kernel each shipped backend runs, by backend name.
+_KERNEL_OF_BACKEND: Dict[str, str] = {
+    "serial": "interpreted",
+    "compiled": "compiled",
+}
+
+
 def explore(
     system: System,
     invariant: Invariant,
@@ -172,7 +176,7 @@ def explore(
     max_depth: int = 10_000,
     raise_on_truncation: bool = False,
     canonicalizer: Optional[Canonicalizer] = None,
-    backend: Optional[Union[str, "ExplorationBackend"]] = None,
+    backend: Optional["ExplorationBackend"] = None,
     *,
     reduction: Optional[str] = None,
     kernel: Optional[str] = None,
@@ -228,25 +232,23 @@ def explore(
         engines this way).  Must have been built for this ``system``'s
         scheduler.
     backend:
-        The :class:`~repro.runtime.backends.ExplorationBackend` that
-        runs the walk — an instance, or the string ``"serial"`` /
-        ``"compiled"`` (resolved via
-        :func:`~repro.runtime.backends.resolve_backend`).  Defaults to
-        :class:`~repro.runtime.backends.SerialBackend` — the historical
-        depth-first semantics, bit-identical counters included.
+        A configured :class:`~repro.runtime.backends.ExplorationBackend`
+        instance that runs the walk in place of the one ``kernel``
+        selects — for example ``CompiledBackend(domain_hint=...)``, or
+        a test's fake.  It must run the kernel ``kernel`` names when
+        both are given; a mismatch, or a string, raises
+        :class:`~repro.errors.ConfigurationError`.
     kernel:
-        Step-kernel selector: ``"interpreted"`` (the default — the
-        ``step_value`` interpreter) or ``"compiled"`` (the
-        table-compiled packed-state kernel,
-        :class:`~repro.runtime.compiled.CompiledBackend` — bit-identical
-        results at ~10× the serial throughput on the shipped automata).
-        ``"compiled"`` is a drop-in replacement for the serial backend
-        (the default); combining it with a backend other than the
-        serial or compiled one raises
-        :class:`~repro.errors.ConfigurationError`.  Instances whose
-        local-state space or register value domain cannot be enumerated
-        fall back to the interpreter automatically —
-        :attr:`ExplorationResult.kernel` records which kernel actually
+        The engine selector: ``"interpreted"`` (the default —
+        :class:`~repro.runtime.backends.SerialBackend`, the
+        ``step_value`` interpreter with the historical depth-first
+        semantics) or ``"compiled"``
+        (:class:`~repro.runtime.compiled.CompiledBackend`, the
+        table-compiled packed-state kernel — bit-identical results at
+        ~10× the interpreter's throughput on the shipped automata).
+        Instances whose local-state space or register value domain
+        cannot be enumerated fall back to the interpreter automatically
+        — :attr:`ExplorationResult.kernel` records which kernel actually
         ran.
     telemetry:
         A :class:`~repro.obs.telemetry.TelemetrySink` receiving phase
@@ -260,8 +262,8 @@ def explore(
         ``reduction="symmetry"``; ignored (and unvalidated) otherwise.
     request:
         A :class:`~repro.request.RunRequest` carrying the execution
-        fields (``kernel``, ``backend``, ``max_states``, ``telemetry``)
-        as one value — the unified spelling shared with
+        fields (``kernel``, ``max_states``, ``telemetry``) as one
+        value — the unified spelling shared with
         ``verify_instance``/``sweep_problem``/``run_farm``/``run_fuzz``.
         Request fields win over the keyword defaults; a keyword
         explicitly contradicting a set request field raises
@@ -284,17 +286,12 @@ def explore(
     """
     # Imported here, not at module top: backends imports
     # ExplorationResult from this module.
-    from repro.runtime.backends import (
-        ExplorationTask,
-        SerialBackend,
-        resolve_backend,
-    )
+    from repro.runtime.backends import ExplorationTask, SerialBackend
     from repro.runtime.kernel import StepInstance
 
     if request is not None:
         request.require_one_process("explore()")
         kernel = request.merged("kernel", kernel)
-        backend = request.merged("backend", backend)
         max_states = request.merged("max_states", max_states, default=500_000)
         telemetry = request.merged("telemetry", telemetry)
     if telemetry is None:
@@ -326,24 +323,27 @@ def explore(
             "group element — unsound for the liveness analyses the "
             "graph feeds (see repro.verify.graph)"
         )
-    if backend is None:
-        backend = SerialBackend()
-    elif isinstance(backend, str):
-        backend = resolve_backend(backend)
     if kernel not in (None, "interpreted", "compiled"):
         raise ConfigurationError(
             f"unknown kernel {kernel!r}; expected 'interpreted' or 'compiled'"
         )
-    if kernel == "compiled":
-        from repro.runtime.compiled import CompiledBackend
+    if isinstance(backend, str):
+        raise ConfigurationError(
+            f"backend= takes an engine instance, not {backend!r}; select "
+            "the step kernel with kernel='interpreted' or kernel='compiled'"
+        )
+    if backend is None:
+        if kernel == "compiled":
+            from repro.runtime.compiled import CompiledBackend
 
-        if isinstance(backend, SerialBackend):
             backend = CompiledBackend()
-        elif not isinstance(backend, CompiledBackend):
-            raise ConfigurationError(
-                "kernel='compiled' is a drop-in replacement for the "
-                f"serial backend; got backend {backend.name!r}"
-            )
+        else:
+            backend = SerialBackend()
+    elif kernel is not None and _KERNEL_OF_BACKEND.get(backend.name) != kernel:
+        raise ConfigurationError(
+            f"kernel={kernel!r} does not run on the {backend.name!r} "
+            "backend passed as backend=; drop one of the two"
+        )
 
     task = ExplorationTask(
         instance=StepInstance.from_system(system),
@@ -359,14 +359,12 @@ def explore(
         telemetry.event(
             "explore.start",
             backend=backend.name,
-            workers=backend.workers,
             max_states=max_states,
             max_depth=max_depth,
         )
     with telemetry.phase("explore.walk"):
         result = backend.run(task, telemetry=telemetry)
     result.backend = backend.name
-    result.workers = backend.workers
     if telemetry.enabled:
         telemetry.gauge("explore.states", result.states_explored)
         telemetry.gauge("explore.peak_visited", result.peak_visited)
@@ -450,8 +448,8 @@ def unique_names_invariant(system: System) -> Optional[str]:
 class _ConjoinedInvariant:
     """Conjunction of invariants; reports the first violation among them.
 
-    A class, not a closure, so conjoined invariants are picklable, as
-    an :class:`~repro.runtime.backends.ExplorationTask` is.
+    A class, not a closure, so the sweep farm can read the conjoined
+    invariants back (:func:`repro.farm.cells.default_checkers`).
     """
 
     __slots__ = ("invariants",)

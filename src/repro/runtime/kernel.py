@@ -11,12 +11,11 @@ the transition relation as a pure function over the
 
     ``step_state(instance, global_state, pid) -> (global_state', meta)``
 
-with no side effects, no shared scheduler, and nothing that cannot be
-pickled to another process.  On top of it:
+with no side effects and no shared scheduler.  On top of it:
 
-* :class:`StepInstance` — the immutable, picklable description of one
-  algorithm instance (automata, register permutations, inputs) that a
-  worker needs to run transitions locally;
+* :class:`StepInstance` — the immutable description of one algorithm
+  instance (automata, register permutations, inputs) that a walk needs
+  to run transitions without a live system;
 * :class:`StateView` — a read-only, ``System``-shaped façade over a
   value state, so the stock invariants (and any duck-typed custom
   invariant reading ``system.scheduler.*``) evaluate on values without a
@@ -29,9 +28,7 @@ pickled to another process.  On top of it:
   exploration) semantically identical by construction.
 
 The exploration backends (:mod:`repro.runtime.backends`) are built
-entirely on this API: capture/restore becomes cheap value passing, and
-fanning a walk out across processes is a matter of shipping
-``(instance, state)`` pairs.
+entirely on this API: capture/restore becomes cheap value passing.
 """
 
 from __future__ import annotations
@@ -48,9 +45,9 @@ from repro.types import ProcessId
 #: crashed), ...) sorted by pid).  §6.1: "a (global) state ... is
 #: completely described by the values of the (local and shared) registers
 #: and the values of the location counters" — local dataclasses carry
-#: both locals and pc.  This is a plain immutable value: hashable,
-#: picklable, and shared freely between schedulers, backends and worker
-#: processes.
+#: both locals and pc.  This is a plain immutable value: hashable, and
+#: shared freely between schedulers, backends and the fuzzer's step
+#: memo.
 GlobalState = Tuple[
     Tuple[Any, ...], Tuple[Tuple[ProcessId, LocalState, bool, bool], ...]
 ]
@@ -96,15 +93,14 @@ def execute_via_view(
 
 
 class StepInstance:
-    """The picklable pure context of one algorithm instance.
+    """The pure context of one algorithm instance.
 
     Everything :func:`step_state` needs that is *not* part of the global
     state value: the per-process automata (pure functions), each
     process's private-to-physical register permutation (the naming
     assignment, fixed for the run), and the inputs (for validity-style
     invariants).  A ``StepInstance`` is immutable after construction and
-    contains no locks, views or live memory — it ships to worker
-    processes with one pickle.
+    contains no locks, views or live memory.
 
     ``pid_order`` preserves the scheduler's iteration order (system
     construction order), so :func:`enabled_pids` enumerates processes
@@ -328,8 +324,8 @@ class StateView:
     read ``system.scheduler.runtimes()`` / ``.outputs()`` /
     ``system.inputs``.  A ``StateView`` supports exactly that duck-typed
     surface — including ``view.scheduler is view`` so both spellings
-    work — without any scheduler, which lets backends (local or in a
-    worker process) check invariants on value states directly.
+    work — without any scheduler, which lets backends check invariants
+    on value states directly.
 
     The surface is read-only: there is no ``step``, no ``run``, no
     ``crash``.  Invariants that mutate the system were never sound under

@@ -143,13 +143,11 @@ def verify_instance(
     complete graph (state budget truncation) — an incomplete graph
     supports no liveness verdict.
     """
-    backend: Any = None
     kernel: Optional[str] = None
     max_states: Optional[int] = None
     telemetry: Optional[TelemetrySink] = None
     if request is not None:
         request.require_one_process("verify_instance()")
-        backend = request.backend
         kernel = request.kernel
         max_states = request.max_states
         telemetry = request.telemetry
@@ -171,7 +169,8 @@ def verify_instance(
     system = spec.system(instance)
     invariant = spec.invariant if spec.invariant is not None else _no_invariant
     budget = max_states if max_states is not None else instance.verify_max_states
-    if kernel == "compiled" and backend in (None, "serial"):
+    backend: Any = None
+    if kernel == "compiled":
         from repro.runtime.compiled import CompiledBackend
 
         domain = (
@@ -180,7 +179,6 @@ def verify_instance(
             else ()
         )
         backend = CompiledBackend(domain_hint=domain)
-        kernel = None  # already resolved into the backend
     result = explore(
         system,
         invariant,
@@ -271,7 +269,6 @@ def verify_manifest(
             type(naming_obj).__name__ if naming_obj is not None else "identity"
         ),
         backend=exploration.backend,
-        workers=exploration.workers,
         outcome={
             "verdict": "verified" if report.ok else "failed",
             "instance": instance.label,

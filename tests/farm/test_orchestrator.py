@@ -14,7 +14,6 @@ from repro.__main__ import main
 from repro.errors import FarmError
 from repro.farm import (
     Cell,
-    FarmResult,
     MemoryRunTable,
     create_farm,
     drain_farm,
@@ -23,6 +22,7 @@ from repro.farm import (
     grid_cells,
     is_farm_dir,
     load_state_graph,
+    resolve_grid_target,
     resume_farm,
     run_farm,
 )
@@ -258,29 +258,49 @@ class TestMultiProcess:
             run_farm(tmp_path / "farm", workers=2, fault_injector=lambda c: None)
 
 
-class TestSweepDerivation:
-    def test_sweep_result_re_derived_from_farm_result(self):
-        from repro.analysis.experiments import sweep
-        from repro.core.mutex import AnonymousMutex
-        from repro.memory.naming import IdentityNaming
-        from repro.runtime.adversary import RandomAdversary
-        from repro.spec.mutex_spec import MutualExclusionChecker
+#: Problems whose first registered instance label differs from the
+#: ``<key>(<k>=<v>,...)`` label a params grid synthesizes.
+RELABELLED = [
+    ("commit-adopt", "commit-adopt"),
+    ("ladder-consensus", "ladder-consensus"),
+    ("threshold-mutex", "threshold-mutex(m=3,t=2)"),
+    ("partitioned-k-set", "partitioned-k-set(n=2,k=2)"),
+    ("naive-lock", "naive-lock"),
+    ("peterson-mutex", "peterson-mutex"),
+]
 
-        result = sweep(
-            lambda: AnonymousMutex(m=3, cs_visits=1),
-            [11, 13],
-            [IdentityNaming()],
-            [RandomAdversary(1), RandomAdversary(2)],
-            lambda: [MutualExclusionChecker()],
-            max_steps=2_000,
+
+class TestGridTarget:
+    """A grid without params or instance runs the spec's first
+    registered instance record, under its registered label."""
+
+    @pytest.mark.parametrize("problem, label", RELABELLED)
+    def test_default_is_the_registered_record(self, problem, label):
+        from repro.problems import get_problem
+
+        spec, record = resolve_grid_target(
+            {"problem": problem, "instance": None, "params": None}
         )
-        assert isinstance(result.farm, FarmResult)
-        assert result.farm.complete
-        assert len(result.farm.rows) == 2
-        assert [row.result for row in result.farm.rows] == result.records
-        rederived = result.farm.to_sweep_result()
-        assert rederived.records == result.records
-        assert rederived.algorithm == result.algorithm
+        assert record is get_problem(problem).instances[0]
+        assert (spec.key, record.label) == (problem, label)
+
+    def test_params_keep_the_synthesized_label(self):
+        _, record = resolve_grid_target({
+            "problem": "threshold-mutex", "instance": None,
+            "params": {"m": 3, "threshold": 2},
+        })
+        assert record.label == "threshold-mutex(m=3,threshold=2)"
+
+    def test_verify_row_records_the_registered_label(self, tmp_path):
+        out = tmp_path / "farm"
+        assert main([
+            "sweep", "--problem", "commit-adopt", "--retain-graph",
+            "--namings", "identity", "--adversaries", "round-robin",
+            "--out", str(out),
+        ]) == 0
+        rows = farm_result(out).rows
+        assert [row.kind for row in rows] == ["run", "verify"]
+        assert rows[-1].result["instance"] == "commit-adopt"
 
 
 class TestSweepCli:

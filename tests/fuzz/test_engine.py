@@ -12,6 +12,7 @@ from repro.errors import ConfigurationError, FuzzError, ProtocolError
 from repro.fuzz import engine
 from repro.fuzz.engine import run_fuzz
 from repro.request import RunRequest, resolve_target
+from repro.runtime.kernel import StepInstance
 from repro.runtime.ops import ReadOp
 from repro.runtime.replay import replay_schedule
 
@@ -91,6 +92,88 @@ class TestWitnessReplay:
             assert len(violation.shrunk_prefix) <= len(violation.prefix)
 
 
+class _CountingSpec:
+    """A problem spec whose ``system`` builds are counted."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.builds = 0
+
+    def system(self, *args, **kwargs):
+        self.builds += 1
+        return self.spec.system(*args, **kwargs)
+
+
+class TestLassoCertification:
+    """``_validate_lasso`` replays each lasso once, on one fresh system,
+    and rejects a lasso that does not hold up with a pinned message."""
+
+    spec, record = resolve_target("figure-1-mutex", "figure-1-mutex-even-m")
+
+    def validate(self, violation, spec=None):
+        instance = StepInstance.from_system(self.spec.system(self.record))
+        engine._validate_lasso(
+            spec or self.spec, self.record, instance, violation
+        )
+
+    def rejection(self, prefix, cycle, kind="deadlock-freedom"):
+        violation = engine.FuzzViolation(
+            kind=kind, family="lockstep", episode=0, message="",
+            schedule=prefix + cycle, shrunk_prefix=prefix, shrunk_cycle=cycle,
+        )
+        with pytest.raises(FuzzError) as error:
+            self.validate(violation)
+        return str(error.value)
+
+    def solo_halts(self):
+        """The two pids and the solo steps after which each halts."""
+        system = self.spec.system(self.record)
+        p, q = sorted(system.pids)
+        return (
+            p, q,
+            system.scheduler.run_solo_until_halt(p),
+            system.scheduler.run_solo_until_halt(q),
+        )
+
+    def test_a_prefix_past_every_halt_does_not_replay(self):
+        p, q, solo_p, solo_q = self.solo_halts()
+        prefix = (p,) * solo_p + (q,) * solo_q + (p,)
+        assert self.rejection(prefix, (p,)) == (
+            "lasso prefix did not replay on a fresh system"
+        )
+
+    def test_a_cycle_past_every_halt_does_not_replay(self):
+        p, q, solo_p, solo_q = self.solo_halts()
+        prefix = (p,) * solo_p + (q,) * (solo_q - 1)
+        assert self.rejection(prefix, (q, q)) == (
+            "lasso cycle did not replay on a fresh system"
+        )
+
+    def test_a_cycle_that_moves_on_does_not_close(self):
+        p = min(self.spec.system(self.record).pids)
+        assert self.rejection((), (p,)) == (
+            "lasso cycle does not close back to its entry state"
+        )
+
+    def test_a_closed_cycle_the_oracle_rejects(self, mutant_report):
+        lasso = mutant_report.violations[0]
+        assert len(set(lasso.shrunk_cycle)) == 2  # not a solo cycle
+        # The same closed cycle, claimed as a solo livelock.
+        message = self.rejection(
+            lasso.shrunk_prefix, lasso.shrunk_cycle, kind="obstruction-freedom"
+        )
+        assert message == (
+            "replayed lasso no longer satisfies the obstruction-freedom "
+            "violation conditions"
+        )
+
+    def test_one_system_per_certified_lasso(self, mutant_report):
+        for lasso in mutant_report.violations:
+            counting = _CountingSpec(self.spec)
+            self.validate(lasso, spec=counting)
+            assert counting.builds == 1
+
+
 class TestBudgets:
     def test_max_violations_stops_the_run(self):
         report = fuzz("figure-1-mutex-even-m", max_violations=1)
@@ -121,16 +204,6 @@ class TestBudgets:
 
 
 class TestConfiguration:
-    def test_parallel_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="serial per episode"):
-            run_fuzz(
-                RunRequest(
-                    problem="figure-1-mutex",
-                    instance="figure-1-mutex(m=3)",
-                    backend="process",
-                )
-            )
-
     def test_compiled_kernel_rejected(self):
         with pytest.raises(ConfigurationError) as error:
             run_fuzz(

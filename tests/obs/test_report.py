@@ -5,9 +5,9 @@ from repro.obs.report import report_main
 
 
 def make_manifest(**overrides):
-    tel = Telemetry(clock=lambda: 0.0)
-    with tel.phase("explore.walk"):
-        pass
+    # A fixed phase duration: a timed empty block can round to 0.0 s.
+    telemetry = Telemetry().snapshot()
+    telemetry["phases"] = {"explore.walk": {"seconds": 0.02, "entries": 1}}
     fields = dict(
         kind="exploration",
         algorithm="mutex m=3 (n=2)",
@@ -17,7 +17,7 @@ def make_manifest(**overrides):
         workers=1,
         outcome={"verdict": "exhaustive-ok", "states": 771, "events": 1492,
                  "wall_seconds": 0.02},
-        telemetry=tel.snapshot(),
+        telemetry=telemetry,
     )
     fields.update(overrides)
     return RunManifest.create(**fields)

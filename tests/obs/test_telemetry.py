@@ -119,7 +119,7 @@ class TestExplorationIsTelemetryInvariant:
             "complete", "states_explored", "events_executed",
             "max_depth_reached", "violation", "violation_schedule",
             "stuck_states", "truncated_by", "orbits_collapsed",
-            "group_size", "peak_visited", "backend", "workers",
+            "group_size", "peak_visited", "backend", "kernel",
         ):
             assert getattr(observed, field_name) == getattr(silent, field_name), (
                 field_name

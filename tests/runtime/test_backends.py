@@ -3,28 +3,19 @@
 :class:`SerialBackend` is the reference semantics (the seed DFS over
 value states; its bit-parity with the historical explorer is pinned by
 ``test_exploration_differential.py``, which now runs through it).  The
-tests here run it beside :class:`~repro.runtime.compiled.CompiledBackend`
-on the budget-truncation accounting, the inert self-loop acceleration's
-livelock break and the untouched-system contract, and pin the executor
-pair the sweep harness fans out over.
+tests here pin how ``explore()`` picks between it and
+:class:`~repro.runtime.compiled.CompiledBackend`, and run both on the
+budget-truncation accounting, the inert self-loop acceleration's
+livelock break and the untouched-system contract.
 """
-
-import pickle
 
 import pytest
 
-from repro.analysis.experiments import sweep
 from repro.core.mutex import AnonymousMutex
 from repro.errors import ConfigurationError, ExplorationLimitExceeded
-from repro.memory.naming import IdentityNaming
-from repro.runtime.adversary import RandomAdversary, RoundRobinAdversary
+from repro.runtime.adversary import RoundRobinAdversary
 from repro.runtime.automaton import Algorithm, ProcessAutomaton
-from repro.runtime.backends import (
-    ProcessExecutor,
-    SerialBackend,
-    SerialExecutor,
-    resolve_backend,
-)
+from repro.runtime.backends import SerialBackend
 from repro.runtime.canonical import build_canonicalizer
 from repro.runtime.compiled import CompiledBackend
 from repro.runtime.exploration import (
@@ -34,7 +25,6 @@ from repro.runtime.exploration import (
 )
 from repro.runtime.ops import ReadOp
 from repro.runtime.system import System
-from repro.spec.mutex_spec import MutualExclusionChecker
 
 from tests.conftest import pids
 from tests.runtime.test_exploration_differential import null_invariant
@@ -44,23 +34,83 @@ def mutex_system(m=3, record_trace=False):
     return System(AnonymousMutex(m=m, cs_visits=1), pids(2), record_trace=record_trace)
 
 
-class TestResolveBackend:
-    def test_serial_spec(self):
-        backend = resolve_backend("serial")
-        assert isinstance(backend, SerialBackend)
-        assert (backend.name, backend.workers) == ("serial", 1)
+INTERPRETED = ("serial", "interpreted")
+COMPILED = ("compiled", "compiled")
 
-    def test_unknown_spec_is_a_configuration_error(self):
-        with pytest.raises(ConfigurationError, match="unknown exploration backend"):
-            resolve_backend("quantum")
+#: kernel= x backend= -> the (result.backend, result.kernel) that runs,
+#: or None where explore() must raise a ConfigurationError.
+SELECTOR_TABLE = [
+    (None, None, INTERPRETED),
+    (None, SerialBackend, INTERPRETED),
+    (None, CompiledBackend, COMPILED),
+    (None, "serial", None),
+    ("interpreted", None, INTERPRETED),
+    ("interpreted", SerialBackend, INTERPRETED),
+    ("interpreted", CompiledBackend, None),
+    ("interpreted", "serial", None),
+    ("compiled", None, COMPILED),
+    ("compiled", SerialBackend, None),
+    ("compiled", CompiledBackend, COMPILED),
+    ("compiled", "serial", None),
+]
 
-    def test_nonpositive_workers_are_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ProcessExecutor(workers=0)
+
+def _backend_id(backend):
+    if isinstance(backend, str):
+        return repr(backend)
+    return getattr(backend, "__name__", str(backend))
+
+
+class TestEngineSelector:
+    """``kernel=`` is the one engine selector; ``backend=`` only passes
+    a configured instance of the engine it names."""
+
+    @pytest.mark.parametrize(
+        "kernel, backend, expected", SELECTOR_TABLE,
+        ids=[
+            f"{kernel}-{_backend_id(backend)}"
+            for kernel, backend, _expected in SELECTOR_TABLE
+        ],
+    )
+    def test_table(self, kernel, backend, expected):
+        engine = backend() if isinstance(backend, type) else backend
+        if expected is None:
+            with pytest.raises(ConfigurationError, match="kernel="):
+                explore(
+                    mutex_system(), mutual_exclusion_invariant,
+                    kernel=kernel, backend=engine,
+                )
+            return
+        result = explore(
+            mutex_system(), mutual_exclusion_invariant,
+            kernel=kernel, backend=engine,
+        )
+        assert (result.backend, result.kernel) == expected
+        assert result.complete and result.ok
 
     def test_explore_defaults_to_serial(self):
         result = explore(mutex_system(), mutual_exclusion_invariant)
-        assert (result.backend, result.workers) == ("serial", 1)
+        assert (result.backend, result.kernel) == INTERPRETED
+
+    def test_a_fake_backend_runs_when_no_kernel_is_named(self):
+        class Fake:
+            name = "fake"
+
+            def run(self, task, telemetry):
+                return ExplorationResult(
+                    complete=True, states_explored=1, events_executed=0,
+                    max_depth_reached=0,
+                )
+
+        result = explore(
+            mutex_system(), mutual_exclusion_invariant, backend=Fake()
+        )
+        assert (result.backend, result.states_explored) == ("fake", 1)
+        with pytest.raises(ConfigurationError, match="kernel='compiled'"):
+            explore(
+                mutex_system(), mutual_exclusion_invariant,
+                kernel="compiled", backend=Fake(),
+            )
 
 
 BACKENDS = [
@@ -273,76 +323,3 @@ class TestStatesPerSecond:
 
     def test_positive_wall_time_gives_a_rate(self):
         assert self.base(wall_seconds=0.5).states_per_second == 200.0
-
-
-# ---------------------------------------------------------------------------
-# Executors (sweep fan-out)
-# ---------------------------------------------------------------------------
-
-
-def _square(value: int) -> int:
-    return value * value
-
-
-class TestExecutors:
-    def test_serial_executor_runs_initializer_in_process(self):
-        seen = []
-        executor = SerialExecutor()
-        out = executor.map(
-            _square, [3, 1, 2], initializer=seen.append, initargs=("ready",)
-        )
-        assert out == [9, 1, 4]
-        assert seen == ["ready"]
-
-    def test_process_executor_preserves_order(self):
-        out = ProcessExecutor(workers=2).map(_square, list(range(10)))
-        assert out == [n * n for n in range(10)]
-
-    def test_process_executor_empty_items_short_circuit(self):
-        assert ProcessExecutor(workers=2).map(_square, []) == []
-
-    def test_sweep_records_identical_under_both_executors(self):
-        def run(backend):
-            return sweep(
-                lambda: AnonymousMutex(m=3, cs_visits=1),
-                pids(2),
-                namings=[IdentityNaming()],
-                adversaries=[RoundRobinAdversary()]
-                + [RandomAdversary(seed) for seed in range(3)],
-                checkers_factory=lambda: [MutualExclusionChecker()],
-                max_steps=20_000,
-                backend=backend,
-            )
-
-        serial = run(SerialExecutor())
-        parallel = run(ProcessExecutor(workers=2))
-        assert serial.runs == parallel.runs == 4
-        for ours, theirs in zip(serial.records, parallel.records):
-            assert ours.naming == theirs.naming
-            assert ours.adversary == theirs.adversary
-            assert ours.ok == theirs.ok
-            assert ours.metrics == theirs.metrics
-            assert ours.trace.events == theirs.trace.events
-
-
-class TestTaskPickling:
-    def test_a_whole_task_round_trips(self):
-        from repro.runtime.backends import ExplorationTask
-        from repro.runtime.kernel import StepInstance
-
-        system = mutex_system()
-        task = ExplorationTask(
-            instance=StepInstance.from_system(system),
-            initial=system.scheduler.capture_state(),
-            invariant=mutual_exclusion_invariant,
-            canonicalizer=build_canonicalizer(system),
-            max_states=100,
-            max_depth=100,
-        )
-        copy = pickle.loads(pickle.dumps(task))
-        assert copy.initial == task.initial
-        original = task.canonicalizer.key_of_state(task.initial)
-        assert copy.canonicalizer.key_of_state(copy.initial) == original
-        # The unpickled canonicalizer has no live scheduler to read.
-        with pytest.raises(RuntimeError, match="key_of_state"):
-            copy.canonicalizer.key_of()

@@ -23,7 +23,7 @@ from repro.problems import get_problem, instances_with_role, problem_specs
 from repro.request import RunRequest
 from repro.runtime import compiled as compiled_module
 from repro.runtime.automaton import Algorithm, ProcessAutomaton
-from repro.runtime.backends import SerialBackend, resolve_backend
+from repro.runtime.backends import SerialBackend
 from repro.runtime.canonical import TrivialCanonicalizer, build_canonicalizer
 from repro.runtime.compiled import CompiledBackend, compile_program
 from repro.runtime.exploration import (
@@ -1264,15 +1264,6 @@ class TestQuotientWalkHooks:
 
 
 class TestKernelWiring:
-    def test_resolve_backend_compiled(self):
-        assert isinstance(resolve_backend("compiled"), CompiledBackend)
-
-    def test_resolve_backend_unknown(self):
-        with pytest.raises(
-            ConfigurationError, match="unknown exploration backend"
-        ):
-            resolve_backend("quantum")
-
     def test_explore_kernel_compiled(self):
         result = explore(
             mutex_system(), mutual_exclusion_invariant, kernel="compiled"
@@ -1293,7 +1284,7 @@ class TestKernelWiring:
 
     def test_explore_backend_parallel_is_unknown(self):
         with pytest.raises(
-            ConfigurationError, match="unknown exploration backend 'parallel'"
+            ConfigurationError, match="not 'parallel'; select the step kernel"
         ):
             explore(
                 mutex_system(),

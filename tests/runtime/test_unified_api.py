@@ -1,9 +1,10 @@
 """The unified exploration/sweep API surface.
 
-One public spelling — ``explore(..., reduction=...)`` and
-``sweep(..., backend=...)``.  The PR-5 deprecation shims
-(``explore_symmetry_reduced``, ``sweep(executor=...)``) are gone; these
-tests pin the unified surface they migrated to.
+One public spelling — ``explore(..., reduction=..., kernel=...)`` and an
+in-process ``sweep(...)``.  The old deprecation shims
+(``explore_symmetry_reduced``, ``sweep(executor=...)``) and the sweep's
+``backend=`` executor choice are gone; these tests pin the unified
+surface they migrated to.
 """
 
 import warnings
@@ -14,14 +15,9 @@ import repro
 from repro.analysis.experiments import sweep
 from repro.core.mutex import AnonymousMutex
 from repro.errors import ConfigurationError
-from repro.memory.naming import IdentityNaming
+from repro.memory.naming import IdentityNaming, RandomNaming
 from repro.obs import load_manifests
 from repro.runtime.adversary import RandomAdversary
-from repro.runtime.backends import (
-    ProcessExecutor,
-    SerialExecutor,
-    resolve_executor,
-)
 from repro.runtime.canonical import TrivialCanonicalizer
 from repro.runtime.exploration import explore, mutual_exclusion_invariant
 from repro.runtime.system import System
@@ -89,12 +85,6 @@ class TestUnifiedExplore:
                 mutex_system(), mutual_exclusion_invariant, reduction="magic"
             )
 
-    def test_backend_accepts_a_string(self):
-        result = explore(
-            mutex_system(), mutual_exclusion_invariant, backend="serial"
-        )
-        assert result.backend == "serial"
-
     def test_deprecated_spelling_is_gone(self):
         import repro.runtime.exploration as exploration
 
@@ -108,55 +98,41 @@ class TestUnifiedExplore:
 
 
 class TestUnifiedSweep:
-    def test_backend_string_serial(self):
-        result = mutex_sweep(backend="serial")
-        assert result.runs == 2 and result.all_ok
-
-    def test_backend_string_process(self):
-        serial = mutex_sweep(backend="serial")
-        parallel = mutex_sweep(backend="process")
-        assert [r.trace.events for r in parallel.records] == [
-            r.trace.events for r in serial.records
+    def test_cells_run_naming_major(self):
+        result = sweep(
+            lambda: AnonymousMutex(m=3, cs_visits=1),
+            pids(2),
+            namings=[IdentityNaming(), RandomNaming(1)],
+            adversaries=[RandomAdversary(seed) for seed in range(2)],
+            checkers_factory=lambda: [MutualExclusionChecker()],
+            max_steps=20_000,
+        )
+        assert result.runs == 4 and result.all_ok
+        assert [(r.naming, r.adversary) for r in result.records] == [
+            (naming.describe(), adversary.describe())
+            for naming in (IdentityNaming(), RandomNaming(1))
+            for adversary in (RandomAdversary(0), RandomAdversary(1))
         ]
-
-    def test_backend_instance_passthrough(self):
-        result = mutex_sweep(backend=SerialExecutor())
-        assert result.runs == 2
 
     def test_default_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             mutex_sweep()
 
-    def test_executor_kwarg_is_gone(self):
-        with pytest.raises(TypeError, match="executor"):
-            mutex_sweep(executor=SerialExecutor())
+    @pytest.mark.parametrize("keyword", ["backend", "executor"])
+    def test_executor_keywords_are_gone(self, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            mutex_sweep(**{keyword: "serial"})
 
     def test_manifest_dir_writes_one_manifest_per_cell(self, tmp_path):
-        result = mutex_sweep(backend="serial", manifest_dir=tmp_path)
+        result = mutex_sweep(manifest_dir=tmp_path)
         manifests = load_manifests(tmp_path)
         assert len(manifests) == result.runs
         assert {m.kind for m in manifests} == {"sweep-cell"}
         assert all(m.verdict() == "ok" for m in manifests)
 
     def test_repeated_manifest_dirs_do_not_overwrite(self, tmp_path):
-        mutex_sweep(backend="serial", manifest_dir=tmp_path)
-        mutex_sweep(backend="serial", manifest_dir=tmp_path)
+        mutex_sweep(manifest_dir=tmp_path)
+        mutex_sweep(manifest_dir=tmp_path)
         names = sorted(p.name for p in tmp_path.iterdir())
         assert len(names) == 2 and names[0] != names[1]
-
-
-class TestResolveExecutor:
-    def test_strings(self):
-        assert isinstance(resolve_executor("serial"), SerialExecutor)
-        process = resolve_executor("process", workers=3)
-        assert isinstance(process, ProcessExecutor)
-        assert process.workers == 3
-
-    def test_instance_passthrough(self):
-        executor = SerialExecutor()
-        assert resolve_executor(executor) is executor
-
-    def test_unknown_spec_is_a_configuration_error(self):
-        with pytest.raises(ConfigurationError, match="unknown sweep backend"):
-            resolve_executor("quantum")

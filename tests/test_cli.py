@@ -131,6 +131,53 @@ class TestUnknownProblem:
         assert not (tmp_path / "farm").exists()
 
 
+class TestZeroBudgets:
+    """A zero or negative budget on ``verify`` or ``sweep`` is a usage
+    error checked before any work: exit 2, the RunRequest text, and no
+    directory left behind."""
+
+    @pytest.mark.parametrize("argv, text", [
+        (["verify", "--instance", "figure-1-mutex(m=3)",
+          "--max-states", "0"],
+         "RunRequest.max_states must be a positive int, got 0"),
+        (["verify", "--instance", "figure-1-mutex(m=3)",
+          "--max-states", "-5"],
+         "RunRequest.max_states must be a positive int, got -5"),
+        (["sweep", "--problem", "figure-1-mutex", "--retain-graph",
+          "--verify-max-states", "0"],
+         "RunRequest.max_states must be a positive int, got 0"),
+        (["sweep", "--problem", "figure-1-mutex", "--retain-graph",
+          "--verify-max-states", "-1"],
+         "RunRequest.max_states must be a positive int, got -1"),
+        (["sweep", "--problem", "figure-1-mutex", "--max-steps", "0"],
+         "RunRequest.max_steps must be a positive int, got 0"),
+        (["sweep", "--problem", "figure-1-mutex", "--max-steps", "-3"],
+         "RunRequest.max_steps must be a positive int, got -3"),
+    ], ids=[
+        "verify-max-states-0", "verify-max-states-negative",
+        "sweep-verify-max-states-0", "sweep-verify-max-states-negative",
+        "sweep-max-steps-0", "sweep-max-steps-negative",
+    ])
+    @pytest.mark.parametrize("to_disk", [False, True], ids=["memory", "out"])
+    def test_usage_error_before_any_work(
+        self, argv, text, to_disk, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        if to_disk:
+            # verify writes its manifests to --telemetry DIR; sweep
+            # drains a farm at --out DIR.
+            flag = "--telemetry" if argv[0] == "verify" else "--out"
+            argv = argv + [flag, str(out)]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert f"error: {text}" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""  # not one cell or instance ran
+        assert not out.exists()
+
+
 class TestExperimentsCommand:
     """``repro experiments`` runs benchmarks/run_experiments.py; the
     script is stubbed here, so only the hand-over is under test."""

@@ -1,12 +1,14 @@
 """The execution-flag matrix, pinned.
 
 Every command that executes registry work either *accepts* one of the
-five shared execution flags (``--kernel``, ``--backend``, ``--workers``,
-``--seed``, ``--max-states``) or *explicitly rejects* it with
+four shared execution flags (``--kernel``, ``--workers``, ``--seed``,
+``--max-states``) or *explicitly rejects* it with
 :func:`repro.cliflags.rejection_message`'s uniform text — silently
 ignoring an execution flag is the failure mode ruled out here.  The
 matrix lives in ``src/repro/cliflags.py``'s docstring; this module is
-its executable twin.
+its executable twin.  ``--kernel`` is the one engine selector, so
+``--backend`` is no flag at all: argparse ends it as an unrecognized
+argument.
 """
 
 import subprocess
@@ -47,9 +49,6 @@ VERIFY_REJECTIONS = [
     ("--seed", "3",
      "exhaustive verification quantifies over every schedule; "
      "there is nothing to seed (randomised search is `repro fuzz`)"),
-    ("--backend", "parallel",
-     "the graph-retaining walk is serial; choose its step kernel "
-     "with --kernel"),
     ("--workers", "2",
      "each instance's graph-retaining walk runs in one process; "
      "the fast path is --kernel compiled"),
@@ -111,9 +110,6 @@ class TestSweepRow:
          "grid cells replay live System runs through the interpreted "
          "scheduler; the compiled kernel serves the exhaustive walk "
          "(`repro verify --kernel compiled`)"),
-        ("--backend",
-         "the farm schedules cells across claiming processes; pick "
-         "parallelism with --workers"),
         ("--seed",
          "adversary seeds ride in the --adversaries specs "
          "(e.g. random:SEED)"),
@@ -133,9 +129,6 @@ FUZZ_REJECTIONS = {
         "the search steps the interpreted kernel through the run's step "
         "memo; the compiled kernel serves the exhaustive walk "
         "(`repro verify --kernel compiled`)",
-    "--backend":
-        "episodes are serial by construction; shard them across farm "
-        "cells with --workers",
 }
 
 
@@ -150,8 +143,6 @@ class TestFuzzRow:
     @pytest.mark.parametrize("flag, operand", [
         ("--kernel", "compiled"),
         ("--kernel", "interpreted"),
-        ("--backend", "serial"),
-        ("--backend", "parallel"),
     ])
     def test_rejects_with_pinned_text(self, flag, operand, capsys):
         err = run_expecting_usage_error(
@@ -162,9 +153,7 @@ class TestFuzzRow:
 
 class TestWorkersValidation:
     """``--workers 0`` (or negative, or junk) dies at the parser with
-    the same one-line message in every command that accepts the flag —
-    the text mirrors the executors' ConfigurationError for the same
-    mistake, so the CLI and API layers never disagree."""
+    the same one-line message in every command that accepts the flag."""
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--problem", "figure-1-mutex"],
@@ -200,12 +189,23 @@ class TestBenchRow:
             assert flag not in result.stdout
 
     @pytest.mark.parametrize("flag, operand, reason", [
-        ("--backend", "parallel",
-         "every benchmarked walk is serial; add the table-compiled "
-         "kernel with --kernel compiled"),
         ("--workers", "2", "every benchmarked walk runs in one process"),
-    ], ids=["--backend", "--workers"])
+    ], ids=["--workers"])
     def test_rejects_with_pinned_text(self, flag, operand, reason):
         result = run_bench("--bench", "--quick", flag, operand)
         assert result.returncode == 2
         assert rejection_message(flag, "experiments", reason) in result.stderr
+
+    def test_backend_is_not_a_flag(self):
+        result = run_bench("--bench", "--backend", "x")
+        assert result.returncode == 2
+        assert "unrecognized arguments: --backend" in result.stderr
+
+
+class TestNoBackendFlag:
+    @pytest.mark.parametrize("command", ["verify", "sweep", "fuzz"])
+    def test_unrecognized(self, command, capsys):
+        err = run_expecting_usage_error(
+            [command, "--problem", "figure-1-mutex", "--backend", "x"], capsys
+        )
+        assert "unrecognized arguments: --backend x" in err

@@ -19,8 +19,12 @@ class TestRunRequestValidation:
     def test_defaults_pin_nothing(self):
         request = RunRequest()
         assert request.kernel is None
-        assert request.backend is None
+        assert request.workers is None
         assert request.params_dict() is None
+
+    def test_kernel_is_the_only_engine_selector(self):
+        with pytest.raises(TypeError, match="backend"):
+            RunRequest(backend="serial")
 
     def test_unknown_kernel(self):
         with pytest.raises(ConfigurationError) as err:
@@ -28,33 +32,6 @@ class TestRunRequestValidation:
         assert str(err.value) == (
             "unknown kernel 'jit'; expected 'interpreted' or 'compiled'"
         )
-
-    def test_unknown_backend(self):
-        with pytest.raises(ConfigurationError) as err:
-            RunRequest(backend="cluster")
-        assert str(err.value) == (
-            "unknown backend 'cluster'; "
-            "expected 'serial' or 'process'"
-        )
-
-    def test_parallel_backend_is_unknown(self):
-        with pytest.raises(ConfigurationError) as err:
-            RunRequest(backend="parallel")
-        assert str(err.value) == (
-            "unknown backend 'parallel'; expected 'serial' or 'process'"
-        )
-
-    def test_compiled_kernel_rejects_process_backend(self):
-        with pytest.raises(ConfigurationError) as err:
-            RunRequest(kernel="compiled", backend="process")
-        assert str(err.value) == (
-            "kernel='compiled' is a drop-in replacement for the serial "
-            "backend; got backend 'process'"
-        )
-
-    def test_compiled_kernel_accepts_serial_backend(self):
-        request = RunRequest(kernel="compiled", backend="serial")
-        assert request.kernel == "compiled"
 
     @pytest.mark.parametrize("field", ["workers", "max_steps", "max_states"])
     def test_positive_int_budgets(self, field):
@@ -76,7 +53,7 @@ class TestRunRequestValidation:
     def test_replace_revalidates(self):
         request = RunRequest(kernel="compiled")
         with pytest.raises(ConfigurationError):
-            request.replace(backend="process")
+            request.replace(kernel="jit")
 
 
 # -- keyword merging ---------------------------------------------------
@@ -203,7 +180,7 @@ class TestRequestOnlyEntryPoints:
         with pytest.raises(ConfigurationError, match="one process"):
             explore(system, spec.invariant, request=RunRequest(workers=8))
         result = explore(system, spec.invariant, request=RunRequest(workers=1))
-        assert result.ok and result.complete and result.workers == 1
+        assert result.ok and result.complete and result.backend == "serial"
 
     def test_verify_instance_without_target_raises(self):
         with pytest.raises(ConfigurationError):
