@@ -21,11 +21,15 @@ Subcommands (every key of ``COMMANDS`` below appears here; pinned by
 * ``sweep``       — run a naming × adversary grid as a resumable,
                     disk-backed farm (``--out DIR`` persists a sqlite
                     run table that ``--resume DIR`` picks up exactly
-                    where a killed sweep stopped; ``--workers N`` drains
-                    it with N claiming processes; ``--max-attempts N``
-                    retries transiently failed cells; ``--retain-graph``
-                    adds an exhaustive verify cell whose StateGraph
-                    lands in the farm's mmap disk store);
+                    where a killed sweep stopped, refusing any grid
+                    flag; ``--workers N`` drains it with N claiming
+                    processes; ``--max-attempts N`` retries transiently
+                    failed cells; ``--retain-graph`` adds an exhaustive
+                    verify cell whose StateGraph lands in the farm's
+                    mmap disk store; without ``--out`` the grid drains
+                    an in-memory run table; the default ``--namings``
+                    is ``identity`` alone for a named-register
+                    baseline);
 * ``fuzz``        — seeded adversary-strategy fuzzing of registry
                     instances (``repro.fuzz``): strategy families
                     (lockstep, random, greedy, covering) hunt safety
@@ -255,18 +259,8 @@ def cmd_fuzz(rest=()) -> int:
 
 def cmd_sweep(rest=()) -> int:
     """Resumable disk-backed sweep farm (see repro.farm)."""
-    from repro.cliflags import add_workers_flag, reject_flag
-    from repro.errors import ReproError
-    from repro.farm import (
-        create_farm,
-        farm_result,
-        is_farm_dir,
-        parse_adversary_spec,
-        parse_naming_spec,
-        resume_farm,
-        run_farm,
-    )
-    from repro.request import RunRequest, resolve_target
+    from repro.cliflags import reject_flag
+    from repro.farm.cli import add_farm_flags, parse_farm_args, run_farm_command
 
     parser = argparse.ArgumentParser(
         prog="python -m repro sweep",
@@ -274,21 +268,16 @@ def cmd_sweep(rest=()) -> int:
         "the registry.  With --out DIR the grid persists as a sqlite "
         "run table workers claim cells from; a killed run restarts with "
         "--resume DIR exactly where it stopped (done cells are never "
-        "re-executed).  Without --out the grid runs in-memory, like "
-        "repro.analysis.experiments.sweep().",
+        "re-executed; the grid comes from DIR, so grid flags are "
+        "refused).  Without --out the grid drains through the same claim "
+        "loop over an in-memory run table.",
     )
-    parser.add_argument("--problem", metavar="KEY",
-                        help="problem registry key (e.g. figure-1-mutex)")
-    parser.add_argument("--instance", metavar="LABEL", default=None,
-                        help="registry instance supplying the parameters")
-    parser.add_argument("--param", action="append", default=None,
-                        metavar="K=V",
-                        help="explicit builder parameter (repeatable; "
-                        "mutually exclusive with --instance)")
-    parser.add_argument("--namings", default="identity,random:1",
-                        metavar="SPECS",
+    add_farm_flags(parser)
+    parser.add_argument("--namings", metavar="SPECS",
                         help="comma-separated naming specs: identity | "
-                        "random:SEED (default: %(default)s)")
+                        "random:SEED (default: identity,random:1; "
+                        "identity alone for an algorithm that assumes "
+                        "named registers)")
     parser.add_argument("--adversaries", default="random:1,random:2,round-robin",
                         metavar="SPECS",
                         help="comma-separated adversary specs: round-robin | "
@@ -302,19 +291,6 @@ def cmd_sweep(rest=()) -> int:
                         "disk store (graphs/cell-*/)")
     parser.add_argument("--verify-max-states", type=int, default=None,
                         metavar="N", help="state budget for the verify cell")
-    parser.add_argument("--out", metavar="DIR", default=None,
-                        help="create a farm directory and drain it")
-    parser.add_argument("--resume", metavar="DIR", default=None,
-                        help="reclaim a killed farm's cells and drain the rest")
-    add_workers_flag(
-        parser, default=1,
-        help_text="claiming worker processes (needs --out/--resume)",
-    )
-    parser.add_argument("--max-attempts", type=int, default=None, metavar="N",
-                        help="per-cell retry budget: transiently failed "
-                        "cells re-enter pending until they have been "
-                        "attempted N times (default: 1 — errors stay "
-                        "terminal)")
     reject_flag(
         parser, "--kernel", "sweep",
         "grid cells replay live System runs through the interpreted "
@@ -331,81 +307,14 @@ def cmd_sweep(rest=()) -> int:
         "run cells are step-bounded (--max-steps); the verify cell's "
         "state budget is --verify-max-states",
     )
-    args = parser.parse_args(list(rest))
-
-    if args.resume is not None:
-        if args.out is not None or args.problem is not None:
-            parser.error("--resume takes its grid from the farm directory; "
-                         "drop --out/--problem")
-        if not is_farm_dir(args.resume):
-            parser.error(f"{args.resume}: no run table found "
-                         "(not a farm directory?)")
-        reclaimed = resume_farm(args.resume, max_attempts=args.max_attempts)
-        before = farm_result(args.resume)
-        remaining = before.counts["pending"]
-        print(f"resume: reclaimed {reclaimed} cell(s), "
-              f"{remaining} cell(s) to run")
-        if remaining == 0:
-            print(before.summary())
-            return 1 if before.errors else 0
-        result = run_farm(args.resume, workers=args.workers,
-                          max_attempts=args.max_attempts)
-    else:
-        if args.problem is None:
-            parser.error("--problem is required (unless resuming)")
-        if args.param is not None and args.instance is not None:
-            parser.error("pass either --param or --instance, not both")
-        params = None
-        if args.param is not None:
-            params = {}
-            for item in args.param:
-                key, sep, value = item.partition("=")
-                if not sep:
-                    parser.error(f"--param needs K=V, got {item!r}")
-                try:
-                    params[key] = int(value)
-                except ValueError:
-                    params[key] = value
-        try:  # target and budgets are checked before any cell runs
-            resolve_target(args.problem, args.instance, params)
-            RunRequest(
-                max_steps=args.max_steps, max_states=args.verify_max_states
-            )
-            config = {
-                "problem": args.problem,
-                "instance": args.instance,
-                "params": params,
-                "namings": [
-                    parse_naming_spec(spec)
-                    for spec in args.namings.split(",") if spec.strip()
-                ],
-                "adversaries": [
-                    parse_adversary_spec(spec)
-                    for spec in args.adversaries.split(",") if spec.strip()
-                ],
-                "max_steps": args.max_steps,
-                "retain_graph": args.retain_graph,
-                "verify_max_states": args.verify_max_states,
-                "max_attempts": args.max_attempts or 1,
-            }
-        except ReproError as exc:
-            parser.error(str(exc))
-        if args.out is not None:
-            if is_farm_dir(args.out):
-                parser.error(f"{args.out}: run table already exists; "
-                             "use --resume to continue it")
-            try:
-                count = create_farm(args.out, config)
-            except ReproError as exc:
-                parser.error(str(exc))
-            print(f"farm: {count} cell(s) at {args.out}")
-            result = run_farm(args.out, workers=args.workers,
-                              max_attempts=args.max_attempts)
-        else:
-            if args.workers > 1:
-                parser.error("--workers needs a shared run table; "
-                             "add --out DIR")
-            result = _sweep_in_memory(config)
+    args = parse_farm_args(parser, rest, (
+        "--namings", "--adversaries", "--max-steps", "--retain-graph",
+        "--verify-max-states",
+    ))
+    config = None if args.resume is not None else _sweep_config(parser, args)
+    result = run_farm_command(parser, args, config, "farm")
+    if result is None:
+        result = _sweep_in_memory(config)
 
     print(result.summary())
     violations = sum(
@@ -419,15 +328,55 @@ def cmd_sweep(rest=()) -> int:
     return 1 if result.errors else 0
 
 
-def _sweep_in_memory(config) -> "object":
-    """One-shot sweep over a MemoryRunTable (no farm directory).  It
-    drains through the farm's claim loop, so a cell that raises becomes
-    an error row here too."""
-    from repro.farm import FarmResult, MemoryRunTable, drain_table, grid_cells
+def _sweep_config(parser, args) -> dict:
+    """The grid config of a fresh sweep.  Its target, budgets and
+    namings are checked here, so a grid that cannot run is a usage
+    error before any cell runs."""
+    from repro.errors import ReproError
+    from repro.farm import build_naming, parse_adversary_spec, parse_naming_spec
+    from repro.request import RunRequest, resolve_target
+    from repro.runtime.system import check_naming
 
-    table = MemoryRunTable(grid_cells(config))
-    drain_table(table, config, "cli", max_attempts=config["max_attempts"])
-    return FarmResult(problem=config["problem"], rows=table.rows())
+    try:
+        spec, record = resolve_target(args.problem, args.instance, args.params)
+        RunRequest(max_steps=args.max_steps, max_states=args.verify_max_states)
+        algorithm = spec.build(record.params_dict())
+        namings = args.namings or (
+            "identity,random:1" if algorithm.is_anonymous() else "identity"
+        )
+        config = {
+            "problem": args.problem,
+            "instance": args.instance,
+            "params": args.params,
+            "namings": [
+                parse_naming_spec(text)
+                for text in namings.split(",") if text.strip()
+            ],
+            "adversaries": [
+                parse_adversary_spec(text)
+                for text in args.adversaries.split(",") if text.strip()
+            ],
+            "max_steps": args.max_steps,
+            "retain_graph": args.retain_graph,
+            "verify_max_states": args.verify_max_states,
+            "max_attempts": args.max_attempts or 1,
+        }
+        for naming in config["namings"]:
+            check_naming(algorithm, build_naming(naming))
+    except ReproError as exc:
+        parser.error(str(exc))
+    return config
+
+
+def _sweep_in_memory(config) -> "object":
+    """One-shot sweep over an in-memory run table (no farm directory).
+    It drains through the farm's claim loop, so a cell that raises
+    becomes an error row here too."""
+    from repro.farm import FarmResult, SqliteRunTable, drain_table, grid_cells
+
+    with SqliteRunTable.create(SqliteRunTable.MEMORY, grid_cells(config)) as table:
+        drain_table(table, config, "cli", max_attempts=config["max_attempts"])
+        return FarmResult(problem=config["problem"], rows=table.rows())
 
 
 def cmd_experiments() -> int:
@@ -482,8 +431,9 @@ def main(argv=None) -> int:
              "--kernel --telemetry] (exhaustive safety + "
              "liveness over "
              "the problem registry) | attack | lint | "
-             "sweep [--out DIR --resume DIR --workers N] (resumable "
-             "disk-backed naming × adversary grid) | "
+             "sweep [--problem KEY --out DIR | --resume DIR] "
+             "[--workers N] (resumable disk-backed naming × adversary "
+             "grid; --resume takes the grid from DIR) | "
              "fuzz [--problem KEY --seed N --episodes N] (seeded "
              "adversary-strategy fuzzing with certified, shrunk "
              "violation schedules) | "

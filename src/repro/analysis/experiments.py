@@ -193,21 +193,28 @@ def sweep_problem(
 
     ``problem`` is a :mod:`repro.problems` key (e.g.
     ``"figure-1-mutex"``); the algorithm factory and inputs come from
-    the spec.  Parameters are taken from, in order of precedence:
-    ``params`` (an explicit dict), the registry instance named by
-    ``instance``, or — when both are omitted — the spec's first declared
-    instance.  Everything else forwards to :func:`sweep`.
+    the spec.  The target resolves through
+    :func:`~repro.request.resolve_target`: ``params`` (an explicit
+    dict) or ``instance`` — a registered label of ``problem``, or a
+    mutant's problem key such as ``"figure-1-mutex-even-m"``, whose
+    spec then builds the algorithm — but not both; with neither, the
+    spec's first declared instance.  Everything else forwards to
+    :func:`sweep`.
 
     Execution choices (``max_steps``, ``telemetry``, plus
     ``instance``/``params`` defaults) ride on a
-    :class:`~repro.request.RunRequest` passed as ``request=``.
+    :class:`~repro.request.RunRequest` passed as ``request=``; any other
+    set field of it raises :class:`~repro.errors.ConfigurationError`.
     """
     from functools import partial
 
-    from repro.problems import get_problem
+    from repro.request import resolve_target
 
     max_steps = telemetry = None
     if request is not None:
+        request.refuse_unread(
+            "sweep_problem()", ("instance", "params", "max_steps", "telemetry")
+        )
         max_steps = request.max_steps
         telemetry = request.telemetry
         if instance is None and request.instance is not None:
@@ -217,19 +224,10 @@ def sweep_problem(
     if max_steps is None:
         max_steps = 200_000
 
-    spec = get_problem(problem)
-    if params is not None:
-        if instance is not None:
-            raise ConfigurationError(
-                "pass either params= or instance=, not both"
-            )
-        chosen_params = dict(params)
-    elif instance is not None:
-        chosen_params = spec.instance(instance).params_dict()
-    elif spec.instances:
-        chosen_params = spec.instances[0].params_dict()
-    else:
-        chosen_params = {}
+    if params is not None and instance is not None:
+        raise ConfigurationError("pass either params= or instance=, not both")
+    spec, record = resolve_target(problem, instance, params)
+    chosen_params = record.params_dict()
     return sweep(
         partial(spec.build, chosen_params),
         spec.inputs(chosen_params),

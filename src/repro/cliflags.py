@@ -1,13 +1,15 @@
 """Uniform execution-flag surface across the CLI.
 
 Every command that executes registry work shares one flag vocabulary —
-``--kernel``, ``--workers``, ``--seed``, ``--max-states`` — mirroring
-the fields of :class:`~repro.request.RunRequest`.  A command either
-*accepts* a flag (via the ``add_*_flag`` helpers below, so
-metavars/choices/help never drift between parsers) or *explicitly
-rejects* it with the uniform :func:`rejection_message` text saying why
-that execution axis does not apply — silently ignoring an execution
-flag is the one behaviour this module exists to rule out.
+``--kernel``, ``--workers``, ``--seed``, ``--max-states``.  Three of them
+set the :class:`~repro.request.RunRequest` field of the same name;
+``--workers`` is the farm's worker count, which goes straight to
+:func:`~repro.farm.orchestrator.run_farm`.  A command either
+*accepts* a flag (via the helpers below, so metavars/choices/help
+never drift between parsers) or *explicitly rejects* it with the
+uniform :func:`rejection_message` text saying why that execution axis
+does not apply — silently ignoring an execution flag is the one
+behaviour this module exists to rule out.
 
 The accept/reject matrix is pinned by ``tests/test_cliflags.py``:
 
@@ -28,6 +30,9 @@ Every exhaustive walk is serial, so the commands that run one
 (``verify``, ``bench``) take no worker count.  Fuzz episodes are
 serial too, and step the interpreted kernel through the run's step
 memo; parallelism is ``--workers`` over farm cells.
+
+The two farm commands, ``sweep`` and ``fuzz``, register ``--workers``
+through their shared front end, :mod:`repro.farm.cli`.
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ __all__ = [
     "reject_flag",
     "positive_workers",
     "add_kernel_flag",
-    "add_workers_flag",
     "add_seed_flag",
     "add_max_states_flag",
 ]
@@ -116,20 +120,6 @@ def reject_flag(
 def add_kernel_flag(parser: argparse.ArgumentParser, help_text: str) -> None:
     parser.add_argument(
         "--kernel", choices=KERNELS, default="interpreted", help=help_text
-    )
-
-
-def add_workers_flag(
-    parser: argparse.ArgumentParser,
-    default: Optional[int] = None,
-    help_text: Optional[str] = None,
-) -> None:
-    parser.add_argument(
-        "--workers",
-        type=positive_workers,
-        default=default,
-        metavar="N",
-        help=help_text or "worker processes",
     )
 
 

@@ -2,14 +2,16 @@
 
 Layers (each its own module, composable separately):
 
-* :mod:`repro.farm.runtable` — the claimable-cell run table (in-memory
-  and sqlite implementations of one claim/finish protocol);
+* :mod:`repro.farm.runtable` — the claimable-cell run table, one sqlite
+  claim/finish protocol over a database file or an in-memory database;
 * :mod:`repro.farm.cells` — grid materialisation from a JSON config and
   the execution of individual run/verify cells;
 * :mod:`repro.farm.store` — disk-backed StateGraph retention (mmap
   node/edge arrays, byte-identical ``to_bytes`` to the in-RAM graph);
 * :mod:`repro.farm.orchestrator` — create/drain/resume over a farm
-  directory, per-worker manifest streams, multi-process draining.
+  directory, per-worker manifest streams, multi-process draining;
+* :mod:`repro.farm.cli` — the command-line front end ``repro sweep``
+  and ``repro fuzz`` share (imported by the CLIs, not re-exported here).
 
 ``python -m repro sweep --out DIR`` is the CLI face; see
 docs/EXPLORATION.md ("The sweep farm") for the directory layout, claim
@@ -44,7 +46,6 @@ from repro.farm.runtable import (
     STATUSES,
     Cell,
     CellRow,
-    MemoryRunTable,
     SqliteRunTable,
 )
 from repro.farm.store import (
@@ -60,7 +61,6 @@ __all__ = [
     "STATUSES",
     "Cell",
     "CellRow",
-    "MemoryRunTable",
     "SqliteRunTable",
     "GRAPHSTORE_SCHEMA",
     "DiskGraphWriter",

@@ -151,13 +151,13 @@ def resolve_grid_target(config: Dict[str, Any]):
     """The ``(spec, instance record)`` a grid config's run and verify
     cells execute.
 
-    Same precedence as :func:`~repro.analysis.experiments.sweep_problem`:
-    explicit params, then the named instance, then the spec's first
-    declared instance.  Everything resolves through
-    :func:`~repro.request.resolve_target`, so a named instance may be a
-    mutant's problem key (``figure-1-mutex-even-m``) as in ``repro
-    fuzz``, the default is the registered record itself, and only
-    params get an unregistered record labelled ``<key>(<k>=<v>,...)``.
+    Explicit params win over a named instance (the CLIs refuse both at
+    once); with neither, the spec's first declared instance.
+    Everything resolves through :func:`~repro.request.resolve_target`,
+    as in :func:`~repro.analysis.experiments.sweep_problem`, so a named
+    instance may be a mutant's problem key (``figure-1-mutex-even-m``),
+    the default is the registered record itself, and only params get an
+    unregistered record labelled ``<key>(<k>=<v>,...)``.
     """
     from repro.request import resolve_target
 

@@ -47,7 +47,7 @@ from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.errors import FarmError
 from repro.farm.cells import grid_cells
-from repro.farm.runtable import Cell, CellRow, MemoryRunTable, SqliteRunTable
+from repro.farm.runtable import STATUSES, Cell, CellRow, SqliteRunTable
 
 __all__ = [
     "FarmResult",
@@ -85,9 +85,10 @@ class FarmResult:
 
     @property
     def counts(self) -> Dict[str, int]:
-        from repro.farm.runtable import _count_rows
-
-        return _count_rows(self.rows)
+        counts = dict.fromkeys(STATUSES, 0)
+        for row in self.rows:
+            counts[row.status] += 1
+        return counts
 
     @property
     def done(self) -> List[CellRow]:
@@ -218,7 +219,7 @@ def _append_manifest(
 
 
 def drain_table(
-    table: Union[MemoryRunTable, SqliteRunTable],
+    table: SqliteRunTable,
     config: Dict[str, Any],
     worker: str,
     *,
@@ -228,7 +229,7 @@ def drain_table(
     max_cells: Optional[int] = None,
     on_finish: Optional[Callable[[Cell, Dict[str, Any]], None]] = None,
 ) -> None:
-    """The claim loop over any run table: claim, execute, settle.
+    """The claim loop over a run table: claim, execute, settle.
 
     A cell that raises is marked ``error`` with its exception's class
     and text, and the loop moves on (a failed cell with attempts to
@@ -327,8 +328,6 @@ def run_farm(
     workers: int = 1,
     fault_injector: Optional[FaultInjector] = None,
     max_attempts: Optional[int] = None,
-    *,
-    request: Optional[Any] = None,
 ) -> FarmResult:
     """Drain a farm with ``workers`` processes (1 = in this process).
 
@@ -340,12 +339,8 @@ def run_farm(
     resumed farm appends to the same per-worker manifest files.
 
     ``max_attempts`` is the per-cell retry budget (see
-    :func:`drain_farm`); ``request=`` accepts a
-    :class:`~repro.request.RunRequest` whose ``workers`` field is the
-    unified spelling of the worker count.
+    :func:`drain_farm`).
     """
-    if request is not None:
-        workers = request.merged("workers", workers, default=1) or 1
     if workers <= 1:
         return drain_farm(
             directory, fault_injector=fault_injector, max_attempts=max_attempts

@@ -10,22 +10,19 @@ Each cell moves through the status machine
 and ``--resume`` moves stale ``claimed`` cells (a killed worker's
 half-finished claims) back to ``pending``.  ``error`` cells are
 terminal by default; a retry budget (``--max-attempts N`` /
-:meth:`~MemoryRunTable.retry_errors`) re-pends error cells whose
+:meth:`~SqliteRunTable.retry_errors`) re-pends error cells whose
 ``attempts`` count is still below the budget, so transient failures
 (OOM kills, flaky filesystems) stop poisoning a farm while genuinely
-broken cells still settle after N tries.  Two implementations share
-the protocol:
+broken cells still settle after N tries.
 
-* :class:`MemoryRunTable` — a list of rows in process memory.  This is
-  what ``repro sweep`` without ``--out`` drains, through exactly the
-  claim/finish loop the disk farm uses.  Payloads and results may be
-  live Python objects.
-* :class:`SqliteRunTable` — the same rows in a sqlite database under a
-  farm directory.  Claims are idempotent ``UPDATE ... WHERE
-  status='pending'`` transactions under ``BEGIN IMMEDIATE``, so N
-  worker processes — or separate hosts sharing a filesystem — can
-  drain one table without executing any cell twice.  Payloads and
-  results must be JSON documents.
+One implementation, :class:`SqliteRunTable`, holds the rows in a sqlite
+database.  Claims are idempotent ``UPDATE ... WHERE status='pending'``
+transactions under ``BEGIN IMMEDIATE``, so N worker processes — or
+separate hosts sharing a filesystem — can drain one table file without
+executing any cell twice.  ``repro sweep`` without ``--out`` drains the
+same table in a private in-memory database (:attr:`SqliteRunTable.MEMORY`),
+so both modes run one claim protocol.  Payloads and results are JSON
+documents.
 
 The sqlite schema (documented in docs/EXPLORATION.md):
 
@@ -54,7 +51,7 @@ from __future__ import annotations
 import json
 import sqlite3
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -64,7 +61,6 @@ __all__ = [
     "STATUSES",
     "Cell",
     "CellRow",
-    "MemoryRunTable",
     "SqliteRunTable",
 ]
 
@@ -80,8 +76,7 @@ class Cell:
     adversary combination), ``"verify"`` (a graph-retaining exhaustive
     walk whose StateGraph lands in the farm's disk store) or ``"fuzz"``
     (a shard of seeded fuzzing episodes, see :mod:`repro.fuzz`).
-    ``payload`` holds the cell-specific parameters; for disk tables it
-    must be a JSON document.
+    ``payload`` holds the cell-specific parameters, a JSON document.
     """
 
     index: int
@@ -104,122 +99,9 @@ class CellRow:
     result: Any = None
     error: Optional[str] = None
 
-    @property
-    def cell(self) -> Cell:
-        return Cell(index=self.index, kind=self.kind, payload=self.payload)
-
-
-def _count_rows(rows: Sequence[CellRow]) -> Dict[str, int]:
-    counts = {status: 0 for status in STATUSES}
-    for row in rows:
-        counts[row.status] += 1
-    return counts
-
-
-class MemoryRunTable:
-    """The run-table protocol over an in-process list of rows.
-
-    Single-threaded by design (one claimant per table instance); the
-    value is that the in-memory ``repro sweep`` and the disk farm drain
-    through the *same* claim/finish protocol, so the orchestration layer
-    has one code path.
-    """
-
-    def __init__(self, cells: Sequence[Cell], meta: Optional[Dict[str, Any]] = None):
-        self._rows: List[CellRow] = [
-            CellRow(index=cell.index, kind=cell.kind, payload=cell.payload)
-            for cell in cells
-        ]
-        self._meta: Dict[str, Any] = dict(meta or {})
-
-    def meta(self) -> Dict[str, Any]:
-        return dict(self._meta)
-
-    def claim(self, worker: str) -> Optional[Cell]:
-        """Claim the lowest-index pending cell, or ``None`` if drained."""
-        for row in self._rows:
-            if row.status == "pending":
-                row.status = "claimed"
-                row.worker = worker
-                row.claimed_at = time.time()
-                row.attempts += 1
-                return row.cell
-        return None
-
-    def finish(self, index: int, result: Any) -> None:
-        """Move a claimed cell to ``done``, recording its result."""
-        row = self._row(index)
-        if row.status != "claimed":
-            raise FarmError(
-                f"cell {index} is {row.status!r}, not 'claimed'; "
-                "finish() requires a prior claim (double-finish?)"
-            )
-        row.status = "done"
-        row.result = result
-        row.finished_at = time.time()
-        row.error = None
-
-    def fail(self, index: int, error: str) -> None:
-        """Move a claimed cell to ``error``, recording the failure."""
-        row = self._row(index)
-        if row.status != "claimed":
-            raise FarmError(
-                f"cell {index} is {row.status!r}, not 'claimed'; "
-                "fail() requires a prior claim"
-            )
-        row.status = "error"
-        row.error = error
-        row.finished_at = time.time()
-
-    def reset_claims(self) -> int:
-        """Return stale ``claimed`` cells to ``pending`` (resume step)."""
-        reclaimed = 0
-        for row in self._rows:
-            if row.status == "claimed":
-                row.status = "pending"
-                row.worker = None
-                row.claimed_at = None
-                reclaimed += 1
-        return reclaimed
-
-    def retry_errors(self, max_attempts: int) -> int:
-        """Re-pend ``error`` cells that still have attempt budget.
-
-        A cell whose ``attempts`` count is below ``max_attempts`` moves
-        back to ``pending`` (its error text is kept until the retry
-        resolves it); cells at or over the budget stay terminal.
-        Returns how many cells re-entered ``pending``.
-        """
-        retried = 0
-        for row in self._rows:
-            if row.status == "error" and row.attempts < max_attempts:
-                row.status = "pending"
-                row.worker = None
-                row.claimed_at = None
-                row.finished_at = None
-                retried += 1
-        return retried
-
-    def counts(self) -> Dict[str, int]:
-        return _count_rows(self._rows)
-
-    def attempts_of(self, index: int) -> int:
-        """How many times this cell has been claimed."""
-        return self._row(index).attempts
-
-    def rows(self) -> List[CellRow]:
-        """Snapshot of every row, in grid order."""
-        return [replace(row) for row in self._rows]
-
-    def _row(self, index: int) -> CellRow:
-        for row in self._rows:
-            if row.index == index:
-                return row
-        raise FarmError(f"no cell with index {index} in this run table")
-
 
 class SqliteRunTable:
-    """The run-table protocol over a sqlite database file.
+    """The run-table protocol over a sqlite database.
 
     Open one instance per worker process (sqlite connections do not
     survive ``fork``).  The database runs in WAL mode with a busy
@@ -230,10 +112,12 @@ class SqliteRunTable:
     """
 
     FILENAME = "runs.sqlite"
+    #: The path that places a table in a private in-memory database
+    #: (sqlite's own spelling): one connection, gone when it closes.
+    MEMORY = ":memory:"
 
-    def __init__(self, connection: sqlite3.Connection, path: Path):
+    def __init__(self, connection: sqlite3.Connection):
         self._db = connection
-        self.path = path
 
     # -- construction --------------------------------------------------
 
@@ -248,7 +132,8 @@ class SqliteRunTable:
 
         Refuses to overwrite an existing table: a farm directory is
         append-only state, and starting over on top of finished cells is
-        what ``--resume`` exists to prevent.
+        what ``--resume`` exists to prevent.  ``path`` may be
+        :attr:`MEMORY` for a table no other connection can open.
         """
         target = Path(path)
         if target.exists():
@@ -257,7 +142,7 @@ class SqliteRunTable:
                 "continue it (or point --out at a fresh directory)"
             )
         target.parent.mkdir(parents=True, exist_ok=True)
-        table = cls(cls._connect(target), target)
+        table = cls(cls._connect(target))
         with table._db:  # one transaction for schema + rows
             table._db.execute(
                 "CREATE TABLE cells ("
@@ -297,7 +182,7 @@ class SqliteRunTable:
         target = Path(path)
         if not target.exists():
             raise FarmError(f"{target}: no run table found (not a farm directory?)")
-        return cls(cls._connect(target), target)
+        return cls(cls._connect(target))
 
     @staticmethod
     def _connect(path: Path) -> sqlite3.Connection:
@@ -401,9 +286,10 @@ class SqliteRunTable:
     def retry_errors(self, max_attempts: int) -> int:
         """Re-pend ``error`` cells with ``attempts < max_attempts``.
 
-        The disk twin of :meth:`MemoryRunTable.retry_errors`: one guarded
-        UPDATE, so a concurrent claimant can never race a cell back to
-        ``pending`` twice.  The error text stays on the row until a
+        A failed cell whose ``attempts`` count is below ``max_attempts``
+        moves back to ``pending``; cells at or over the budget stay
+        terminal.  One guarded UPDATE, so a concurrent claimant can
+        never race a cell back to ``pending`` twice.  The error text stays on the row until a
         retry resolves it (``finish`` clears it, a final ``fail``
         overwrites it).
         """

@@ -3,9 +3,10 @@
 One-shot mode runs :func:`~repro.fuzz.engine.run_fuzz` in-process and
 prints each certified violation with its shrunk witness.  With
 ``--out DIR`` the episode budget is sharded into *fuzz cells* of a
-disk-backed farm (:mod:`repro.farm`): the run table persists episode
-ranges, ``--workers N`` drains them with claiming processes, and a
-killed run restarts with ``--resume DIR`` exactly where it stopped —
+disk-backed farm (:mod:`repro.farm`, through the front end
+``repro sweep`` shares, :mod:`repro.farm.cli`): the run table persists
+episode ranges, ``--workers N`` drains them with claiming processes,
+and a killed run restarts with ``--resume DIR`` exactly where it stopped —
 episodes are globally numbered, so a resumed farm's results are
 byte-identical to an uninterrupted one's.
 
@@ -18,11 +19,12 @@ Exit status:
   ``[error] <instance label>: <Class>: <message>`` on stderr (one-shot)
   or ``[error] cell N: <Class>: <message>`` per failed cell (farm),
   also under ``--expect-violation``;
-* ``2`` — a usage error: an argparse error, a negative ``--episodes``,
+* ``2`` — a usage error: an argparse error, a grid flag given with
+  ``--resume`` (see :mod:`repro.farm.cli`), a negative ``--episodes``,
   an unknown ``--families`` name, or any
   :class:`~repro.errors.ConfigurationError` (an unknown ``--problem``
   or ``--instance`` among them).  Nothing runs and no farm directory is
-  created.
+  created or changed.
 """
 
 from __future__ import annotations
@@ -31,35 +33,13 @@ import argparse
 import sys
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.cliflags import (
-    add_max_states_flag,
-    add_seed_flag,
-    add_workers_flag,
-    reject_flag,
-)
+from repro.cliflags import add_max_states_flag, add_seed_flag, reject_flag
 
 __all__ = ["fuzz_main", "aggregate_fuzz_rows"]
 
 #: Episodes per farm cell; small enough that a grid spreads across
 #: workers, large enough that claim overhead stays negligible.
 DEFAULT_EPISODES_PER_CELL = 8
-
-
-def _parse_params(
-    parser: argparse.ArgumentParser, items: Optional[Sequence[str]]
-) -> Optional[Dict[str, Any]]:
-    if items is None:
-        return None
-    params: Dict[str, Any] = {}
-    for item in items:
-        key, sep, value = item.partition("=")
-        if not sep:
-            parser.error(f"--param needs K=V, got {item!r}")
-        try:
-            params[key] = int(value)
-        except ValueError:
-            params[key] = value
-    return params
 
 
 def aggregate_fuzz_rows(rows: Sequence[Any]) -> Dict[str, Any]:
@@ -137,6 +117,7 @@ def _write_fuzz_manifest(
 
 def fuzz_main(argv: Sequence[str]) -> int:
     from repro.errors import ConfigurationError, ReproError
+    from repro.farm.cli import add_farm_flags, parse_farm_args, run_farm_command
     from repro.fuzz.strategies import STRATEGY_FAMILIES
 
     parser = argparse.ArgumentParser(
@@ -148,15 +129,7 @@ def fuzz_main(argv: Sequence[str]) -> int:
         "certified by replaying it on a fresh system.  A clean run "
         "proves nothing — exhaustive guarantees live in `repro verify`.",
     )
-    parser.add_argument("--problem", metavar="KEY", default=None,
-                        help="problem registry key (e.g. figure-1-mutex)")
-    parser.add_argument("--instance", metavar="LABEL", default=None,
-                        help="instance label of the problem, or a mutant "
-                        "problem key (e.g. figure-1-mutex-even-m)")
-    parser.add_argument("--param", action="append", default=None,
-                        metavar="K=V",
-                        help="explicit builder parameter (repeatable; "
-                        "mutually exclusive with --instance)")
+    add_farm_flags(parser)
     add_seed_flag(parser)
     reject_flag(
         parser, "--kernel", "fuzz",
@@ -164,9 +137,6 @@ def fuzz_main(argv: Sequence[str]) -> int:
         "memo; the compiled kernel serves the exhaustive walk "
         "(`repro verify --kernel compiled`)",
     )
-    add_workers_flag(parser, default=1,
-                     help_text="claiming worker processes draining fuzz "
-                     "cells (needs --out/--resume)")
     add_max_states_flag(parser, help_text="stop once this many distinct "
                         "states have been visited across all episodes")
     parser.add_argument("--episodes", type=int, default=64, metavar="N",
@@ -186,31 +156,14 @@ def fuzz_main(argv: Sequence[str]) -> int:
     parser.add_argument("--telemetry", metavar="DIR", default=None,
                         help="write a kind='fuzz' run manifest into DIR "
                         "(readable by `python -m repro report DIR`)")
-    parser.add_argument("--out", metavar="DIR", default=None,
-                        help="shard episodes into a farm directory and "
-                        "drain it")
-    parser.add_argument("--resume", metavar="DIR", default=None,
-                        help="reclaim a killed fuzz farm and drain the rest")
     parser.add_argument("--episodes-per-cell", type=int,
                         default=DEFAULT_EPISODES_PER_CELL, metavar="N",
                         help="episodes per farm cell with --out "
                         "(default: %(default)s)")
-    parser.add_argument("--max-attempts", type=int, default=None, metavar="N",
-                        help="per-cell retry budget for transient cell "
-                        "failures (default: 1 — errors stay terminal)")
-    args = parser.parse_args(list(argv))
-
-    if args.episodes < 0:
-        parser.error(f"--episodes must be >= 0, got {args.episodes}")
-    families = None
-    if args.families is not None:
-        families = [f.strip() for f in args.families.split(",") if f.strip()]
-        for family in families:
-            if family not in STRATEGY_FAMILIES:
-                parser.error(
-                    f"unknown strategy family {family!r}; expected one of "
-                    f"{list(STRATEGY_FAMILIES)}"
-                )
+    args = parse_farm_args(parser, argv, (
+        "--seed", "--max-states", "--episodes", "--max-steps", "--families",
+        "--episodes-per-cell",
+    ))
 
     if args.out is not None or args.resume is not None:
         # Cells run independently — a global early-stop cannot be
@@ -223,12 +176,20 @@ def fuzz_main(argv: Sequence[str]) -> int:
             parser.error("--telemetry is one-shot only; farm cells write "
                          "kind='fuzz' manifests into the farm directory")
     if args.resume is not None:
-        return _farm_resume(parser, args)
-    if args.problem is None:
-        parser.error("--problem is required (unless resuming)")
-    if args.param is not None and args.instance is not None:
-        parser.error("pass either --param or --instance, not both")
-    params = _parse_params(parser, args.param)
+        return _farm_report(
+            args, run_farm_command(parser, args, None, "fuzz farm")
+        )
+    if args.episodes < 0:
+        parser.error(f"--episodes must be >= 0, got {args.episodes}")
+    families = None
+    if args.families is not None:
+        families = [f.strip() for f in args.families.split(",") if f.strip()]
+        for family in families:
+            if family not in STRATEGY_FAMILIES:
+                parser.error(
+                    f"unknown strategy family {family!r}; expected one of "
+                    f"{list(STRATEGY_FAMILIES)}"
+                )
 
     from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
     from repro.request import RunRequest
@@ -238,7 +199,7 @@ def fuzz_main(argv: Sequence[str]) -> int:
         request = RunRequest(
             problem=args.problem,
             instance=args.instance,
-            params=params,
+            params=args.params,
             seed=args.seed,
             max_steps=args.max_steps,
             max_states=args.max_states,
@@ -248,11 +209,13 @@ def fuzz_main(argv: Sequence[str]) -> int:
     except ConfigurationError as exc:
         parser.error(str(exc))
 
-    if args.out is not None:
-        return _farm_create(parser, args, params, families)
-
-    if args.workers not in (None, 1):
-        parser.error("--workers needs a shared run table; add --out DIR")
+    result = run_farm_command(
+        parser, args, _farm_config(args, families), "fuzz farm"
+    )
+    if result is not None:
+        return _farm_report(args, result)
+    if args.max_attempts is not None:
+        parser.error("--max-attempts retries farm cells; add --out DIR")
 
     from repro.fuzz.engine import run_fuzz
 
@@ -291,14 +254,12 @@ def fuzz_main(argv: Sequence[str]) -> int:
 # -- farm mode ---------------------------------------------------------
 
 def _farm_config(
-    args: argparse.Namespace,
-    params: Optional[Dict[str, Any]],
-    families: Optional[List[str]],
+    args: argparse.Namespace, families: Optional[List[str]]
 ) -> Dict[str, Any]:
     return {
         "problem": args.problem,
         "instance": args.instance,
-        "params": params,
+        "params": args.params,
         "fuzz": {
             "seed": args.seed,
             "episodes": args.episodes,
@@ -309,56 +270,6 @@ def _farm_config(
         },
         "max_attempts": args.max_attempts or 1,
     }
-
-
-def _farm_create(
-    parser: argparse.ArgumentParser,
-    args: argparse.Namespace,
-    params: Optional[Dict[str, Any]],
-    families: Optional[List[str]],
-) -> int:
-    from repro.errors import ReproError
-    from repro.farm import create_farm, is_farm_dir, run_farm
-
-    if is_farm_dir(args.out):
-        parser.error(f"{args.out}: run table already exists; "
-                     "use --resume to continue it")
-    try:
-        count = create_farm(args.out, _farm_config(args, params, families))
-    except ReproError as exc:
-        parser.error(str(exc))
-    print(f"fuzz farm: {count} cell(s) at {args.out}")
-    result = run_farm(
-        args.out, workers=args.workers or 1, max_attempts=args.max_attempts
-    )
-    return _farm_report(args, result)
-
-
-def _farm_resume(
-    parser: argparse.ArgumentParser, args: argparse.Namespace
-) -> int:
-    from repro.farm import farm_result, is_farm_dir, resume_farm, run_farm
-
-    if args.out is not None or args.problem is not None:
-        parser.error("--resume takes its grid from the farm directory; "
-                     "drop --out/--problem")
-    if not is_farm_dir(args.resume):
-        parser.error(f"{args.resume}: no run table found "
-                     "(not a farm directory?)")
-    reclaimed = resume_farm(args.resume, max_attempts=args.max_attempts)
-    before = farm_result(args.resume)
-    remaining = before.counts["pending"]
-    print(f"resume: reclaimed {reclaimed} cell(s), "
-          f"{remaining} cell(s) to run")
-    if remaining:
-        result = run_farm(
-            args.resume,
-            workers=args.workers or 1,
-            max_attempts=args.max_attempts,
-        )
-    else:
-        result = before
-    return _farm_report(args, result)
 
 
 def _farm_report(args: argparse.Namespace, result: Any) -> int:

@@ -1,9 +1,8 @@
 """The unified run-request surface: one value describing "what to run".
 
-Five entry points execute registry work — :func:`~repro.runtime.
+Four entry points execute registry work — :func:`~repro.runtime.
 exploration.explore`, :func:`~repro.verify.runner.verify_instance`,
-:func:`~repro.analysis.experiments.sweep_problem`,
-:func:`~repro.farm.orchestrator.run_farm` and the fuzz engine
+:func:`~repro.analysis.experiments.sweep_problem` and the fuzz engine
 (:func:`~repro.fuzz.engine.run_fuzz`) — and before this module each
 grew its own drifting keyword list (kernel here, max_states under two
 names there).  A :class:`RunRequest` is the frozen value they all
@@ -11,30 +10,29 @@ consume instead:
 
 * *what*: ``problem`` / ``instance`` / ``params`` — resolved through
   the problem registry by :func:`resolve_target`;
-* *how*: ``kernel`` (the step kernel, the one engine selector) and
-  ``workers`` (farm and fuzz runs fan cells out over claiming
-  processes; the exhaustive walks of ``explore`` and
-  ``verify_instance`` run in one process and refuse more than one
-  worker);
+* *how*: ``kernel`` — the step kernel, the one engine selector;
 * *budgets*: ``max_steps`` (schedule length), ``max_states`` (distinct
   states);
 * *determinism*: ``seed`` — the single RNG root for stochastic
-  workloads (fuzzing); exhaustive walks ignore it by construction;
+  workloads (fuzzing);
 * *observability*: ``telemetry`` — a
   :class:`~repro.obs.telemetry.TelemetrySink`.
 
 Every field defaults to ``None`` ("entry point's default"), so a
-request only pins what the caller cares about.  Validation happens at
-construction: an unknown kernel or a non-positive budget or worker
-count fails before any work starts, with the same error text the CLI
-prints.
+request only pins what the caller cares about.  Validation happens
+before any work starts, with the same error text the CLI prints: an
+unknown kernel or a non-positive budget fails at construction, and an
+entry point refuses a set field it does not read
+(:meth:`RunRequest.refuse_unread`) — an exhaustive walk has no seed to
+take, for example.  The farm's worker count is not a request field:
+``run_farm(workers=)`` and the CLIs' ``--workers`` spell it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Collection, Dict, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -65,7 +63,6 @@ class RunRequest:
     instance: Optional[str] = None
     params: Optional[Any] = None
     kernel: Optional[str] = None
-    workers: Optional[int] = None
     max_steps: Optional[int] = None
     max_states: Optional[int] = None
     seed: Optional[int] = None
@@ -81,7 +78,7 @@ class RunRequest:
                 f"unknown kernel {self.kernel!r}; "
                 "expected 'interpreted' or 'compiled'"
             )
-        for name in ("workers", "max_steps", "max_states"):
+        for name in ("max_steps", "max_states"):
             value = getattr(self, name)
             if value is not None and (not isinstance(value, int) or value < 1):
                 raise ConfigurationError(
@@ -105,14 +102,19 @@ class RunRequest:
         """A copy with ``changes`` applied (re-validated)."""
         return dataclasses.replace(self, **changes)
 
-    def require_one_process(self, entry: str) -> None:
-        """Refuse ``workers`` above 1 at ``entry``, an entry point whose
-        work runs in one process, instead of ignoring it."""
-        if self.workers is not None and self.workers > 1:
+    def refuse_unread(self, entry: str, reads: Collection[str]) -> None:
+        """Raise :class:`ConfigurationError` naming every set field that
+        ``entry`` does not read (any field outside ``reads``), instead
+        of ignoring it."""
+        unread = [
+            field.name
+            for field in dataclasses.fields(self)
+            if field.name not in reads and getattr(self, field.name) is not None
+        ]
+        if unread:
             raise ConfigurationError(
-                f"{entry} runs its exhaustive walk in one process; "
-                f"RunRequest.workers={self.workers} applies to sweep, farm "
-                "and fuzz runs"
+                f"{entry} does not read RunRequest field(s) "
+                f"{', '.join(unread)}; leave them unset"
             )
 
     def resolve(self) -> Tuple["ProblemSpec", "ProblemInstance"]:

@@ -64,9 +64,8 @@ weights, so the walk updates one int per group element per step instead
 of joining a bytes key per element.  Bytes keys remain the format
 everywhere else.  :meth:`Canonicalizer._key`, the interpreter's
 reference, digests values as the walk meets them, so it has no finished
-set of digests to rank.  :meth:`PackedDigestTables.batch_keys` and
-:meth:`PackedDigestTables.batch_raw` serve the benchmark's layer
-replay (``perfbench/layers.py``).
+set of digests to rank.  :meth:`PackedDigestTables.batch_keys` serves
+the benchmark's layer replay (``perfbench/layers.py``).
 
 When an instance offers no usable structure the builder degrades to a
 :class:`TrivialCanonicalizer` — compact encoding only, bit-for-bit the
@@ -95,10 +94,9 @@ from typing import (
     Tuple,
 )
 
-from repro.memory.anonymous import AnonymousMemory
 from repro.runtime.automaton import ProcessAutomaton
 from repro.runtime.kernel import GlobalState
-from repro.runtime.scheduler import ProcessRuntime, Scheduler
+from repro.runtime.scheduler import Scheduler
 from repro.runtime.system import System
 from repro.types import ProcessId
 
@@ -470,26 +468,6 @@ class PackedDigestTables:
             ),
         )
 
-    def batch_raw(self, flat: Sequence[int], m: int) -> List[bytes]:
-        """Raw keys of a flat batch of packed states.
-
-        ``flat`` holds ``len(flat) // (m + nslots)`` packed states
-        back to back; ``m`` is the register count (the packed prefix
-        width).  Each returned key is byte-identical to the raw half of
-        :meth:`Canonicalizer.key_of_state` on the unpacked state.
-        """
-        value_raw = self.value_raw
-        slot_raw = self.slot_raw
-        nslots = len(slot_raw)
-        stride = m + nslots
-        out: List[bytes] = []
-        for base in range(0, len(flat), stride):
-            parts = [value_raw[flat[base + i]] for i in range(m)]
-            for s in range(nslots):
-                parts.append(slot_raw[s][flat[base + m + s]])
-            out.append(b"".join(parts))
-        return out
-
     def batch_keys(
         self, flat: Sequence[int], m: int
     ) -> List[Tuple[bytes, bytes]]:
@@ -569,20 +547,14 @@ class PackedOrbitWeights:
 class Canonicalizer:
     """Maps a global state to a canonical content-addressed key.
 
-    Two entry points share one encoder:
-
-    * :meth:`key_of` reads the scheduler the canonicalizer was built for
-      directly (no ``capture_state`` tuple needed) — the live, serial
-      path.
-    * :meth:`key_of_state` encodes a :data:`~repro.runtime.kernel.GlobalState`
-      *value* without touching any live object — the path the pure
-      kernel's walks use.
-
-    Both return ``(canonical_key, raw_key)``: the minimum of the orbit
-    under the configured group, and the identity encoding.  With an
-    empty group the two coincide and the canonicalizer is a pure compact
-    -encoding layer.  Keys are content-addressed (see module docstring),
-    so they agree between the two entry points and across OS processes.
+    :meth:`key_of_state` encodes a
+    :data:`~repro.runtime.kernel.GlobalState` *value* without touching
+    any live object, and returns ``(canonical_key, raw_key)``: the
+    minimum of the orbit under the configured group, and the identity
+    encoding.  With an empty group the two coincide and the
+    canonicalizer is a pure compact-encoding layer.  Keys are
+    content-addressed (see module docstring), so they agree across
+    canonicalizers and OS processes.
 
     Build instances with :func:`build_canonicalizer` (or
     :class:`TrivialCanonicalizer` directly).
@@ -597,12 +569,7 @@ class Canonicalizer:
         elements: List[_GroupElement],
         group_capped: bool = False,
     ) -> None:
-        order = sorted(scheduler.pids)
-        self.pid_order: Tuple[ProcessId, ...] = tuple(order)
-        self._memory: AnonymousMemory = scheduler.memory
-        self._runtimes: List[ProcessRuntime] = [
-            scheduler.runtime(pid) for pid in order
-        ]
+        self.pid_order: Tuple[ProcessId, ...] = tuple(sorted(scheduler.pids))
         self._footprint_fns = footprint_fns
         self._rename_footprint_fns = rename_footprint_fns
         self._rename_value_fn = rename_value_fn
@@ -632,15 +599,6 @@ class Canonicalizer:
         return len(self._intern)
 
     # -- encoding ----------------------------------------------------------
-
-    def key_of(self) -> Tuple[CanonicalKey, CanonicalKey]:
-        """``(canonical_key, raw_key)`` of the scheduler's current state."""
-        values = self._memory.snapshot()
-        slots = [
-            (runtime.state, runtime.halted, runtime.crashed)
-            for runtime in self._runtimes
-        ]
-        return self._key(values, slots)
 
     def key_of_state(
         self, global_state: GlobalState

@@ -665,12 +665,6 @@ class CompiledProgram:
 
     # -- batched expansion ---------------------------------------------
 
-    def live_tables(self) -> List[List[bool]]:
-        """``live[slot][si]`` ⟺ the slot can step from local state si
-        (not halted, not crashed) — the enabled-pid predicate over
-        packed components.  The program's own table, grown in place."""
-        return self.live
-
     def expand_batch(self, flat: Sequence[int]) -> Tuple["array", "array"]:
         """One-step successors of a flat batch of packed states.
 

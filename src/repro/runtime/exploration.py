@@ -267,8 +267,9 @@ def explore(
         ``verify_instance``/``sweep_problem``/``run_farm``/``run_fuzz``.
         Request fields win over the keyword defaults; a keyword
         explicitly contradicting a set request field raises
-        :class:`~repro.errors.ConfigurationError`, and so does
-        ``workers`` above 1: the walk runs in one process.
+        :class:`~repro.errors.ConfigurationError`, and so does any
+        other set field: the walk reads no target, seed or step
+        budget.
     retain_graph:
         Record the full labelled successor relation during the walk and
         attach it to the result as
@@ -290,7 +291,7 @@ def explore(
     from repro.runtime.kernel import StepInstance
 
     if request is not None:
-        request.require_one_process("explore()")
+        request.refuse_unread("explore()", ("kernel", "max_states", "telemetry"))
         kernel = request.merged("kernel", kernel)
         max_states = request.merged("max_states", max_states, default=500_000)
         telemetry = request.merged("telemetry", telemetry)

@@ -36,6 +36,17 @@ from repro.runtime.scheduler import Scheduler
 from repro.types import ProcessId, require, validate_distinct_ids
 
 
+def check_naming(algorithm: Algorithm, naming: NamingAssignment) -> None:
+    """Refuse any naming but the identity for an algorithm that assumes
+    named registers (``is_anonymous()`` false), as :class:`System` does."""
+    if not algorithm.is_anonymous() and not isinstance(naming, IdentityNaming):
+        raise ConfigurationError(
+            f"{algorithm.name} assumes named registers (prior agreement) "
+            f"and cannot run under {naming.describe()}; this is "
+            "precisely the distinction the paper studies"
+        )
+
+
 class System:
     """A ready-to-run configuration of one algorithm instance.
 
@@ -88,12 +99,7 @@ class System:
         )
 
         self.naming = naming if naming is not None else IdentityNaming()
-        if not algorithm.is_anonymous() and not isinstance(self.naming, IdentityNaming):
-            raise ConfigurationError(
-                f"{algorithm.name} assumes named registers (prior agreement) "
-                f"and cannot run under {self.naming.describe()}; this is "
-                "precisely the distinction the paper studies"
-            )
+        check_naming(algorithm, self.naming)
 
         self.memory = AnonymousMemory(
             size=algorithm.register_count(),

@@ -134,9 +134,11 @@ def verify_instance(
     graph is byte-identical to the interpreted walk's, so every liveness
     verdict is too.
 
-    A request with ``workers`` above 1 raises
-    :class:`~repro.errors.ConfigurationError`: the walk runs in one
-    process.
+    A request field the call does not read raises
+    :class:`~repro.errors.ConfigurationError`: ``seed`` and
+    ``max_steps`` always (the walk is exhaustive and depth-unbounded),
+    and the target fields an explicit ``spec`` (problem) or
+    ``instance`` (instance and params) leaves unread.
 
     Raises :class:`~repro.errors.VerificationError` when the instance
     declares liveness properties but the exploration could not retain a
@@ -147,7 +149,12 @@ def verify_instance(
     max_states: Optional[int] = None
     telemetry: Optional[TelemetrySink] = None
     if request is not None:
-        request.require_one_process("verify_instance()")
+        reads = ["kernel", "max_states", "telemetry"]
+        if spec is None:
+            reads += ["problem", "instance", "params"]
+        elif instance is None:
+            reads += ["instance", "params"]
+        request.refuse_unread("verify_instance()", reads)
         kernel = request.kernel
         max_states = request.max_states
         telemetry = request.telemetry

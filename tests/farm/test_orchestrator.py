@@ -14,7 +14,7 @@ from repro.__main__ import main
 from repro.errors import FarmError
 from repro.farm import (
     Cell,
-    MemoryRunTable,
+    SqliteRunTable,
     create_farm,
     drain_farm,
     drain_table,
@@ -27,6 +27,7 @@ from repro.farm import (
     run_farm,
 )
 from repro.obs.manifest import load_manifests
+from repro.problems import problem_specs
 
 
 def make_config(retain_graph=False, adversary_seeds=(1, 2, 3)):
@@ -335,8 +336,9 @@ class TestSweepCli:
     def test_a_raising_cell_is_an_error_row_in_both_modes(
         self, tmp_path, capsys
     ):
-        # ladder-consensus runs past its simulation horizon in cell 2
-        # and refuses a random naming in cells 3-5.
+        # ladder-consensus assumes named registers, so its default grid
+        # is the identity naming alone; it runs past its simulation
+        # horizon in cell 2.
         seen = []
         for extra in ([], ["--out", str(tmp_path / "farm")]):
             assert main(["sweep", "--problem", "ladder-consensus", *extra]) == 1
@@ -351,20 +353,19 @@ class TestSweepCli:
         assert seen[0] == seen[1]
         summary, errors = seen[0]
         assert summary == [
-            "ladder-consensus: 6 cells — 2 done, 0 pending, 0 claimed, 4 error"
+            "ladder-consensus: 3 cells — 2 done, 0 pending, 0 claimed, 1 error"
         ]
-        assert [line.split(":")[0] for line in errors] == [
-            f"[error] cell {index}" for index in (2, 3, 4, 5)
-        ]
+        assert [line.split(":")[0] for line in errors] == ["[error] cell 2"]
         assert errors[0].startswith(
             "[error] cell 2: ProtocolError: process 101 exceeded the "
             "simulation horizon"
         )
 
     def test_in_memory_drain_lets_a_farm_error_through(self):
-        table = MemoryRunTable([Cell(index=0, kind="bogus", payload={})])
-        with pytest.raises(FarmError, match="unknown cell kind 'bogus'"):
-            drain_table(table, make_config(), "cli")
+        cells = [Cell(index=0, kind="bogus", payload={})]
+        with SqliteRunTable.create(SqliteRunTable.MEMORY, cells) as table:
+            with pytest.raises(FarmError, match="unknown cell kind 'bogus'"):
+                drain_table(table, make_config(), "cli")
 
     def test_a_mutant_key_as_instance_runs_the_mutant(self, tmp_path, capsys):
         spellings = {
@@ -382,17 +383,21 @@ class TestSweepCli:
             rows[name] = [row.result for row in farm_result(out).rows]
         assert rows["instance"] == rows["key"]
 
-        config = {**make_config(), "instance": "figure-1-mutex-even-m"}
-        table = MemoryRunTable(grid_cells(config))
-        drain_table(table, config, "cli")
-        key_config = {**make_config(), "problem": "figure-1-mutex-even-m",
-                      "instance": None}
-        key_table = MemoryRunTable(grid_cells(key_config))
-        drain_table(key_table, key_config, "cli")
-        assert [row.result for row in table.rows()] == [
-            row.result for row in key_table.rows()
-        ]
-        assert all(row.status == "done" for row in table.rows())
+        def drained_rows(config):
+            cells = grid_cells(config)
+            with SqliteRunTable.create(SqliteRunTable.MEMORY, cells) as table:
+                drain_table(table, config, "cli")
+                return table.rows()
+
+        rows = drained_rows(
+            {**make_config(), "instance": "figure-1-mutex-even-m"}
+        )
+        key_rows = drained_rows({
+            **make_config(), "problem": "figure-1-mutex-even-m",
+            "instance": None,
+        })
+        assert [row.result for row in rows] == [row.result for row in key_rows]
+        assert all(row.status == "done" for row in rows)
 
     def test_out_refuses_existing_farm(self, tmp_path, capsys):
         out = tmp_path / "farm"
@@ -431,3 +436,67 @@ class TestSweepCli:
         captured = capsys.readouterr()
         assert "truncated final line" in captured.err
         assert "1 run(s)" in captured.out
+
+
+#: The problems whose algorithms assume named registers
+#: (``is_anonymous()`` false): their run cells refuse every naming but
+#: the identity.
+NAMED_REGISTER_PROBLEMS = [
+    "commit-adopt", "ladder-consensus", "partitioned-k-set",
+    "peterson-mutex", "election-chain-renaming", "splitter-renaming",
+    "named-consensus",
+]
+
+
+class TestNamedRegisterGrids:
+    def test_the_list_matches_the_registry(self):
+        assert [
+            spec.key for spec in problem_specs()
+            if not spec.build(spec.instances[0].params_dict()).is_anonymous()
+        ] == NAMED_REGISTER_PROBLEMS
+
+    @pytest.mark.parametrize("problem", NAMED_REGISTER_PROBLEMS)
+    def test_the_default_grid_is_the_identity_naming(
+        self, problem, tmp_path, capsys
+    ):
+        out = tmp_path / "farm"
+        code = main([
+            "sweep", "--problem", problem, "--max-steps", "20000",
+            "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        rows = farm_result(out).rows
+        assert [row.payload["naming"] for row in rows] == [
+            {"type": "identity"}
+        ] * 3
+        # No cell refuses its naming.  ladder-consensus still runs past
+        # its simulation horizon in cell 2 (pinned in TestSweepCli).
+        horizon = [2] if problem == "ladder-consensus" else []
+        assert [row.index for row in rows if row.status == "error"] == horizon
+        assert "named registers" not in err
+        assert code == (1 if horizon else 0)
+
+    @pytest.mark.parametrize("farm", [False, True], ids=["in-memory", "out"])
+    def test_an_explicit_random_naming_is_a_usage_error(
+        self, farm, tmp_path, capsys
+    ):
+        from repro.errors import ConfigurationError
+        from repro.memory.naming import RandomNaming
+        from repro.problems import get_problem
+        from repro.runtime.system import System
+
+        spec = get_problem("peterson-mutex")
+        params = spec.instances[0].params_dict()
+        with pytest.raises(ConfigurationError) as refused:
+            System(spec.build(params), spec.inputs(params),
+                   naming=RandomNaming(1))
+        out = tmp_path / "farm"
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "sweep", "--problem", "peterson-mutex",
+                "--namings", "identity,random:1",
+                *(["--out", str(out)] if farm else []),
+            ])
+        assert excinfo.value.code == 2
+        assert f"error: {refused.value}" in capsys.readouterr().err
+        assert not out.exists()

@@ -1,15 +1,16 @@
-"""Claim-protocol tests for the sweep farm's run tables.
+"""Claim-protocol tests for the sweep farm's run table.
 
-Both implementations (in-memory and sqlite) must speak the same
-protocol: pending cells are claimed in index order, finish/fail demand
-a prior claim, resume returns only stale claims to pending, and two
-claimants over one sqlite file never hand out the same cell twice.
+The table speaks one protocol over a database file and over an
+in-memory database: pending cells are claimed in index order,
+finish/fail demand a prior claim, resume returns only stale claims to
+pending, and two claimants over one sqlite file never hand out the same
+cell twice.
 """
 
 import pytest
 
 from repro.errors import FarmError
-from repro.farm import Cell, MemoryRunTable, SqliteRunTable
+from repro.farm import Cell, SqliteRunTable
 
 
 def make_cells(n=4):
@@ -23,16 +24,16 @@ def open_pair(tmp_path):
     return table, SqliteRunTable.open(path)
 
 
-@pytest.fixture(params=["memory", "sqlite"])
+@pytest.fixture(params=["file", "memory"])
 def table(request, tmp_path):
-    if request.param == "memory":
-        yield MemoryRunTable(make_cells(), meta={"grid": {"g": 1}})
-    else:
-        handle = SqliteRunTable.create(
-            tmp_path / "runs.sqlite", make_cells(), meta={"grid": {"g": 1}}
-        )
+    path = (
+        tmp_path / "runs.sqlite" if request.param == "file"
+        else SqliteRunTable.MEMORY
+    )
+    with SqliteRunTable.create(
+        path, make_cells(), meta={"grid": {"g": 1}}
+    ) as handle:
         yield handle
-        handle.close()
 
 
 class TestProtocol:
@@ -153,6 +154,19 @@ class TestSqliteSpecifics:
         assert reopened.counts()["done"] == 1
         assert reopened.rows()[0].result == {"verdict": "ok"}
         reopened.close()
+
+    def test_memory_tables_are_private(self, tmp_path, monkeypatch):
+        # Each in-memory table is its own database, and it leaves no
+        # file behind in the working directory.
+        monkeypatch.chdir(tmp_path)
+        memory = SqliteRunTable.MEMORY
+        with SqliteRunTable.create(memory, make_cells()) as first, \
+                SqliteRunTable.create(memory, make_cells(2)) as second:
+            first.finish(first.claim("w0").index, {})
+            assert second.counts() == {
+                "pending": 2, "claimed": 0, "done": 0, "error": 0
+            }
+        assert list(tmp_path.iterdir()) == []
 
     def test_json_payload_round_trips(self, tmp_path):
         payload = {"naming": {"type": "random", "seed": 3}, "deep": [1, {"x": None}]}

@@ -74,6 +74,18 @@ class TestUsageErrors:
         assert not out.exists()
 
 
+def test_one_shot_refuses_farm_only_flags(capsys):
+    # A one-shot run has no cells to retry or share out.
+    for flag, operand, message in [
+        ("--max-attempts", "2", "--max-attempts retries farm cells"),
+        ("--workers", "2", "--workers needs a shared run table"),
+    ]:
+        with pytest.raises(SystemExit) as excinfo:
+            main(MUTEX + [flag, operand])
+        assert excinfo.value.code == 2
+        assert f"error: {message}; add --out DIR" in capsys.readouterr().err
+
+
 def test_a_clean_run_exits_0_and_names_its_kernel(capsys):
     assert main(MUTEX + ["--instance", "figure-1-mutex(m=3)"]) == 0
     assert "kernel=interpreted" in capsys.readouterr().out

@@ -139,7 +139,7 @@ def keys_after(system, canonicalizer, initial, schedule):
     system.scheduler.restore_state(initial)
     for pid in schedule:
         system.scheduler.step(pid)
-    return canonicalizer.key_of()
+    return canonicalizer.key_of_state(system.scheduler.capture_state())
 
 
 class TestOrbitInvariance:
@@ -189,7 +189,7 @@ class TestCompactEncoding:
     def test_trivial_keys_equal_raw_keys(self):
         system = mutex_system()
         canonicalizer = TrivialCanonicalizer(system.scheduler)
-        key, raw = canonicalizer.key_of()
+        key, raw = canonicalizer.key_of_state(system.scheduler.capture_state())
         assert key == raw
 
     def test_keys_are_stable_across_restore(self):
@@ -199,10 +199,10 @@ class TestCompactEncoding:
         p, _ = pids(2)
         scheduler.step(p)
         snapshot = scheduler.capture_state()
-        key_before, _ = canonicalizer.key_of()
+        key_before, _ = canonicalizer.key_of_state(snapshot)
         scheduler.step(p)
         scheduler.restore_state(snapshot)
-        key_after, _ = canonicalizer.key_of()
+        key_after, _ = canonicalizer.key_of_state(scheduler.capture_state())
         assert key_before == key_after
 
     def test_interning_is_injective_along_a_run(self):
@@ -218,9 +218,9 @@ class TestCompactEncoding:
             if not scheduler.runtime(pid).enabled:
                 break
             scheduler.step(pid)
-            key, raw = canonicalizer.key_of()
-            assert key == raw
             state = scheduler.capture_state()
+            key, raw = canonicalizer.key_of_state(state)
+            assert key == raw
             if key in seen:
                 assert seen[key] == state
             else:
@@ -296,7 +296,10 @@ def keyed_walk(steps=60):
     rng = random.Random(23)
     keys = []
     for _ in range(steps):
-        keys.append(tuple(key.hex() for key in canonicalizer.key_of()))
+        keys.append(tuple(
+            key.hex()
+            for key in canonicalizer.key_of_state(scheduler.capture_state())
+        ))
         enabled = scheduler.enabled_pids()
         if not enabled:
             break
@@ -305,21 +308,7 @@ def keyed_walk(steps=60):
 
 
 class TestCanonicalizerKeys:
-    """Keys depend on neither the entry point, the interning order nor
-    the process."""
-
-    def test_live_and_value_entry_points_agree_on_a_walk(self):
-        system = mutex_system()
-        canonicalizer = build_canonicalizer(system)
-        scheduler = system.scheduler
-        rng = random.Random(19)
-        for _ in range(80):
-            state = scheduler.capture_state()
-            assert canonicalizer.key_of() == canonicalizer.key_of_state(state)
-            enabled = scheduler.enabled_pids()
-            if not enabled:
-                break
-            scheduler.step(rng.choice(enabled))
+    """Keys depend on neither the interning order nor the process."""
 
     def test_fresh_canonicalizers_agree_on_keys(self):
         # Content addressing: no interning-order dependence.  Two

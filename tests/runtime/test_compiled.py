@@ -455,7 +455,7 @@ class TestExpandBatch:
         for state in states:
             flat.extend(state)
         children, edges = program.expand_batch(flat)
-        live = program.live_tables()
+        live = program.live
         ci = 0
         expected_edges = []
         for src, state in enumerate(states):
@@ -518,19 +518,16 @@ class TestBatchDigests:
         batched = tables.batch_keys(flat, m)
         singles = [tables.batch_keys(state, m)[0] for state in states]
         assert batched == singles
-        raw_batched = tables.batch_raw(flat, m)
-        raw_singles = [tables.batch_raw(state, m)[0] for state in states]
-        assert raw_batched == raw_singles
-        # Both are the canonicalizer's own keys of the unpacked states.
+        # Both halves are the canonicalizer's own keys of the unpacked
+        # states.
         assert batched == [
             canonicalizer.key_of_state(program.unpack(state))
             for state in states
         ]
-        assert raw_batched == [raw for _, raw in batched]
         # The trivial raw key is injective; a footprint may merge local
         # states (it does on consensus, renaming and election), and the
         # canonical key quotients the raw one.
-        raw_keys = set(raw_batched)
+        raw_keys = {raw for _, raw in batched}
         if isinstance(canonicalizer, TrivialCanonicalizer):
             assert len(raw_keys) == len(states)
         assert len({c for c, _ in batched}) <= len(raw_keys) <= len(states)
@@ -542,7 +539,7 @@ def _check_int_state(program, deltas, at, packed):
     with a zero delta exactly on the inert step."""
     state = program.encode(packed)
     assert program.decode(state) == packed
-    live = program.live_tables()
+    live = program.live
     for slot in range(len(program.slots)):
         off = program.m + slot
         si = (state >> program.field_shift[off]) & program.field_mask[off]

@@ -8,7 +8,8 @@ ignoring an execution flag is the failure mode ruled out here.  The
 matrix lives in ``src/repro/cliflags.py``'s docstring; this module is
 its executable twin.  ``--kernel`` is the one engine selector, so
 ``--backend`` is no flag at all: argparse ends it as an unrecognized
-argument.
+argument.  The farm commands' ``--resume`` refuses every grid flag the
+same way, since a farm directory stores its grid.
 """
 
 import subprocess
@@ -19,6 +20,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.cliflags import rejection_message
+from repro.farm import create_farm, drain_farm, farm_result
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -209,3 +211,122 @@ class TestNoBackendFlag:
             [command, "--problem", "figure-1-mutex", "--backend", "x"], capsys
         )
         assert "unrecognized arguments: --backend x" in err
+
+
+# -- the farm front end ------------------------------------------------
+
+#: Each farm command's grid flags, with an operand (``None`` for a
+#: switch).  Several are given at their default value: ``--resume``
+#: refuses a grid flag whatever its value.
+GRID_FLAGS = {
+    "sweep": [
+        ("--problem", "figure-1-mutex"),
+        ("--instance", "figure-1-mutex(m=3)"),
+        ("--param", "m=3"),
+        ("--namings", "identity,random:1"),  # the default here
+        ("--adversaries", "random:3"),
+        ("--max-steps", "200000"),  # the default
+        ("--retain-graph", None),
+        ("--verify-max-states", "10"),
+        ("--out", "elsewhere"),
+    ],
+    "fuzz": [
+        ("--problem", "figure-1-mutex"),
+        ("--instance", "figure-1-mutex-even-m"),
+        ("--param", "m=3"),
+        ("--seed", "0"),  # the default
+        ("--max-states", "5"),
+        ("--episodes", "64"),  # the default
+        ("--max-steps", "256"),  # the default
+        ("--families", "random"),
+        ("--episodes-per-cell", "8"),  # the default
+        ("--out", "elsewhere"),
+    ],
+}
+
+#: A two-cell grid per farm command.
+GRIDS = {
+    "sweep": {
+        "problem": "figure-1-mutex",
+        "instance": "figure-1-mutex(m=3)",
+        "namings": [{"type": "identity"}],
+        "adversaries": [
+            {"type": "random", "seed": 1}, {"type": "random", "seed": 2},
+        ],
+        "max_steps": 2_000,
+    },
+    "fuzz": {
+        "problem": "figure-1-mutex",
+        "instance": "figure-1-mutex-even-m",
+        "params": None,
+        "fuzz": {
+            "seed": 7, "episodes": 8, "max_steps": 64, "max_states": None,
+            "families": None, "episodes_per_cell": 4,
+        },
+    },
+}
+
+
+def half_drained_farm(directory, command):
+    """A farm of ``command``'s grid with one cell done, one pending."""
+    create_farm(directory, GRIDS[command])
+    drain_farm(directory, max_cells=1)
+    return directory
+
+
+@pytest.fixture(scope="module")
+def resume_targets(tmp_path_factory):
+    return {
+        command: half_drained_farm(
+            tmp_path_factory.mktemp(command) / "farm", command
+        )
+        for command in GRIDS
+    }
+
+
+class TestResumeRefusesGridFlags:
+    """A farm directory stores its grid, so ``--resume`` refuses each
+    flag that shapes one: exit 2, naming the flag, and every run-table
+    row left as it was."""
+
+    @pytest.mark.parametrize("command, flag, operand", [
+        pytest.param(command, flag, operand, id=f"{command}{flag}")
+        for command, flags in GRID_FLAGS.items()
+        for flag, operand in flags
+    ])
+    def test_exit_2_names_the_flag(
+        self, resume_targets, command, flag, operand, capsys
+    ):
+        farm = resume_targets[command]
+        before = farm_result(farm).rows
+        err = run_expecting_usage_error(
+            [command, "--resume", str(farm), flag]
+            + ([operand] if operand is not None else []),
+            capsys,
+        )
+        assert err.rstrip().endswith(
+            "error: --resume takes its grid from the farm directory; "
+            f"drop {flag}"
+        )
+        assert farm_result(farm).rows == before
+
+    def test_every_grid_flag_given_is_named(self, resume_targets, capsys):
+        err = run_expecting_usage_error(
+            ["sweep", "--resume", str(resume_targets["sweep"]),
+             "--max-steps", "5", "--namings", "random:3"],
+            capsys,
+        )
+        assert err.rstrip().endswith("drop --namings, --max-steps")
+
+    @pytest.mark.parametrize("command, flags", [
+        ("sweep", ["--workers", "2", "--max-attempts", "2"]),
+        ("fuzz", ["--workers", "2", "--max-attempts", "2",
+                  "--expect-violation"]),
+    ], ids=["sweep", "fuzz"])
+    def test_farm_flags_are_accepted(self, command, flags, tmp_path, capsys):
+        farm = half_drained_farm(tmp_path / "farm", command)
+        assert main([command, "--resume", str(farm), *flags]) == 0
+        assert "resume: reclaimed 0 cell(s), 1 cell(s) to run" in (
+            capsys.readouterr().out
+        )
+        assert farm_result(farm).complete

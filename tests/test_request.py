@@ -1,6 +1,7 @@
 """RunRequest: validation, registry resolution, and the entry points
 that take execution choices only through ``request=``."""
 
+import dataclasses
 import warnings
 
 import pytest
@@ -18,8 +19,10 @@ from repro.verify.runner import verify_instance
 class TestRunRequestValidation:
     def test_defaults_pin_nothing(self):
         request = RunRequest()
-        assert request.kernel is None
-        assert request.workers is None
+        assert all(
+            getattr(request, field.name) is None
+            for field in dataclasses.fields(request)
+        )
         assert request.params_dict() is None
 
     def test_kernel_is_the_only_engine_selector(self):
@@ -33,12 +36,17 @@ class TestRunRequestValidation:
             "unknown kernel 'jit'; expected 'interpreted' or 'compiled'"
         )
 
-    @pytest.mark.parametrize("field", ["workers", "max_steps", "max_states"])
+    @pytest.mark.parametrize("field", ["max_steps", "max_states"])
     def test_positive_int_budgets(self, field):
         with pytest.raises(ConfigurationError):
             RunRequest(**{field: 0})
         with pytest.raises(ConfigurationError):
             RunRequest(**{field: "many"})
+
+    def test_the_worker_count_is_not_a_field(self):
+        # run_farm(workers=) and --workers spell it; nothing read the field.
+        with pytest.raises(TypeError, match="workers"):
+            RunRequest(workers=4)
 
     def test_seed_must_be_int(self):
         with pytest.raises(ConfigurationError):
@@ -67,14 +75,15 @@ class TestMerged:
         assert RunRequest().merged("max_states", 42) == 42
 
     def test_matching_explicit_is_fine(self):
-        assert RunRequest(workers=4).merged("workers", 4) == 4
+        request = RunRequest(kernel="compiled")
+        assert request.merged("kernel", "compiled") == "compiled"
 
     def test_conflicting_explicit_raises(self):
         with pytest.raises(ConfigurationError) as err:
-            RunRequest(workers=4).merged("workers", 2)
+            RunRequest(kernel="compiled").merged("kernel", "interpreted")
         assert str(err.value) == (
-            "request= already carries workers=4; drop the conflicting "
-            "workers=2 keyword"
+            "request= already carries kernel='compiled'; drop the "
+            "conflicting kernel='interpreted' keyword"
         )
 
     def test_entry_point_default_never_conflicts(self):
@@ -170,16 +179,16 @@ class TestRequestOnlyEntryPoints:
         request = RunRequest(
             problem="figure-1-mutex", instance="figure-1-mutex(m=3)"
         )
-        with pytest.raises(ConfigurationError, match="one process"):
-            verify_instance(request=request.replace(workers=8))
-        assert verify_instance(request=request.replace(workers=1)).ok
+        with pytest.raises(TypeError, match="workers"):
+            request.replace(workers=8)
+        assert verify_instance(request=request).ok
 
     def test_explore_runs_in_one_process(self):
         spec = get_problem("figure-1-mutex")
         system = spec.system(spec.instance("figure-1-mutex(m=3)"))
-        with pytest.raises(ConfigurationError, match="one process"):
-            explore(system, spec.invariant, request=RunRequest(workers=8))
-        result = explore(system, spec.invariant, request=RunRequest(workers=1))
+        with pytest.raises(TypeError, match="workers"):
+            RunRequest(workers=1)
+        result = explore(system, spec.invariant, request=RunRequest())
         assert result.ok and result.complete and result.backend == "serial"
 
     def test_verify_instance_without_target_raises(self):
@@ -221,3 +230,109 @@ class TestRequestOnlyEntryPoints:
                 request=RunRequest(max_steps=500),
             )
         assert result.runs == 1
+
+
+# -- fields an entry point does not read -------------------------------
+
+MUTEX = "figure-1-mutex"
+MUTEX_M3 = "figure-1-mutex(m=3)"
+
+
+def call_entry(entry, request):
+    """Run ``entry`` (an entry point, with the positional target form
+    its label names) on ``request``."""
+    from repro.memory.naming import IdentityNaming
+    from repro.runtime.adversary import RandomAdversary
+
+    spec = get_problem(MUTEX)
+    inst = spec.instance(MUTEX_M3)
+    if entry == "explore":
+        return explore(spec.system(inst), spec.invariant, request=request)
+    if entry == "verify_instance":
+        return verify_instance(
+            request=request.replace(problem=MUTEX, instance=MUTEX_M3)
+        )
+    if entry == "verify_instance(spec)":
+        return verify_instance(spec, request=request)
+    if entry == "verify_instance(spec, instance)":
+        return verify_instance(spec, inst, request=request)
+    assert entry == "sweep_problem"
+    return sweep_problem(
+        MUTEX,
+        namings=[IdentityNaming()],
+        adversaries=[RandomAdversary(1)],
+        checkers_factory=lambda: [],
+        request=request,
+    )
+
+
+class TestUnreadFieldsAreRefused:
+    """Each ``request=`` entry point raises a ConfigurationError naming
+    a set field it does not read, instead of running without it."""
+
+    @pytest.mark.parametrize("entry, field, value", [
+        ("explore", "problem", MUTEX),
+        ("explore", "instance", MUTEX_M3),
+        ("explore", "params", {"m": 3}),
+        ("explore", "seed", 3),
+        ("explore", "max_steps", 5),
+        ("verify_instance", "seed", 3),
+        ("verify_instance", "max_steps", 5),
+        ("verify_instance(spec)", "problem", MUTEX),
+        ("verify_instance(spec, instance)", "instance", MUTEX_M3),
+        ("verify_instance(spec, instance)", "params", {"m": 3}),
+        ("sweep_problem", "problem", MUTEX),
+        ("sweep_problem", "kernel", "compiled"),
+        ("sweep_problem", "max_states", 50),
+        ("sweep_problem", "seed", 3),
+    ])
+    def test_refusal_table(self, entry, field, value):
+        with pytest.raises(ConfigurationError) as err:
+            call_entry(entry, RunRequest(**{field: value}))
+        name = entry.split("(")[0]
+        assert str(err.value) == (
+            f"{name}() does not read RunRequest field(s) {field}; "
+            "leave them unset"
+        )
+
+    def test_every_unread_field_is_named(self):
+        spec = get_problem("naive-lock")
+        system = spec.system(spec.instances[0])
+        request = RunRequest(
+            seed=3, max_steps=5, problem="naive-lock", instance="x"
+        )
+        with pytest.raises(ConfigurationError) as err:
+            explore(system, spec.invariant, request=request)
+        assert str(err.value) == (
+            "explore() does not read RunRequest field(s) problem, "
+            "instance, max_steps, seed; leave them unset"
+        )
+
+    @pytest.mark.parametrize("entry, fields", [
+        ("explore", {"kernel": "compiled", "max_states": 50_000}),
+        ("verify_instance", {"kernel": "compiled", "max_states": 50_000}),
+        ("verify_instance(spec)", {"instance": MUTEX_M3}),
+        ("sweep_problem", {"instance": MUTEX_M3, "max_steps": 500}),
+    ])
+    def test_read_fields_are_accepted(self, entry, fields):
+        assert call_entry(entry, RunRequest(**fields)) is not None
+
+    def test_sweep_problem_takes_a_mutant_key_as_instance(self):
+        from repro.memory.naming import IdentityNaming
+        from repro.runtime.adversary import RoundRobinAdversary
+
+        def run(**target):
+            return sweep_problem(
+                adversaries=[RoundRobinAdversary()],
+                namings=[IdentityNaming()],
+                checkers_factory=lambda: [],
+                request=RunRequest(max_steps=200),
+                **target,
+            )
+
+        by_instance = run(problem=MUTEX, instance="figure-1-mutex-even-m")
+        by_key = run(problem="figure-1-mutex-even-m")
+        assert by_instance.algorithm == by_key.algorithm
+        assert [len(r.trace) for r in by_instance.records] == [
+            len(r.trace) for r in by_key.records
+        ]
