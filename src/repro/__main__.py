@@ -86,7 +86,7 @@ def cmd_demo() -> int:
 def cmd_verify(rest=()) -> int:
     """Exhaustive safety + liveness verification of registry instances."""
     from repro.cliflags import add_kernel_flag, reject_flag
-    from repro.errors import ConfigurationError, VerificationError
+    from repro.errors import ConfigurationError, ReproError, VerificationError
     from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
     from repro.problems import get_problem, instances_with_role
     from repro.request import RunRequest
@@ -203,6 +203,13 @@ def cmd_verify(rest=()) -> int:
         except VerificationError as exc:
             failed += 1
             print(f"[FAIL] {inst.label}: {exc}")
+            continue
+        except ReproError as exc:
+            # The run failed, not the command line: end it as fuzz and
+            # sweep do, and go on with the next instance.
+            failed += 1
+            print(f"[error] {inst.label}: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
             continue
         status = "OK " if report.ok else "FAIL"
         if not report.ok:

@@ -63,15 +63,21 @@ def parse_naming_spec(text: str) -> Dict[str, Any]:
     """Parse a CLI naming spelling into a descriptor.
 
     ``identity`` → ``{"type": "identity"}``;
-    ``random:SEED`` → ``{"type": "random", "seed": SEED}``.
+    ``random:SEED`` → ``{"type": "random", "seed": SEED}``.  An
+    unknown or malformed spelling (``random:x``) raises
+    :class:`FarmError` naming it and the expected spellings.
     """
     head, _, arg = text.strip().partition(":")
-    if head == "identity" and not arg:
-        return {"type": "identity"}
-    if head == "random":
-        return {"type": "random", "seed": int(arg or 0)}
+    try:
+        if head == "identity" and not arg:
+            return {"type": "identity"}
+        if head == "random":
+            return {"type": "random", "seed": int(arg or 0)}
+    except ValueError:
+        pass  # a non-integer SEED: refused below
     raise FarmError(
-        f"unknown naming spec {text!r}; expected 'identity' or 'random:SEED'"
+        f"bad naming spec {text!r}; expected 'identity' or 'random:SEED' "
+        "with an integer SEED"
     )
 
 
@@ -80,23 +86,28 @@ def parse_adversary_spec(text: str) -> Dict[str, Any]:
 
     ``round-robin`` | ``random:SEED`` | ``burst:SEED`` |
     ``staged:PREFIX:SEED`` (the obstruction-freedom schedule: PREFIX
-    contended steps, then each process runs solo).
+    contended steps, then each process runs solo).  An unknown or
+    malformed spelling (``burst:x``, ``staged:5:y``) raises
+    :class:`FarmError` naming it and the expected spellings.
     """
     parts = text.strip().split(":")
     head = parts[0]
-    if head == "round-robin" and len(parts) == 1:
-        return {"type": "round-robin"}
-    if head == "random" and len(parts) <= 2:
-        return {"type": "random", "seed": int(parts[1]) if len(parts) == 2 else 0}
-    if head == "burst" and len(parts) <= 2:
-        return {"type": "burst", "seed": int(parts[1]) if len(parts) == 2 else 0}
-    if head == "staged" and len(parts) <= 3:
-        prefix = int(parts[1]) if len(parts) >= 2 else 50
-        seed = int(parts[2]) if len(parts) == 3 else 0
-        return {"type": "staged", "prefix": prefix, "seed": seed}
+    try:
+        if head == "round-robin" and len(parts) == 1:
+            return {"type": "round-robin"}
+        if head in ("random", "burst") and len(parts) <= 2:
+            seed = int(parts[1]) if len(parts) == 2 else 0
+            return {"type": head, "seed": seed}
+        if head == "staged" and len(parts) <= 3:
+            prefix = int(parts[1]) if len(parts) >= 2 else 50
+            seed = int(parts[2]) if len(parts) == 3 else 0
+            return {"type": "staged", "prefix": prefix, "seed": seed}
+    except ValueError:
+        pass  # a non-integer SEED or PREFIX: refused below
     raise FarmError(
-        f"unknown adversary spec {text!r}; expected 'round-robin', "
-        "'random:SEED', 'burst:SEED' or 'staged:PREFIX:SEED'"
+        f"bad adversary spec {text!r}; expected 'round-robin', "
+        "'random:SEED', 'burst:SEED' or 'staged:PREFIX:SEED' with "
+        "integer SEED and PREFIX"
     )
 
 

@@ -81,6 +81,13 @@ class DiskGraphWriter:
     an unreadable partial write, which is fine: a killed verify cell is
     still ``claimed`` in the run table and will be re-run from scratch
     on resume.
+
+    ``finalize`` closes ``nodes.bin`` and ``edges.bin``, even when it
+    raises, and so does a write that breaks the contract (a wrong key
+    length, non-contiguous edges).  ``close`` (idempotent) closes them
+    too; use the writer as a context manager to close it however the
+    writes end.  ``finalize`` refuses a writer closed before it ran, so
+    a broken or abandoned store is never finalised.
     """
 
     def __init__(self, directory: Union[str, Path], key_len: int):
@@ -105,6 +112,7 @@ class DiskGraphWriter:
         if ordinal is not None:
             return ordinal
         if len(key) != self.key_len:
+            self.close()  # finalize refuses a closed writer
             raise FarmError(
                 f"node key is {len(key)} bytes; this store was opened "
                 f"with key_len={self.key_len}"
@@ -122,6 +130,7 @@ class DiskGraphWriter:
         dst_ord = self.add_node(dst)
         if src_ord != self._open_src:
             if src_ord in self._edge_spans:
+                self.close()
                 raise FarmError(
                     f"edges for node ordinal {src_ord} arrived "
                     "non-contiguously; the disk store requires one "
@@ -139,10 +148,14 @@ class DiskGraphWriter:
         if self._finalized:
             raise FarmError("finalize() called twice on one DiskGraphWriter")
         self._finalized = True
+        if self._nodes.closed:
+            raise FarmError(
+                "the writer was closed before finalize(); its store is a "
+                "partial write"
+            )
+        self.close()
         if initial not in self._ordinals:
             raise FarmError("initial key was never added as a node")
-        self._nodes.close()
-        self._edges.close()
         with (self.directory / _INDEX).open("wb") as index:
             for key in sorted(self._ordinals):
                 ordinal = self._ordinals[key]
@@ -165,6 +178,19 @@ class DiskGraphWriter:
         )
         return meta
 
+    def close(self) -> None:
+        """Close ``nodes.bin`` and ``edges.bin``; a second call is a
+        no-op.  A writer closed before :meth:`finalize` leaves an
+        unreadable partial store, and ``finalize`` refuses it."""
+        self._nodes.close()
+        self._edges.close()
+
+    def __enter__(self) -> "DiskGraphWriter":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
 
 def write_state_graph(
     graph: StateGraph, directory: Union[str, Path]
@@ -177,16 +203,16 @@ def write_state_graph(
     recorded order.
     """
     keys = [graph.key(ordinal) for ordinal in range(len(graph))]
-    writer = DiskGraphWriter(directory, key_len=len(keys[graph.initial]))
-    for key in keys:
-        writer.add_node(key)
-    for src, key in enumerate(keys):
-        if not graph.expanded(src):
-            continue
-        writer.mark_expanded(key)
-        for pid, dst in graph.successors(src):
-            writer.add_edge(key, pid, keys[dst])
-    return writer.finalize(keys[graph.initial], graph.complete)
+    with DiskGraphWriter(directory, key_len=len(keys[graph.initial])) as writer:
+        for key in keys:
+            writer.add_node(key)
+        for src, key in enumerate(keys):
+            if not graph.expanded(src):
+                continue
+            writer.mark_expanded(key)
+            for pid, dst in graph.successors(src):
+                writer.add_edge(key, pid, keys[dst])
+        return writer.finalize(keys[graph.initial], graph.complete)
 
 
 class DiskStateGraph:

@@ -28,6 +28,18 @@ states are the memo's ids, so a step, a strategy's context or an
 invariant message met before is a table lookup, and a revisit hands
 the oracles the id itself.
 
+The memo also keeps the lasso witnesses its runs have certified
+(:attr:`~repro.fuzz.shrink.StepMemo.certified`).  A lasso hit whose
+raw witness is already there (the lockstep family, which reads no RNG,
+finds the same lasso in every episode) is published with the stored
+shrunk form, under its own family, episode and message, without
+shrinking or replaying it again; a new witness is stored only once its
+certification passes.  So each distinct witness is still certified on
+a fresh system through a fresh memo, once per memo, and the report is
+the one certifying every hit would give.  Runs with ``shrink=False``
+or ``validate=False`` neither read nor write the table.  Safety hits
+are shrunk and certified one by one: no shipped instance yields one.
+
 Determinism: episode ``i`` of family ``f`` seeds its own
 ``random.Random`` from ``blake2b(f"{seed}:{i}:{f}")`` — independent of
 ``PYTHONHASHSEED`` and stable across shards (farm cells pass
@@ -408,7 +420,13 @@ def _certify_lasso(
     shrink: bool,
     validate: bool,
 ) -> FuzzViolation:
-    if shrink:
+    witness = (kind, prefix, cycle)
+    # A run that skips either gate neither reads nor writes the table.
+    certified = memo.certified if shrink and validate else {}
+    known = certified.get(witness)
+    if known is not None:
+        shrunk_prefix, shrunk_cycle = known
+    elif shrink:
         shrunk_prefix, shrunk_cycle = shrink_lasso(
             memo, initial, prefix, cycle, kind
         )
@@ -438,8 +456,10 @@ def _certify_lasso(
         shrunk_prefix=shrunk_prefix,
         shrunk_cycle=shrunk_cycle,
     )
-    if validate:
-        _validate_lasso(spec, instance_record, memo.instance, violation)
+    if known is None:
+        if validate:
+            _validate_lasso(spec, instance_record, memo.instance, violation)
+        certified[witness] = (shrunk_prefix, shrunk_cycle)
     return violation
 
 

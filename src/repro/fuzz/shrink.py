@@ -118,6 +118,14 @@ class StepMemo:
     locals parts are interned, so equal parts are one object however
     many states hold them.  A memo grows with every state its callers
     touch and is never evicted.
+
+    ``certified`` maps each raw lasso witness ``(kind, prefix, cycle)``
+    the memo's fuzz runs have already shrunk and replay-certified to
+    its shrunk ``(prefix, cycle)``.  Only the fuzz engine's lasso
+    certification reads or writes it, and only in runs that both
+    shrink and validate; a witness enters it after its certification
+    passes, so the table dies with the memo and every distinct witness
+    is certified once per memo.
     """
 
     def __init__(
@@ -154,6 +162,9 @@ class StepMemo:
             Tuple[int, ProcessId], Tuple[Type[Exception], Tuple[Any, ...]]
         ] = {}
         self._phase: Dict[Tuple[int, ProcessId], str] = {}
+        self.certified: Dict[
+            Tuple[str, Schedule, Schedule], Tuple[Schedule, Schedule]
+        ] = {}
 
     def intern(self, state: GlobalState) -> int:
         """The id of ``state``, assigning the next one if it is new."""

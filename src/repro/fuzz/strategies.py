@@ -31,8 +31,7 @@ the same schedule in every run.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from repro.errors import FuzzError
 from repro.types import ProcessId
@@ -49,8 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FuzzContext:
+class FuzzContext(NamedTuple):
     """What a strategy sees before picking the next step.
 
     ``enabled`` preserves the instance's scheduler order;
@@ -59,6 +57,11 @@ class FuzzContext:
     from the step memo, which keeps them per locals part.
     ``contention`` counts, per pid, how many of its past accesses hit a
     register last touched by a different process.
+
+    A named tuple, not a frozen dataclass: the search builds one per
+    step, and a frozen dataclass pays ``object.__setattr__`` per field.
+    ``pending`` and ``contention`` are the memo's and the episode's own
+    dicts, so a strategy must not mutate them.
     """
 
     enabled: Tuple[ProcessId, ...]

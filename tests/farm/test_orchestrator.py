@@ -361,6 +361,28 @@ class TestSweepCli:
             "simulation horizon"
         )
 
+    @pytest.mark.parametrize("farm", [False, True], ids=["in-memory", "out"])
+    @pytest.mark.parametrize("flag, spec, kind", [
+        ("--namings", "random:x", "naming"),
+        ("--adversaries", "burst:x", "adversary"),
+        ("--adversaries", "staged:5:y", "adversary"),
+    ])
+    def test_a_malformed_spec_is_a_usage_error(
+        self, flag, spec, kind, farm, tmp_path, capsys
+    ):
+        out = tmp_path / "farm"
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "sweep", "--problem", "figure-1-mutex", flag, spec,
+                *(["--out", str(out)] if farm else []),
+            ])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert f"error: bad {kind} spec {spec!r}; expected " in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""  # no cell ran
+        assert not out.exists()
+
     def test_in_memory_drain_lets_a_farm_error_through(self):
         cells = [Cell(index=0, kind="bogus", payload={})]
         with SqliteRunTable.create(SqliteRunTable.MEMORY, cells) as table:

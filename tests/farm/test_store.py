@@ -136,10 +136,76 @@ class TestWriterContract:
     def test_unfinalized_store_is_unreadable(self, tmp_path):
         writer = DiskGraphWriter(tmp_path / "s", key_len=1)
         writer.add_node(b"a")
+        writer.close()
+        writer.close()  # idempotent
         # no finalize: the directory must read as "not a store", which
         # is what a worker killed mid-verify-cell leaves behind.
         with pytest.raises(FarmError, match="finalize"):
             DiskStateGraph(tmp_path / "s")
+
+    @staticmethod
+    def closed(writer):
+        return writer._nodes.closed and writer._edges.closed
+
+    def test_finalize_closes_its_files_even_when_it_raises(self, tmp_path):
+        writer = DiskGraphWriter(tmp_path / "s", key_len=1)
+        writer.add_node(b"a")
+        with pytest.raises(FarmError, match="initial"):
+            writer.finalize(b"z", complete=True)
+        assert self.closed(writer)
+
+    def test_a_broken_write_closes_the_writer(self, tmp_path):
+        writer = DiskGraphWriter(tmp_path / "s", key_len=4)
+        with pytest.raises(FarmError, match="key_len"):
+            writer.add_node(b"\x01")
+        assert self.closed(writer)
+
+    @pytest.mark.parametrize("end", ["broken-write", "close"])
+    def test_a_closed_writer_is_never_finalized(self, end, tmp_path):
+        writer = DiskGraphWriter(tmp_path / "s", key_len=1)
+        writer.add_node(b"a")
+        if end == "close":
+            writer.close()
+        else:
+            with pytest.raises(FarmError, match="key_len"):
+                writer.add_node(b"toolong")
+            # A caller that swallows the error and writes on gets the
+            # closed file's refusal; the key must not reach an index.
+            with pytest.raises(ValueError):
+                writer.add_node(b"b")
+        with pytest.raises(FarmError, match="closed before finalize"):
+            writer.finalize(b"a", complete=True)
+        assert sorted(p.name for p in (tmp_path / "s").iterdir()) == [
+            "edges.bin", "nodes.bin"
+        ]
+        with pytest.raises(FarmError, match="finalize"):
+            DiskStateGraph(tmp_path / "s")
+
+    def test_the_context_manager_closes_the_writer(self, tmp_path):
+        with DiskGraphWriter(tmp_path / "s", key_len=1) as writer:
+            writer.add_node(b"a")
+        assert self.closed(writer)
+
+    def test_write_state_graph_closes_the_writer_when_a_write_raises(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.farm.store as store
+
+        writers = []
+
+        class FailingWriter(DiskGraphWriter):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                writers.append(self)
+
+            def add_edge(self, src, pid, dst):
+                raise OSError("disk full")
+
+        monkeypatch.setattr(store, "DiskGraphWriter", FailingWriter)
+        with pytest.raises(OSError, match="disk full"):
+            write_state_graph(retained_graph(), tmp_path / "s")
+        (writer,) = writers
+        assert self.closed(writer)
 
     def test_single_node_graph(self, tmp_path):
         writer = DiskGraphWriter(tmp_path / "s", key_len=2)

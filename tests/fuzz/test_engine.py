@@ -357,3 +357,142 @@ class TestSearchFailures:
         monkeypatch.setattr(RunRequest, "resolve", lambda request: (patched, record))
         with pytest.raises(RuntimeError, match="^the invariant raised"):
             fuzz_m3()
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Count the engine's lasso shrinker and validator calls by name."""
+    calls = {}
+
+    def count(name):
+        real = getattr(engine, name)
+        calls[name] = 0
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine, name, counting)
+
+    for name in ("shrink_lasso", "_validate_lasso"):
+        count(name)
+    return calls
+
+
+def witness(violation):
+    """The raw witness a lasso's certification is keyed by."""
+    return (violation.kind, violation.prefix, violation.cycle)
+
+
+def mutant_request(seed=7, **fields):
+    return RunRequest(
+        problem="figure-1-mutex", instance="figure-1-mutex-even-m",
+        seed=seed, **fields,
+    )
+
+
+class TestCertifiedWitnesses:
+    """A run's step memo certifies each distinct raw lasso witness once:
+    a repeat is published with the stored shrunk form, without
+    shrinking or replaying it again."""
+
+    @pytest.mark.parametrize("seed, hits, distinct", [
+        (7, 171, 83), (11, 172, 86), (12345, 188, 100),
+    ])
+    def test_a_repeated_lasso_is_shrunk_and_validated_once(
+        self, counted, seed, hits, distinct
+    ):
+        report = run_fuzz(mutant_request(seed, max_steps=256), episodes=256)
+        assert len(report.violations) == hits
+        assert counted["shrink_lasso"] == counted["_validate_lasso"] == distinct
+        first = {}
+        for violation in report.violations:
+            earlier = first.setdefault(witness(violation), violation)
+            assert violation == dataclasses.replace(
+                earlier, family=violation.family, episode=violation.episode,
+                schedule=violation.schedule,
+            )
+        assert len(first) == distinct
+
+    def test_the_report_is_the_one_certifying_every_hit_gives(
+        self, counted, monkeypatch
+    ):
+        cached = run_fuzz(mutant_request(), episodes=64).to_dict()
+
+        class ForgetfulMemo(engine.StepMemo):
+            """A memo whose table forgets every witness it is given."""
+
+            certified = property(lambda self: {}, lambda self, value: None)
+
+        monkeypatch.setattr(engine, "StepMemo", ForgetfulMemo)
+        counted["_validate_lasso"] = 0
+        assert run_fuzz(mutant_request(), episodes=64).to_dict() == cached
+        assert counted["_validate_lasso"] == len(cached["violations"])
+
+    def test_a_failed_certification_is_never_stored(self, monkeypatch):
+        calls = []
+
+        def refusing(*args):
+            calls.append(None)
+            raise FuzzError("certification refused")
+
+        monkeypatch.setattr(engine, "_validate_lasso", refusing)
+        memos = {}
+        for attempt in range(1, 4):
+            with pytest.raises(FuzzError, match="certification refused"):
+                run_fuzz(mutant_request(), episodes=1, memos=memos)
+            assert len(calls) == attempt
+        (memo,) = memos.values()
+        assert memo.certified == {}
+
+    @pytest.mark.parametrize("shrink, validate", [
+        (False, True), (True, False), (False, False),
+    ])
+    def test_a_run_that_skips_a_gate_leaves_the_table_alone(
+        self, shrink, validate
+    ):
+        raw = run_fuzz(mutant_request(), episodes=1, shrink=False, validate=False)
+        (hit,) = raw.violations
+        planted = ((), (hit.cycle[0],))  # not this lasso's shrunk form
+        memos = {}
+        first = run_fuzz(
+            mutant_request(), episodes=1, shrink=shrink, validate=validate,
+            memos=memos,
+        )
+        (memo,) = memos.values()
+        assert memo.certified == {}  # nothing written
+        memo.certified[witness(hit)] = planted
+        again = run_fuzz(
+            mutant_request(), episodes=1, shrink=shrink, validate=validate,
+            memos=memos,
+        )
+        assert again.to_dict() == first.to_dict()  # nothing read
+        assert memo.certified == {witness(hit): planted}
+        # A run that shrinks and validates reads the planted entry: the
+        # table, not the shrinker, decides a known witness's shrunk form.
+        (trusted,) = run_fuzz(mutant_request(), episodes=1, memos=memos).violations
+        assert (trusted.shrunk_prefix, trusted.shrunk_cycle) == planted
+
+    def test_targets_sharing_a_memo_dict_never_share_entries(self):
+        requests = [
+            mutant_request(),
+            RunRequest(
+                problem="figure-1-mutex-even-m", params={"m": 6}, seed=7
+            ),
+        ]
+        fresh = [run_fuzz(request, episodes=16) for request in requests]
+        memos = {}
+        for _ in range(2):
+            for request, expected in zip(requests, fresh):
+                report = run_fuzz(request, episodes=16, memos=memos)
+                assert report.to_dict() == expected.to_dict()
+        assert sorted(memos) == sorted(
+            (report.problem, report.instance) for report in fresh
+        )
+        for report in fresh:
+            memo = memos[report.problem, report.instance]
+            assert set(memo.certified) == {
+                witness(v) for v in report.violations
+            }
+        tables = [memo.certified for memo in memos.values()]
+        assert tables[0] is not tables[1]

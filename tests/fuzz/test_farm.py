@@ -229,11 +229,22 @@ class TestSharedStepMemo:
             cell_report("figure-1-mutex-even-m", 7, base, memos)
             for base in (0, 8, 16)
         ]
-        hits = sum(len(json.loads(r)["violations"]) for r in reports)
-        assert hits and len(judged) == hits
+        hits = [
+            violation
+            for report in reports
+            for violation in json.loads(report)["violations"]
+        ]
+        witnesses = {
+            (v["kind"], tuple(v["prefix"]), tuple(v["cycle"])) for v in hits
+        }
+        # The drain memo's certified-witness table publishes a repeated
+        # raw witness without judging it again, so certification judges
+        # each distinct witness once, through a fresh memo of its own.
+        assert len(witnesses) < len(hits)
+        assert len(judged) == len(witnesses)
         (drain_memo,) = memos.values()
         assert all(memo is not drain_memo for memo in judged)
-        assert len({id(memo) for memo in judged}) == hits  # one fresh each
+        assert len({id(memo) for memo in judged}) == len(witnesses)
 
     def test_a_failed_cell_leaves_the_cells_after_it_alone(
         self, tmp_path, monkeypatch

@@ -43,6 +43,36 @@ class TestCli:
         assert "deadlock-freedom (Theorem 3.4) violated (as seeded)" in out
         assert "lasso:" in out and "repeat" in out
 
+    def test_verify_ends_a_typed_run_error_and_runs_the_rest(
+        self, monkeypatch, capsys
+    ):
+        import repro.verify
+        from repro.errors import ProtocolError
+
+        real = repro.verify.verify_instance
+
+        def failing(spec, inst, **kwargs):
+            if inst.label == "figure-1-mutex(m=5)":
+                raise ProtocolError("process 101 stepped a poisoned op")
+            return real(spec, inst, **kwargs)
+
+        monkeypatch.setattr(repro.verify, "verify_instance", failing)
+        assert main([
+            "verify",
+            "--instance", "figure-1-mutex(m=3)",
+            "--instance", "figure-1-mutex(m=5)",
+            "--instance", "figure-2-consensus(n=2)",
+        ]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "[error] figure-1-mutex(m=5): ProtocolError: "
+            "process 101 stepped a poisoned op\n"
+        )
+        assert [
+            line.split(":")[0] for line in captured.out.splitlines()
+            if line.startswith("[")
+        ] == ["[OK ] figure-1-mutex(m=3)", "[OK ] figure-2-consensus(n=2)"]
+
     def test_verify_list_enumerates_registry_instances(self, capsys):
         assert main(["verify", "--list"]) == 0
         out = capsys.readouterr().out
