@@ -502,21 +502,15 @@ def _write_bench_manifest(directory, index, label, engine, budgets, record,
 def _bench_sweep_farm():
     """Measure the disk-backed sweep farm on a micro-grid; return a dict.
 
-    Three numbers the baseline file tracks per release: drain
-    throughput (cells/s over a fresh farm), the fixed cost a
-    ``--resume`` cycle adds on an already-complete farm (open the run
-    table, reset stale claims, discover nothing pending), and the disk
-    footprint of the verify cell's retained edge array.
+    Two numbers the baseline file tracks per release: drain throughput
+    (cells/s over a fresh farm) and the fixed cost a ``--resume`` cycle
+    adds on an already-complete farm (open the run table, reset stale
+    claims, discover nothing pending).
     """
     import shutil
     import tempfile
 
-    from repro.farm import (
-        GRAPHS_DIRNAME,
-        create_farm,
-        drain_farm,
-        resume_farm,
-    )
+    from repro.farm import create_farm, drain_farm, resume_farm
 
     config = {
         "problem": "figure-1-mutex",
@@ -542,16 +536,11 @@ def _bench_sweep_farm():
         resume_farm(farm)
         drain_farm(farm)
         resume_seconds = time.perf_counter() - start
-        edge_bytes = sum(
-            path.stat().st_size
-            for path in (farm / GRAPHS_DIRNAME).rglob("edges.bin")
-        )
         return {
             "grid_cells": cells,
             "cells_per_second": round(cells / drain_seconds, 2)
             if drain_seconds > 0 else None,
             "resume_overhead_seconds": round(resume_seconds, 4),
-            "retained_edge_bytes": edge_bytes,
         }
     finally:
         shutil.rmtree(root, ignore_errors=True)
@@ -813,9 +802,9 @@ def exploration_benchmark(quick=False, rng_seed=5, telemetry_dir=None,
             "manifests": manifest_names,
         },
         # v6: disk-backed sweep-farm micro-benchmark (drain throughput,
-        # resume fixed cost, retained edge-array footprint).  Wall-clock
-        # numbers are advisory; check_baseline reads only the
-        # backend-invariant exploration fields above.
+        # resume fixed cost).  Wall-clock numbers are advisory;
+        # check_baseline reads only the backend-invariant exploration
+        # fields above.
         "sweep": _bench_sweep_farm(),
         # v7: seeded fuzzer micro-benchmark (schedule throughput,
         # distinct-state coverage, certified violations per strategy

@@ -25,11 +25,10 @@ Subcommands (every key of ``COMMANDS`` below appears here; pinned by
                     flag; ``--workers N`` drains it with N claiming
                     processes; ``--max-attempts N`` retries transiently
                     failed cells; ``--retain-graph`` adds an exhaustive
-                    verify cell whose StateGraph lands in the farm's
-                    mmap disk store; without ``--out`` the grid drains
-                    an in-memory run table; the default ``--namings``
-                    is ``identity`` alone for a named-register
-                    baseline);
+                    verify cell recording its StateGraph's digest;
+                    without ``--out`` the grid drains an in-memory run
+                    table; the default ``--namings`` is ``identity``
+                    alone for a named-register baseline);
 * ``fuzz``        — seeded adversary-strategy fuzzing of registry
                     instances (``repro.fuzz``): strategy families
                     (lockstep, random, greedy, covering) hunt safety
@@ -293,9 +292,8 @@ def cmd_sweep(rest=()) -> int:
     parser.add_argument("--max-steps", type=int, default=200_000, metavar="N",
                         help="step budget per run cell (default: %(default)s)")
     parser.add_argument("--retain-graph", action="store_true",
-                        help="append one exhaustive verify cell whose "
-                        "retained StateGraph is persisted in the farm's "
-                        "disk store (graphs/cell-*/)")
+                        help="append one exhaustive verify cell that "
+                        "records its retained StateGraph's sha256")
     parser.add_argument("--verify-max-states", type=int, default=None,
                         metavar="N", help="state budget for the verify cell")
     reject_flag(
@@ -336,13 +334,23 @@ def cmd_sweep(rest=()) -> int:
 
 
 def _sweep_config(parser, args) -> dict:
-    """The grid config of a fresh sweep.  Its target, budgets and
-    namings are checked here, so a grid that cannot run is a usage
-    error before any cell runs."""
+    """The grid config of a fresh sweep.  Its target, budgets, namings
+    and adversaries are checked here, so a grid that cannot run, or
+    runs nothing, is a usage error before any cell runs."""
     from repro.errors import ReproError
     from repro.farm import build_naming, parse_adversary_spec, parse_naming_spec
     from repro.request import RunRequest, resolve_target
     from repro.runtime.system import check_naming
+
+    if args.verify_max_states is not None and not args.retain_graph:
+        parser.error("--verify-max-states budgets the verify cell; "
+                     "add --retain-graph")
+
+    def specs(flag, text, parse):
+        parsed = [parse(item) for item in text.split(",") if item.strip()]
+        if not parsed:
+            parser.error(f"{flag} {text!r} names no spec; nothing to run")
+        return parsed
 
     try:
         spec, record = resolve_target(args.problem, args.instance, args.params)
@@ -355,14 +363,10 @@ def _sweep_config(parser, args) -> dict:
             "problem": args.problem,
             "instance": args.instance,
             "params": args.params,
-            "namings": [
-                parse_naming_spec(text)
-                for text in namings.split(",") if text.strip()
-            ],
-            "adversaries": [
-                parse_adversary_spec(text)
-                for text in args.adversaries.split(",") if text.strip()
-            ],
+            "namings": specs("--namings", namings, parse_naming_spec),
+            "adversaries": specs(
+                "--adversaries", args.adversaries, parse_adversary_spec
+            ),
             "max_steps": args.max_steps,
             "retain_graph": args.retain_graph,
             "verify_max_states": args.verify_max_states,

@@ -44,14 +44,6 @@ class SchedulingError(ReproError):
     """
 
 
-class ExplorationLimitExceeded(ReproError):
-    """The bounded model checker exhausted its step or state budget.
-
-    This is distinct from finding a violation: it means the search was
-    inconclusive within the configured bounds.
-    """
-
-
 class ManifestValidationError(ReproError):
     """A run manifest failed its schema check.
 

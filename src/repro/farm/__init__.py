@@ -6,8 +6,6 @@ Layers (each its own module, composable separately):
   claim/finish protocol over a database file or an in-memory database;
 * :mod:`repro.farm.cells` — grid materialisation from a JSON config and
   the execution of individual run/verify cells;
-* :mod:`repro.farm.store` — disk-backed StateGraph retention (mmap
-  node/edge arrays, byte-identical ``to_bytes`` to the in-RAM graph);
 * :mod:`repro.farm.orchestrator` — create/drain/resume over a farm
   directory, per-worker manifest streams, multi-process draining;
 * :mod:`repro.farm.cli` — the command-line front end ``repro sweep``
@@ -30,7 +28,6 @@ from repro.farm.cells import (
     resolve_grid_target,
 )
 from repro.farm.orchestrator import (
-    GRAPHS_DIRNAME,
     MANIFEST_PREFIX,
     FarmResult,
     create_farm,
@@ -48,27 +45,12 @@ from repro.farm.runtable import (
     CellRow,
     SqliteRunTable,
 )
-from repro.farm.store import (
-    GRAPHSTORE_SCHEMA,
-    DiskGraphWriter,
-    DiskStateGraph,
-    graph_store_bytes,
-    load_state_graph,
-    write_state_graph,
-)
 
 __all__ = [
     "STATUSES",
     "Cell",
     "CellRow",
     "SqliteRunTable",
-    "GRAPHSTORE_SCHEMA",
-    "DiskGraphWriter",
-    "DiskStateGraph",
-    "write_state_graph",
-    "load_state_graph",
-    "graph_store_bytes",
-    "GRAPHS_DIRNAME",
     "MANIFEST_PREFIX",
     "FarmResult",
     "create_farm",

@@ -20,10 +20,12 @@ Three cell kinds execute here:
   interrupted-and-resumed farm produces byte-identical results to an
   uninterrupted one.
 * ``verify`` — an exhaustive graph-retaining
-  :func:`~repro.verify.runner.verify_instance` walk; the retained
-  :class:`~repro.verify.graph.StateGraph` is persisted into the farm's
-  disk store (:mod:`repro.farm.store`) and the result records its
-  canonical sha256 digest, which is likewise bit-stable across resume.
+  :func:`~repro.verify.runner.verify_instance` walk; the result records
+  the sha256 digest of the retained
+  :class:`~repro.verify.graph.StateGraph`'s canonical
+  :meth:`~repro.verify.graph.StateGraph.to_bytes`, which is likewise
+  bit-stable across resume, so an in-memory sweep and a farm record the
+  same verify row.
 * ``fuzz`` — one shard of a seeded fuzz run (:mod:`repro.fuzz`): the
   grid's ``"fuzz"`` block fixes the root seed and total episode
   budget, and each cell executes a contiguous range of globally
@@ -38,8 +40,7 @@ Three cell kinds execute here:
 from __future__ import annotations
 
 import hashlib
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import FarmError
 from repro.farm.runtable import Cell
@@ -182,16 +183,19 @@ def grid_cells(config: Dict[str, Any]) -> List[Cell]:
     """Materialise a grid config into its cell list, deterministically.
 
     A config with a ``"fuzz"`` block shards that block's episode budget
-    into contiguous fuzz cells and nothing else.  Otherwise run cells
-    come first in naming-major order (the same nesting
-    :func:`~repro.analysis.experiments.sweep` uses), then — when the
-    config asks for graph retention — one verify cell at the end.
+    into contiguous fuzz cells of ``episodes_per_cell`` episodes (a
+    non-positive value raises :class:`FarmError`) and nothing else.
+    Otherwise run cells come first in naming-major order (the same
+    nesting :func:`~repro.analysis.experiments.sweep` uses), then — when
+    the config asks for graph retention — one verify cell at the end.
     """
     cells: List[Cell] = []
     if config.get("fuzz") is not None:
         fuzz = config["fuzz"]
         episodes = int(fuzz["episodes"])
-        per_cell = max(1, int(fuzz.get("episodes_per_cell") or 1))
+        per_cell = int(fuzz.get("episodes_per_cell", 1))
+        if per_cell < 1:
+            raise FarmError(f"episodes_per_cell must be >= 1, got {per_cell}")
         for base in range(0, episodes, per_cell):
             cells.append(
                 Cell(
@@ -297,8 +301,8 @@ def _run_cell_result(spec, params: Dict[str, Any], cell: Cell,
     }
 
 
-def _verify_cell_result(spec, instance, config: Dict[str, Any],
-                        graph_dir: Optional[Path]) -> Dict[str, Any]:
+def _verify_cell_result(spec, instance,
+                        config: Dict[str, Any]) -> Dict[str, Any]:
     from repro.request import RunRequest
     from repro.verify.runner import verify_instance
 
@@ -324,11 +328,6 @@ def _verify_cell_result(spec, instance, config: Dict[str, Any],
     }
     if graph is not None:
         result["graph_sha256"] = hashlib.sha256(graph.to_bytes()).hexdigest()
-        if graph_dir is not None:
-            from repro.farm.store import graph_store_bytes, write_state_graph
-
-            write_state_graph(graph, graph_dir)
-            result["graph_store_bytes"] = graph_store_bytes(graph_dir)
     return result
 
 
@@ -363,19 +362,14 @@ def _fuzz_cell_result(
 def execute_cell(
     config: Dict[str, Any],
     cell: Cell,
-    graphs_dir: Optional[Union[str, Path]] = None,
     memos: Optional[Dict[Tuple[str, str], Any]] = None,
 ) -> Dict[str, Any]:
     """Execute one claimed cell of a grid; returns its JSON result.
 
-    ``graphs_dir`` is the farm's graph-store root; verify cells persist
-    their retained StateGraph under ``<graphs_dir>/cell-<index>`` when
-    it is given (disk farms) and skip persistence when it is ``None``
-    (in-memory one-shot sweeps).  ``memos`` is the caller's step-memo
-    dict, handed to fuzz cells as :func:`~repro.fuzz.engine.run_fuzz`'s
-    ``memos``: a worker passes one dict to every cell it claims, so its
-    fuzz cells share one memo per target.  Run and verify cells ignore
-    it.
+    ``memos`` is the caller's step-memo dict, handed to fuzz cells as
+    :func:`~repro.fuzz.engine.run_fuzz`'s ``memos``: a worker passes one
+    dict to every cell it claims, so its fuzz cells share one memo per
+    target.  Run and verify cells ignore it.
     """
     if cell.kind == "fuzz":
         return _fuzz_cell_result(config, cell, memos)
@@ -385,10 +379,5 @@ def execute_cell(
             spec, instance.params_dict(), cell, int(config["max_steps"])
         )
     if cell.kind == "verify":
-        graph_dir = (
-            Path(graphs_dir) / f"cell-{cell.index:05d}"
-            if graphs_dir is not None
-            else None
-        )
-        return _verify_cell_result(spec, instance, config, graph_dir)
+        return _verify_cell_result(spec, instance, config)
     raise FarmError(f"unknown cell kind {cell.kind!r} at index {cell.index}")

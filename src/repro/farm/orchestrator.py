@@ -7,7 +7,6 @@ A *farm directory* is the durable form of one sweep:
     <dir>/
       runs.sqlite            -- the run table (repro.farm.runtable)
       manifests-<worker>.ndjson  -- one farm-cell manifest per finished cell
-      graphs/cell-<idx>/     -- disk StateGraph stores of verify cells
 
 Workers (:func:`drain_farm`) loop ``claim → execute → finish → append
 manifest`` until the table drains; each worker appends to its *own*
@@ -61,7 +60,6 @@ __all__ = [
     "is_farm_dir",
 ]
 
-GRAPHS_DIRNAME = "graphs"
 MANIFEST_PREFIX = "manifests-"
 
 #: Hook called with each cell right after its claim commits; tests use
@@ -224,7 +222,6 @@ def drain_table(
     worker: str,
     *,
     max_attempts: int = 1,
-    graphs_dir: Optional[Path] = None,
     fault_injector: Optional[FaultInjector] = None,
     max_cells: Optional[int] = None,
     on_finish: Optional[Callable[[Cell, Dict[str, Any]], None]] = None,
@@ -254,9 +251,7 @@ def drain_table(
             fault_injector(cell)
         executed += 1
         try:
-            result = execute_cell(
-                config, cell, graphs_dir=graphs_dir, memos=memos
-            )
+            result = execute_cell(config, cell, memos=memos)
         except FarmError:
             raise  # protocol bugs must surface, not soak into rows
         except Exception as exc:  # noqa: BLE001 — cell isolation
@@ -305,7 +300,6 @@ def drain_farm(
         drain_table(
             table, config, worker,
             max_attempts=max_attempts,
-            graphs_dir=root / GRAPHS_DIRNAME,
             fault_injector=fault_injector,
             max_cells=max_cells,
             on_finish=record,

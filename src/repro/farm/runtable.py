@@ -74,7 +74,7 @@ class Cell:
 
     ``kind`` is ``"run"`` (trace + property checks under one naming ×
     adversary combination), ``"verify"`` (a graph-retaining exhaustive
-    walk whose StateGraph lands in the farm's disk store) or ``"fuzz"``
+    walk, recorded with its StateGraph's digest) or ``"fuzz"``
     (a shard of seeded fuzzing episodes, see :mod:`repro.fuzz`).
     ``payload`` holds the cell-specific parameters, a JSON document.
     """

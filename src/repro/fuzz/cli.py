@@ -20,8 +20,12 @@ Exit status:
   or ``[error] cell N: <Class>: <message>`` per failed cell (farm),
   also under ``--expect-violation``;
 * ``2`` — a usage error: an argparse error, a grid flag given with
-  ``--resume`` (see :mod:`repro.farm.cli`), a negative ``--episodes``,
-  an unknown ``--families`` name, or any
+  ``--resume`` (see :mod:`repro.farm.cli`), a selection that runs
+  nothing (``--episodes 0``, a ``--families`` list naming no family),
+  an unknown ``--families`` name, a farm-only flag
+  (``--max-attempts``, ``--episodes-per-cell``) without ``--out``, a
+  grid :func:`~repro.farm.create_farm` refuses (a non-positive
+  ``--episodes-per-cell``), or any
   :class:`~repro.errors.ConfigurationError` (an unknown ``--problem``
   or ``--instance`` among them).  Nothing runs and no farm directory is
   created or changed.
@@ -156,10 +160,9 @@ def fuzz_main(argv: Sequence[str]) -> int:
     parser.add_argument("--telemetry", metavar="DIR", default=None,
                         help="write a kind='fuzz' run manifest into DIR "
                         "(readable by `python -m repro report DIR`)")
-    parser.add_argument("--episodes-per-cell", type=int,
-                        default=DEFAULT_EPISODES_PER_CELL, metavar="N",
+    parser.add_argument("--episodes-per-cell", type=int, metavar="N",
                         help="episodes per farm cell with --out "
-                        "(default: %(default)s)")
+                        f"(default: {DEFAULT_EPISODES_PER_CELL})")
     args = parse_farm_args(parser, argv, (
         "--seed", "--max-states", "--episodes", "--max-steps", "--families",
         "--episodes-per-cell",
@@ -179,11 +182,14 @@ def fuzz_main(argv: Sequence[str]) -> int:
         return _farm_report(
             args, run_farm_command(parser, args, None, "fuzz farm")
         )
-    if args.episodes < 0:
-        parser.error(f"--episodes must be >= 0, got {args.episodes}")
+    if args.episodes < 1:
+        parser.error(f"--episodes must be >= 1, got {args.episodes}")
     families = None
     if args.families is not None:
         families = [f.strip() for f in args.families.split(",") if f.strip()]
+        if not families:
+            parser.error(f"--families {args.families!r} names no strategy "
+                         "family; nothing to run")
         for family in families:
             if family not in STRATEGY_FAMILIES:
                 parser.error(
@@ -216,6 +222,8 @@ def fuzz_main(argv: Sequence[str]) -> int:
         return _farm_report(args, result)
     if args.max_attempts is not None:
         parser.error("--max-attempts retries farm cells; add --out DIR")
+    if args.episodes_per_cell is not None:
+        parser.error("--episodes-per-cell shards farm cells; add --out DIR")
 
     from repro.fuzz.engine import run_fuzz
 
@@ -266,7 +274,8 @@ def _farm_config(
             "max_steps": args.max_steps,
             "max_states": args.max_states,
             "families": families,
-            "episodes_per_cell": args.episodes_per_cell,
+            "episodes_per_cell": DEFAULT_EPISODES_PER_CELL
+            if args.episodes_per_cell is None else args.episodes_per_cell,
         },
         "max_attempts": args.max_attempts or 1,
     }

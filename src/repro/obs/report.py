@@ -94,11 +94,10 @@ def render_report(manifests: Sequence[RunManifest], title: Optional[str] = None)
 def render_farm_summary(directory: Path) -> str:
     """Status summary of a sweep-farm directory's run table.
 
-    One line per status count plus the grid's identity and the disk
-    footprint of any retained graph stores — the "how far did my farm
-    get" view ``repro report <farm-dir>`` leads with.
+    One line per status count plus the grid's identity — the "how far
+    did my farm get" view ``repro report <farm-dir>`` leads with.
     """
-    from repro.farm import GRAPHS_DIRNAME, farm_result, graph_store_bytes
+    from repro.farm import farm_result
 
     result = farm_result(directory)
     counts = result.counts
@@ -110,9 +109,6 @@ def render_farm_summary(directory: Path) -> str:
             "killed one (resume with: python -m repro sweep --resume "
             f"{directory})"
         )
-    retained = graph_store_bytes(directory / GRAPHS_DIRNAME)
-    if retained:
-        lines.append(f"retained graph stores: {retained} bytes on disk")
     for row in result.errors:
         lines.append(f"[error] cell {row.index}: {row.error}")
     return "\n".join(lines)

@@ -15,8 +15,8 @@ per process.  Because the digest depends only on the value's content —
 not on interning order, process identity or ``PYTHONHASHSEED`` — two
 canonicalizers built from the same instance in *different OS processes*
 produce identical keys, so a graph serialised in one process
-(``StateGraph.to_bytes()``, the farm's disk store) compares byte for
-byte with one serialised in another.  Key equality coincides with the
+(``StateGraph.to_bytes()``) compares byte for byte with one serialised
+in another.  Key equality coincides with the
 equality the seed explorer used up to BLAKE2b collisions on 64-bit
 digests (probability ≈ ``n²/2⁶⁵`` for ``n`` distinct values — about
 ``10⁻⁸`` even for a billion-value walk, and a collision could only

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
-from repro.errors import ConfigurationError, ExplorationLimitExceeded
+from repro.errors import ConfigurationError
 from repro.obs.telemetry import NULL_TELEMETRY, TelemetrySink
 from repro.runtime.canonical import (
     Canonicalizer,
@@ -174,15 +174,12 @@ def explore(
     invariant: Invariant,
     max_states: int = 500_000,
     max_depth: int = 10_000,
-    raise_on_truncation: bool = False,
     canonicalizer: Optional[Canonicalizer] = None,
     backend: Optional["ExplorationBackend"] = None,
     *,
     reduction: Optional[str] = None,
     kernel: Optional[str] = None,
     telemetry: Optional[TelemetrySink] = None,
-    footprints: bool = True,
-    max_group: int = 720,
     retain_graph: bool = False,
     request: Optional["RunRequest"] = None,
 ) -> ExplorationResult:
@@ -215,17 +212,15 @@ def explore(
         Search budgets.  Hitting ``max_states`` stops the walk
         immediately; hitting ``max_depth`` prunes deeper exploration
         only.  Either way the result has ``complete=False`` and
-        ``truncated_by`` set (``raise_on_truncation`` optionally turns
-        budget truncation into
-        :class:`~repro.errors.ExplorationLimitExceeded`).
+        ``truncated_by`` set.
     reduction:
         State-space quotient selector: ``"none"`` (the default — plain
         compact dedup of raw states) or ``"symmetry"`` (the strongest
         sound canonicalizer for this system, built via
-        :func:`~repro.runtime.canonical.build_canonicalizer` with
-        ``footprints``/``max_group`` — typically shrinks the visited
-        set by the naming-automorphism group order and more).  Mutually
-        exclusive with ``canonicalizer``.
+        :func:`~repro.runtime.canonical.build_canonicalizer` with its
+        defaults — typically shrinks the visited set by the
+        naming-automorphism group order and more).  Mutually exclusive
+        with ``canonicalizer``.
     canonicalizer:
         Explicit state-keying strategy for callers that need one beyond
         the two ``reduction`` presets (the benchmark harness compares
@@ -257,9 +252,6 @@ def explore(
         :data:`~repro.obs.telemetry.NULL_TELEMETRY`, which disables all
         recording; results are identical either way (pinned by the
         differential tests in ``tests/obs/test_telemetry.py``).
-    footprints / max_group:
-        Forwarded to the canonicalizer builder when
-        ``reduction="symmetry"``; ignored (and unvalidated) otherwise.
     request:
         A :class:`~repro.request.RunRequest` carrying the execution
         fields (``kernel``, ``max_states``, ``telemetry``) as one
@@ -308,9 +300,7 @@ def explore(
             canonicalizer = TrivialCanonicalizer(scheduler)
         elif reduction == "symmetry":
             with telemetry.phase("explore.build_canonicalizer"):
-                canonicalizer = build_canonicalizer(
-                    system, footprints=footprints, max_group=max_group
-                )
+                canonicalizer = build_canonicalizer(system)
         else:
             raise ConfigurationError(
                 f"unknown reduction {reduction!r}; expected 'symmetry' or 'none'"
@@ -380,11 +370,6 @@ def explore(
             states=result.states_explored,
             events=result.events_executed,
             truncated_by=result.truncated_by,
-        )
-    if raise_on_truncation and result.truncated_by in ("max_states", "max_depth"):
-        raise ExplorationLimitExceeded(
-            f"exploration truncated by {result.truncated_by}; "
-            f"{result.states_explored} states visited"
         )
     return result
 

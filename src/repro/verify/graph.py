@@ -70,8 +70,8 @@ edges in the same per-node order (the instance's scheduler pid order).
 Ordinals are each producer's own numbering, but
 :meth:`StateGraph.to_bytes` — nodes sorted by raw key, edges naming
 their destinations by raw key — produces byte-identical serialisations
-from both, and from the farm's disk store.  The differential tests in
-``tests/verify/test_graph.py`` pin this.
+from both.  The differential tests in ``tests/verify/test_graph.py`` pin
+this.
 """
 
 from __future__ import annotations
@@ -104,8 +104,6 @@ SlotEntry = Tuple[ProcessId, Any, bool, bool]
 Layout = Tuple[Sequence[int], Sequence[int]]
 
 #: Leading magic of the canonical :meth:`StateGraph.to_bytes` framing.
-#: Public so the disk store (:mod:`repro.farm.store`) can emit the same
-#: serialisation without re-stating the format.
 STATEGRAPH_MAGIC = b"repro.stategraph/v1"
 
 #: Widest run of adjacent fields :meth:`StateGraph.fold` reads with one

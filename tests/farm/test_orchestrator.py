@@ -21,7 +21,6 @@ from repro.farm import (
     farm_result,
     grid_cells,
     is_farm_dir,
-    load_state_graph,
     resolve_grid_target,
     resume_farm,
     run_farm,
@@ -112,18 +111,6 @@ class TestDrain:
         assert resume_farm(tmp_path / "farm") == 0
         assert drain_farm(tmp_path / "farm").counts["error"] == 6
 
-    def test_verify_cell_persists_graph_store(self, tmp_path):
-        config = make_config(retain_graph=True, adversary_seeds=(1,))
-        create_farm(tmp_path / "farm", config)
-        result = drain_farm(tmp_path / "farm")
-        verify_row = result.rows[-1]
-        assert verify_row.kind == "verify"
-        assert verify_row.result["verdict"] == "verified"
-        store = tmp_path / "farm" / "graphs" / f"cell-{verify_row.index:05d}"
-        with load_state_graph(store) as disk:
-            assert disk.digest() == verify_row.result["graph_sha256"]
-            assert disk.edge_count == verify_row.result["retained_edges"]
-
 
 class TestCrashResume:
     def test_killed_cell_stays_claimed_then_resume_matches_reference(
@@ -207,10 +194,20 @@ class TestCrashResume:
         )
         assert reclaimed.parameters["attempt"] == 2
 
-    def test_resumed_verify_cell_graph_digest_matches_reference(self, tmp_path):
+    def test_verify_row_is_the_same_in_memory_on_disk_and_after_resume(
+        self, tmp_path
+    ):
+        import hashlib
+
+        from repro.verify.runner import verify_instance
+
         config = make_config(retain_graph=True, adversary_seeds=(1,))
-        ref_rows, ref_dir = reference_rows(tmp_path, config)
-        verify_index = len(ref_rows) - 1
+        with SqliteRunTable.create(
+            SqliteRunTable.MEMORY, grid_cells(config)
+        ) as table:  # what `repro sweep` drains without --out
+            drain_table(table, config, "cli")
+            in_memory = table.rows()[-1]
+        ref_rows, _ = reference_rows(tmp_path, config)
 
         farm = tmp_path / "farm"
         create_farm(farm, config)
@@ -222,16 +219,25 @@ class TestCrashResume:
         with pytest.raises(Killed):
             drain_farm(farm, fault_injector=kill_on_verify)
         resume_farm(farm)
-        final = drain_farm(farm)
+        resumed = drain_farm(farm).rows[-1]
 
-        assert (
-            final.rows[verify_index].result
-            == ref_rows[verify_index].result
-        )
-        store = farm / "graphs" / f"cell-{verify_index:05d}"
-        ref_store = ref_dir / "graphs" / f"cell-{verify_index:05d}"
-        with load_state_graph(store) as a, load_state_graph(ref_store) as b:
-            assert a.to_bytes() == b.to_bytes()
+        assert in_memory.kind == resumed.kind == "verify"
+        assert in_memory.result == ref_rows[-1].result == resumed.result
+        report = verify_instance(*resolve_grid_target(config))
+        graph = report.exploration.graph
+        assert in_memory.result == {
+            "verdict": "verified",
+            "instance": "figure-1-mutex(m=3)",
+            "states": report.exploration.states_explored,
+            "retained_edges": graph.edge_count,
+            "properties": in_memory.result["properties"],
+            "graph_sha256": hashlib.sha256(graph.to_bytes()).hexdigest(),
+        }
+        assert all(prop["ok"] for prop in in_memory.result["properties"])
+        # The farm directory holds the run table and the manifests only.
+        assert sorted(path.name for path in farm.iterdir()) == [
+            "manifests-w0.ndjson", "runs.sqlite",
+        ]
 
 
 class TestMultiProcess:

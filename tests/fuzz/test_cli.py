@@ -51,7 +51,7 @@ MUTEX = ["fuzz", "--problem", "figure-1-mutex", "--episodes", "4"]
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv, message", [
-        (["--episodes", "-1"], "--episodes must be >= 0, got -1"),
+        (["--episodes", "-1"], "--episodes must be >= 1, got -1"),
         (["--families", "random,zigzag"],
          "unknown strategy family 'zigzag'; expected one of "
          "['lockstep', 'random', 'greedy', 'covering']"),

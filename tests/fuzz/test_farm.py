@@ -14,6 +14,7 @@ import random
 import pytest
 
 from repro.__main__ import main
+from repro.errors import FarmError
 from repro.farm import (
     create_farm,
     drain_farm,
@@ -80,6 +81,11 @@ class TestFuzzGrid:
 
     def test_sharding_is_deterministic(self):
         assert grid_cells(fuzz_config()) == grid_cells(fuzz_config())
+
+    @pytest.mark.parametrize("per_cell", [0, -4])
+    def test_a_non_positive_cell_size_is_refused(self, per_cell):
+        with pytest.raises(FarmError, match="episodes_per_cell must be >= 1"):
+            grid_cells(fuzz_config(per_cell=per_cell))
 
 
 class TestFuzzFarmEquivalence:
@@ -353,6 +359,20 @@ class TestFuzzFarmCli:
         assert code == 0
         assert "0 cell(s) to run" in captured
         assert "[HIT]" in captured
+
+    def test_the_default_cell_size_is_stored_in_the_grid(self, tmp_path):
+        from repro.farm import open_farm
+        from repro.fuzz.cli import DEFAULT_EPISODES_PER_CELL
+
+        out = tmp_path / "farm"
+        assert main([
+            "fuzz", "--problem", "figure-1-mutex", "--episodes", "16",
+            "--max-steps", "64", "--out", str(out),
+        ]) == 0
+        with open_farm(out) as table:
+            fuzz = table.meta()["grid"]["fuzz"]
+        assert fuzz["episodes_per_cell"] == DEFAULT_EPISODES_PER_CELL == 8
+        assert len(farm_result(out).rows) == 2
 
     def test_one_shot_flags_rejected_in_farm_mode(self, tmp_path, capsys):
         with pytest.raises(SystemExit):

@@ -12,7 +12,7 @@ livelock break and the untouched-system contract.
 import pytest
 
 from repro.core.mutex import AnonymousMutex
-from repro.errors import ConfigurationError, ExplorationLimitExceeded
+from repro.errors import ConfigurationError
 from repro.runtime.adversary import RoundRobinAdversary
 from repro.runtime.automaton import Algorithm, ProcessAutomaton
 from repro.runtime.backends import SerialBackend
@@ -145,17 +145,6 @@ class TestBudgetAccounting:
         assert result.truncated_by == "max_states"
         assert not result.complete
         assert result.peak_visited <= 10
-
-    @pytest.mark.parametrize("make_backend", BACKENDS)
-    def test_raise_on_truncation(self, make_backend):
-        with pytest.raises(ExplorationLimitExceeded, match="max_depth"):
-            explore(
-                mutex_system(m=5),
-                mutual_exclusion_invariant,
-                max_depth=2,
-                raise_on_truncation=True,
-                backend=make_backend(),
-            )
 
     @pytest.mark.parametrize("make_backend", BACKENDS)
     def test_crash_terminal_states_are_settled_not_stuck(self, make_backend):

@@ -1,10 +1,7 @@
 """Unit tests for the bounded exhaustive model checker."""
 
-import pytest
-
 from repro.core.consensus import AnonymousConsensus
 from repro.core.mutex import AnonymousMutex
-from repro.errors import ExplorationLimitExceeded
 from repro.lowerbounds.candidates import NaiveTestAndSetLock
 from repro.runtime.exploration import (
     agreement_invariant,
@@ -41,16 +38,6 @@ class TestExploreMechanics:
         result = explore(system, mutual_exclusion_invariant, max_depth=5)
         assert not result.complete
         assert result.truncated_by == "max_depth"
-
-    def test_raise_on_truncation(self):
-        system = System(AnonymousMutex(m=3, cs_visits=2), pids(2), record_trace=False)
-        with pytest.raises(ExplorationLimitExceeded):
-            explore(
-                system,
-                mutual_exclusion_invariant,
-                max_states=10,
-                raise_on_truncation=True,
-            )
 
     def test_summary_mentions_status(self):
         system = System(AnonymousConsensus(n=1), {101: "v"}, record_trace=False)

@@ -208,6 +208,168 @@ class TestZeroBudgets:
         assert not out.exists()
 
 
+M3 = "figure-1-mutex(m=3)"
+MUTANT = "figure-1-mutex-even-m"
+MUTEX_SWEEP = [
+    "sweep", "--problem", "figure-1-mutex", "--instance", M3,
+    "--namings", "identity",
+]
+ONE_ADVERSARY = ["--adversaries", "round-robin", "--max-steps", "2000"]
+MUTANT_SWEEP = [
+    "sweep", "--problem", MUTANT, "--retain-graph", "--namings", "identity",
+    *ONE_ADVERSARY,
+]
+
+
+def mutex_fuzz(instance=M3, episodes="4"):
+    return [
+        "fuzz", "--problem", "figure-1-mutex", "--instance", instance,
+        "--seed", "7", "--episodes", episodes,
+    ]
+
+
+LADDER_FUZZ = [
+    "fuzz", "--problem", "ladder-consensus", "--seed", "7", "--episodes", "16",
+]
+HORIZON = "ProtocolError: process 101 exceeded the simulation horizon"
+
+#: (command and outcome, mode, argv, exit code, first line).  ``{out}``
+#: stands for the farm directory ``--out`` names.
+MATRIX = [
+    # usage error
+    ("verify-usage", "", ["verify", "--instance", M3, "--max-states", "0"],
+     2, "error: RunRequest.max_states must be a positive int, got 0"),
+    *[
+        (f"sweep-usage-{name}", mode, [*MUTEX_SWEEP, *argv], 2, line)
+        for mode in ("memory", "out")
+        for name, argv, line in [
+            ("max-steps", ["--max-steps", "0"],
+             "error: RunRequest.max_steps must be a positive int, got 0"),
+            ("verify-budget", ["--verify-max-states", "5"],
+             "error: --verify-max-states budgets the verify cell; "
+             "add --retain-graph"),
+        ]
+    ],
+    *[
+        (f"fuzz-usage-{name}", mode, argv, 2, line)
+        for name, mode, argv, line in [
+            ("episodes", "one-shot", mutex_fuzz(episodes="-1"),
+             "error: --episodes must be >= 1, got -1"),
+            ("episodes", "out", mutex_fuzz(episodes="-1"),
+             "error: --episodes must be >= 1, got -1"),
+            ("per-cell", "one-shot",
+             [*mutex_fuzz(), "--episodes-per-cell", "4"],
+             "error: --episodes-per-cell shards farm cells; add --out DIR"),
+            ("per-cell", "out", [*mutex_fuzz(), "--episodes-per-cell", "0"],
+             "error: episodes_per_cell must be >= 1, got 0"),
+        ]
+    ],
+    # typed run error
+    ("verify-run-error", "", ["verify", "--instance", M3, "--max-states", "10"],
+     1, f"[FAIL] {M3}: {M3}: exploration truncated by max_states"),
+    ("sweep-run-error", "memory", ["sweep", "--problem", "ladder-consensus"],
+     1, "ladder-consensus: 3 cells — 2 done, 0 pending, 0 claimed, 1 error"),
+    ("sweep-run-error", "out", ["sweep", "--problem", "ladder-consensus"],
+     1, "farm: 3 cell(s) at {out}"),
+    ("fuzz-run-error", "one-shot", LADDER_FUZZ,
+     1, f"[error] ladder-consensus: {HORIZON}"),
+    ("fuzz-run-error", "out", LADDER_FUZZ, 1, "fuzz farm: 2 cell(s) at {out}"),
+    # nothing selected
+    ("verify-nothing", "", ["verify", "--problem", "ladder-consensus"],
+     2, "error: problem(s) ['ladder-consensus'] declare no verify-role "
+     "instance"),
+    *[
+        (f"sweep-nothing-{flag[2:]}", mode, [*MUTEX_SWEEP, flag, ","], 2,
+         f"error: {flag} ',' names no spec; nothing to run")
+        for mode in ("memory", "out")
+        for flag in ("--namings", "--adversaries")
+    ],
+    *[
+        (f"fuzz-nothing-{name}", mode, argv, 2, line)
+        for mode in ("one-shot", "out")
+        for name, argv, line in [
+            ("episodes", mutex_fuzz(episodes="0"),
+             "error: --episodes must be >= 1, got 0"),
+            ("families", [*mutex_fuzz(), "--families", ","],
+             "error: --families ',' names no strategy family; "
+             "nothing to run"),
+        ]
+    ],
+    # violation: the registry's seeded mutant
+    ("verify-violation", "", ["verify", "--instance", f"{MUTANT}(m=4)"],
+     0, f"[OK ] {MUTANT}(m=4): "),
+    ("sweep-violation", "memory", MUTANT_SWEEP,
+     0, f"{MUTANT}: 2 cells — 2 done, 0 pending, 0 claimed, 0 error"),
+    ("sweep-violation", "out", MUTANT_SWEEP, 0, "farm: 2 cell(s) at {out}"),
+    ("fuzz-violation", "one-shot", mutex_fuzz(MUTANT),
+     1, f"{MUTANT}(m=4): 4 episode(s), "),
+    ("fuzz-violation", "out", mutex_fuzz(MUTANT),
+     1, "fuzz farm: 1 cell(s) at {out}"),
+    # clean
+    ("verify-clean", "", ["verify", "--instance", M3], 0, f"[OK ] {M3}: "),
+    ("sweep-clean", "memory", MUTEX_SWEEP + ONE_ADVERSARY,
+     0, "figure-1-mutex: 1 cells — 1 done, 0 pending, 0 claimed, 0 error"),
+    ("sweep-clean", "out", MUTEX_SWEEP + ONE_ADVERSARY,
+     0, "farm: 1 cell(s) at {out}"),
+    ("fuzz-clean", "one-shot", mutex_fuzz(), 0, f"{M3}: 4 episode(s), "),
+    ("fuzz-clean", "out", mutex_fuzz(), 0, "fuzz farm: 1 cell(s) at {out}"),
+]
+
+
+class TestExitCodeMatrix:
+    """How ``verify``, ``sweep`` and ``fuzz`` end: {usage error, typed
+    run error, nothing selected, violation, clean} -> exit code and
+    first line, in each of ``sweep``'s and ``fuzz``'s modes (in memory
+    or one-shot, and ``--out``).
+
+    The first line is the first line on stdout, or on stderr when
+    stdout is empty.  argparse starts a usage error with its synopsis,
+    so for exit 2 the row pins the ``error:`` line after it.  A usage
+    error or an empty selection runs nothing and leaves no directory.
+
+    Cells that cannot occur with a registry instance:
+
+    * verify, typed run error other than ``VerificationError``: no
+      registered instance raises one.  The row pins the
+      ``VerificationError`` a too-small ``--max-states`` raises;
+      ``test_verify_ends_a_typed_run_error_and_runs_the_rest`` pins
+      the ``[error]`` line with a patched ``verify_instance``.
+    * every command, an unexpected violation: every registered
+      instance keeps its declared properties.  The rows run the seeded
+      mutant, whose deadlock-freedom violation ``verify`` and the
+      sweep's verify cell expect (exit 0) and ``fuzz`` reports as a hit
+      (exit 1; 0 with ``--expect-violation``).  A sweep's run cells
+      check safety only, which the mutant keeps.
+
+    ladder-consensus runs past its simulation horizon, which ends as a
+    typed run error (``ProtocolError``) in every command that runs it.
+    """
+
+    @pytest.mark.parametrize(
+        "mode, argv, code, line",
+        [row[1:] for row in MATRIX],
+        ids=[f"{row[0]}-{row[1]}".rstrip("-") for row in MATRIX],
+    )
+    def test_ending(self, mode, argv, code, line, tmp_path, capsys):
+        out = tmp_path / "farm"
+        if mode == "out":
+            argv = [*argv, "--out", str(out)]
+        try:
+            ended = main(argv)
+        except SystemExit as exc:
+            ended = exc.code
+        captured = capsys.readouterr()
+        assert ended == code
+        assert "Traceback" not in captured.err
+        if code == 2:
+            assert captured.out == ""
+            assert not out.exists()
+            first = captured.err.splitlines()[-1].split(": ", 1)[1]
+        else:
+            first = (captured.out or captured.err).splitlines()[0]
+        assert first.startswith(line.format(out=out))
+
+
 class TestExperimentsCommand:
     """``repro experiments`` runs benchmarks/run_experiments.py; the
     script is stubbed here, so only the hand-over is under test."""
